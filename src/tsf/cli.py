@@ -55,16 +55,16 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output report path")
 
 
-def _apply_config_file(args: argparse.Namespace) -> dict:
-    """Merge [run] section of the INI file under explicit CLI flags; returns
-    the [descriptions] section."""
+def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> dict:
+    """Merge [run] section of the INI file under the flags given in argv;
+    returns the [descriptions] section."""
     if not args.config:
         return {}
     cp = configparser.ConfigParser()
     if not cp.read(args.config):
         raise ConfigError(f"cannot read config file {args.config!r}")
     defaults = dict(cp["run"]) if cp.has_section("run") else {}
-    explicit = {a.split("=")[0].lstrip("-").replace("-", "_") for a in sys.argv if a.startswith("--")}
+    explicit = {a.split("=")[0].lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
     for key, raw in defaults.items():
         attr = key.replace("-", "_")
         if attr in explicit or not hasattr(args, attr):
@@ -151,8 +151,8 @@ def _emit(reports, out: str) -> None:
     emit_report(reports, fmt, out)
 
 
-def _cmd_run(args, backend_kind=None) -> int:
-    descriptions = _apply_config_file(args)
+def _cmd_run(args, argv: list[str], backend_kind=None) -> int:
+    descriptions = _apply_config_file(args, argv)
     backend = _backend_config(args, backend_kind)
     dataset = _load_dataset(args, descriptions)
     cfg = _run_config(args, backend)
@@ -166,8 +166,8 @@ def _cmd_run(args, backend_kind=None) -> int:
     return 0 if outcome.ok else 1
 
 
-def _cmd_record(args) -> int:
-    descriptions = _apply_config_file(args)
+def _cmd_record(args, argv: list[str]) -> int:
+    descriptions = _apply_config_file(args, argv)
     args.backend = "http"
     backend = _backend_config(args)
     if not args.fixtures:
@@ -220,14 +220,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            return _cmd_run(args)
+            return _cmd_run(args, argv)
         if args.command == "replay":
-            return _cmd_run(args, backend_kind="replay")
+            return _cmd_run(args, argv, backend_kind="replay")
         if args.command == "record":
-            return _cmd_record(args)
+            return _cmd_record(args, argv)
         if args.command == "compare":
             return _cmd_compare(args)
     except TsfError as e:

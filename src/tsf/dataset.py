@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -186,10 +187,8 @@ def load_csv(path, schema: CsvSchema, name: str | None = None) -> Dataset:
     return Dataset(name=dataset_name, series=series)
 
 
-def slice_windows(
-    series: Series, context_len: int, horizon: int, stride: int = 96
-) -> list[EvalWindow]:
-    """Slice evaluation windows at starts 0, stride, 2*stride, ..."""
+def window_starts(series: Series, context_len: int, horizon: int, stride: int) -> range:
+    """Starts 0, stride, 2*stride, ... of every whole evaluation window."""
     if context_len < 1 or horizon < 1 or stride < 1:
         raise ValueError("context_len, horizon and stride must be >= 1")
     n = len(series)
@@ -197,27 +196,37 @@ def slice_windows(
         raise SeriesTooShort(
             f"series {series.id!r} has {n} points; needs {context_len + horizon}"
         )
-    windows = []
-    start = 0
-    while start + context_len + horizon <= n:
-        end = start + context_len
-        windows.append(
-            EvalWindow(
-                series_id=series.id,
-                context=series.values[start:end],
-                context_start=start,
-                horizon=horizon,
-                truth=series.values[end : end + horizon],
-                context_timestamps=series.timestamps[start:end],
-            )
-        )
-        start += stride
-    return windows
+    return range(0, n - context_len - horizon + 1, stride)
 
 
+def eval_window(series: Series, start: int, context_len: int, horizon: int) -> EvalWindow:
+    """The window whose context begins at `start`; its truth follows it."""
+    end = start + context_len
+    return EvalWindow(
+        series_id=series.id,
+        context=series.values[start:end],
+        context_start=start,
+        horizon=horizon,
+        truth=series.values[end : end + horizon],
+        context_timestamps=series.timestamps[start:end],
+    )
+
+
+def slice_windows(
+    series: Series, context_len: int, horizon: int, stride: int = 96
+) -> list[EvalWindow]:
+    """Slice evaluation windows at starts 0, stride, 2*stride, ..."""
+    return [
+        eval_window(series, start, context_len, horizon)
+        for start in window_starts(series, context_len, horizon, stride)
+    ]
+
+
+@functools.lru_cache(maxsize=1 << 14)
 def format_value(x: float, max_decimals: int = 4) -> str:
     """Render a value for prompts: <= max_decimals places, half-to-even,
     trailing zeros stripped, leading zero kept, "-0" normalized to "0".
+    Memoised: prompts repeat values, and the Decimal path is slow.
     """
     if not math.isfinite(x):
         raise NonFiniteValue(f"cannot format {x!r}")

@@ -7,14 +7,16 @@ import json
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from . import evaluation
-from .dataset import Dataset, EvalWindow, Series, slice_windows
+from .dataset import Dataset, EvalWindow, Series, eval_window, window_starts
 from .errors import EmptyPool, TsfError, WrongCount
 from .evaluation import RunReport, WindowResult
 from .llmgateway import BackendConfig, Gateway, LlmResponse
-from .neighbors import build_pool, top_k
+from .neighbors import NeighborSet, build_pool, top_k
 from .parsing import parse_prediction
 from .prompting import TEMPLATE_VERSION, PromptBundle, Strategy, assemble
 
@@ -73,12 +75,31 @@ class RunOutcome:
         return not self.failures
 
 
-def _subsample(windows: list[EvalWindow], max_windows: int, seed: int) -> list[EvalWindow]:
+def _subsample(windows: Sequence, max_windows: int, seed: int) -> Sequence:
     if len(windows) <= max_windows:
         return windows
     rng = random.Random(seed)
     keep = sorted(rng.sample(range(len(windows)), max_windows))
     return [windows[i] for i in keep]
+
+
+def _neighbor_search(dataset: Dataset, cfg: RunConfig) -> Callable[[EvalWindow], NeighborSet]:
+    """Neighbor search for one call, done once per (series_id, context_start):
+    the config is fixed within a call, and every strategy and horizon of a
+    window shares its context. Series become float64 arrays on first use."""
+    cache: dict[tuple[str, int], NeighborSet] = {}
+    arrays: list[np.ndarray] = []
+
+    def search(window: EvalWindow) -> NeighborSet:
+        key = (window.series_id, window.context_start)
+        if key not in cache:
+            if not arrays:
+                arrays.extend(np.asarray(s.values, dtype=float) for s in dataset.series)
+            pool = build_pool(dataset, window, cfg.candidate_stride, arrays=arrays)
+            cache[key] = top_k(window, pool, cfg.k, znorm=cfg.znorm_neighbors)
+        return cache[key]
+
+    return search
 
 
 def _bundle_for(
@@ -87,11 +108,11 @@ def _bundle_for(
     series: Series,
     window: EvalWindow,
     strategy: Strategy,
+    search: Optional[Callable[[EvalWindow], NeighborSet]] = None,
 ) -> PromptBundle:
     neighbor_set = None
     if strategy.uses_neighbors:
-        pool = build_pool(dataset, window, cfg.candidate_stride)
-        neighbor_set = top_k(window, pool, cfg.k, znorm=cfg.znorm_neighbors)
+        neighbor_set = (search or _neighbor_search(dataset, cfg))(window)
     return assemble(
         strategy,
         window,
@@ -101,6 +122,21 @@ def _bundle_for(
         patch_stride=cfg.patch_stride,
         k=cfg.k,
         neighbor_set=neighbor_set,
+    )
+
+
+def _failed(window: EvalWindow, error: TsfError, resp: Optional[LlmResponse] = None) -> WindowResult:
+    """A window that produced no forecast; its tokens count if it was answered."""
+    return WindowResult(
+        window_id=f"{window.series_id}:{window.context_start}",
+        forecast=None,
+        truth=window.truth,
+        mse=None,
+        mae=None,
+        input_tokens=resp.input_tokens if resp else 0,
+        output_tokens=resp.output_tokens if resp else 0,
+        latency_seconds=resp.latency_seconds if resp else 0.0,
+        parse_status=f"failed:{type(error).__name__}",
     )
 
 
@@ -127,23 +163,25 @@ def _score(window: EvalWindow, bundle: PromptBundle, resp: LlmResponse, lenient:
 
 
 def eval_windows(dataset: Dataset, cfg: RunConfig, horizon: int) -> list[tuple[Series, EvalWindow]]:
-    """Subsampled evaluation windows for every series in the dataset."""
+    """Subsampled evaluation windows for every series in the dataset. The
+    subsample draws from the window starts; only the kept windows are built."""
     pairs: list[tuple[Series, EvalWindow]] = []
     for series in dataset.series:
-        windows = slice_windows(series, cfg.context_len, horizon, cfg.eval_stride)
-        for w in _subsample(windows, cfg.max_windows, cfg.seed):
-            pairs.append((series, w))
+        starts = window_starts(series, cfg.context_len, horizon, cfg.eval_stride)
+        for start in _subsample(starts, cfg.max_windows, cfg.seed):
+            pairs.append((series, eval_window(series, start, cfg.context_len, horizon)))
     return pairs
 
 
 def bundles_for_run(dataset: Dataset, cfg: RunConfig) -> list[PromptBundle]:
     """Every prompt bundle a run would dispatch (used by record mode)."""
     out = []
+    search = _neighbor_search(dataset, cfg)
     for strategy in cfg.strategies:
         for horizon in cfg.horizons:
             for series, window in eval_windows(dataset, cfg, horizon):
                 try:
-                    out.append(_bundle_for(cfg, dataset, series, window, strategy))
+                    out.append(_bundle_for(cfg, dataset, series, window, strategy, search))
                 except EmptyPool:
                     continue
     return out
@@ -153,57 +191,39 @@ def run(dataset: Dataset, cfg: RunConfig) -> RunOutcome:
     gateway = Gateway(cfg.backend)
     reports: list[RunReport] = []
     failures: list[RunFailure] = []
+    search = _neighbor_search(dataset, cfg)
+
+    def dispatch(job):
+        """A response, or the error that stands in for it."""
+        if isinstance(job, TsfError):
+            return job
+        try:
+            return gateway.complete(job)
+        except TsfError as e:
+            return e
 
     for strategy in cfg.strategies:
         for horizon in cfg.horizons:
             results: list[WindowResult] = []
             pairs = eval_windows(dataset, cfg, horizon)
-            bundles: list[Optional[PromptBundle]] = []
+            jobs: list = []  # a bundle, or the EmptyPool that left a window without one
             for series, window in pairs:
                 try:
-                    bundles.append(_bundle_for(cfg, dataset, series, window, strategy))
-                except EmptyPool:
-                    bundles.append(None)
-
-            def dispatch(bundle):
-                return gateway.complete(bundle) if bundle is not None else None
+                    jobs.append(_bundle_for(cfg, dataset, series, window, strategy, search))
+                except EmptyPool as e:
+                    jobs.append(e)
 
             with ThreadPoolExecutor(max_workers=max(1, cfg.backend.parallelism)) as ex:
-                responses = list(ex.map(dispatch, bundles))
+                responses = list(ex.map(dispatch, jobs))
 
-            for (series, window), bundle, resp in zip(pairs, bundles, responses):
-                window_id = f"{window.series_id}:{window.context_start}"
-                if bundle is None:
-                    results.append(
-                        WindowResult(
-                            window_id=window_id,
-                            forecast=None,
-                            truth=window.truth,
-                            mse=None,
-                            mae=None,
-                            input_tokens=0,
-                            output_tokens=0,
-                            latency_seconds=0.0,
-                            parse_status="failed:EmptyPool",
-                        )
-                    )
+            for (series, window), bundle, resp in zip(pairs, jobs, responses):
+                if isinstance(resp, TsfError):
+                    results.append(_failed(window, resp))
                     continue
                 try:
                     results.append(_score(window, bundle, resp, cfg.lenient))
                 except TsfError as e:
-                    results.append(
-                        WindowResult(
-                            window_id=window_id,
-                            forecast=None,
-                            truth=window.truth,
-                            mse=None,
-                            mae=None,
-                            input_tokens=resp.input_tokens,
-                            output_tokens=resp.output_tokens,
-                            latency_seconds=resp.latency_seconds,
-                            parse_status=f"failed:{type(e).__name__}",
-                        )
-                    )
+                    results.append(_failed(window, e, resp))
             if not results:
                 failures.append(
                     RunFailure(strategy.value, horizon, "-", "no evaluation windows")

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -173,3 +174,32 @@ class TestFormatValue:
         if "." in s:
             assert not s.endswith("0") and len(s.split(".")[1]) <= 4
         assert math.isfinite(float(s))
+
+
+def test_format_value_memo_matches_decimal_path():
+    """200,000 values, many repeated, near half-to-even ties at 4 and 2
+    decimals, and both zeros (equal as cache keys): the memoised function
+    returns exactly what the uncached Decimal path does."""
+    rng = random.Random(2024)
+    values = [0.0, -0.0, -0.0, 0.0, -1e-9, 1e-9, -0.00004, 0.00005, -0.00005]
+    while len(values) < 200_000:
+        kind = rng.randrange(5)
+        if kind == 0:  # a tie at 4 decimals, or the float next to it
+            x = (2 * rng.randint(-10**6, 10**6) + 1) / 20000
+            x = rng.choice([x, math.nextafter(x, math.inf), math.nextafter(x, -math.inf)])
+        elif kind == 1:  # a tie at 2 decimals
+            x = (2 * rng.randint(-10**4, 10**4) + 1) / 200
+        elif kind == 2:  # hundredths, as weather tables store them
+            x = rng.randint(-5000, 5000) / 100
+        elif kind == 3:
+            x = rng.uniform(-1e4, 1e4) * 10.0 ** rng.randint(-8, 2)
+        else:  # a value seen before, so the cache answers
+            x = rng.choice(values)
+        values.append(x)
+    format_value.cache_clear()
+    uncached = format_value.__wrapped__
+    for i, x in enumerate(values):
+        d = 2 if i % 5 == 0 else 4
+        assert format_value(x, d) == uncached(x, d), (x, d)
+    assert format_value.cache_info().hits > 10_000
+

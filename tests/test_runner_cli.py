@@ -1,21 +1,30 @@
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tsf.llmgateway as gw
+import tsf.runner as runner_mod
 from tsf.cli import main
-from tsf.dataset import CsvSchema, load_csv
+from tsf.dataset import CsvSchema, load_csv, slice_windows
+from tsf.errors import EmptyPool, SeriesTooShort
 from tsf.evaluation import reports_from_json
-from tsf.llmgateway import BackendConfig, BackendKind, bundle_hash, save_fixtures
+from tsf.llmgateway import BackendConfig, BackendKind, Gateway, bundle_hash, save_fixtures
 from tsf.prompting import Strategy
 from tsf.runner import (
     RunConfig,
+    _bundle_for,
     bundles_for_run,
     compare_reports,
+    eval_windows,
     render_comparison_markdown,
     run,
 )
 
 from conftest import make_dataset
+from test_gateway import FakeResponse, ok_payload
 
 MOCK_P = BackendConfig(kind=BackendKind.MOCK_PERSISTENCE)
 
@@ -117,6 +126,175 @@ class TestRunner:
         assert run(ds, cfg).reports == run(ds, cfg).reports
 
 
+class TestEvalWindows:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        context_len=st.integers(1, 40),
+        horizon=st.integers(1, 12),
+        extra=st.integers(0, 300),
+        stride=st.integers(1, 60),
+        max_windows=st.integers(1, 12),
+        seed=st.integers(0, 2**32),
+    )
+    def test_selection_equals_slice_then_subsample(
+        self, context_len, horizon, extra, stride, max_windows, seed
+    ):
+        length = context_len + horizon + extra
+        ds = make_dataset({"a": range(length), "b": [-v for v in range(length)]})
+        cfg = small_config(
+            [Strategy.ZEROSHOT], horizons=(horizon,), context_len=context_len,
+            eval_stride=stride, max_windows=max_windows, seed=seed,
+        )
+        expected = []
+        for series in ds.series:
+            windows = slice_windows(series, context_len, horizon, stride)
+            if len(windows) > max_windows:
+                keep = sorted(random.Random(seed).sample(range(len(windows)), max_windows))
+                windows = [windows[i] for i in keep]
+            expected += [(series, w) for w in windows]
+        assert eval_windows(ds, cfg, horizon) == expected
+
+    def test_too_short_series(self):
+        ds = make_dataset({"a": range(50)})
+        with pytest.raises(SeriesTooShort):
+            eval_windows(ds, small_config([Strategy.ZEROSHOT]), 1)
+
+
+NEIGHBOR_DS = make_dataset({
+    "b": [float(i % 17) for i in range(260)],
+    "a": [float((3 * i) % 11) / 2 for i in range(260)],
+})
+
+
+class TestNeighborSearch:
+    def test_top_k_once_per_window(self, monkeypatch):
+        calls = []
+        real_top_k = runner_mod.top_k
+
+        def counting_top_k(target, pool, k=5, znorm=False):
+            calls.append((target.series_id, target.context_start))
+            return real_top_k(target, pool, k, znorm=znorm)
+
+        monkeypatch.setattr(runner_mod, "top_k", counting_top_k)
+        cfg = small_config(
+            [Strategy.NEIGHS, Strategy.PATCH_INSTRUCT_NEIGHS], horizons=(1, 2, 3),
+            eval_stride=8, max_windows=6,
+        )
+        # a window has candidates once a whole context fits before it
+        searched = {
+            (w.series_id, w.context_start)
+            for h in cfg.horizons
+            for _, w in eval_windows(NEIGHBOR_DS, cfg, h)
+            if w.context_start >= cfg.context_len
+        }
+        outcome = run(NEIGHBOR_DS, cfg)
+        assert outcome.reports
+        assert sorted(calls) == sorted(searched)
+        calls.clear()
+        bundles = bundles_for_run(NEIGHBOR_DS, cfg)
+        assert sorted(calls) == sorted(searched)
+        assert len(bundles) > len(searched) > 1
+
+    @pytest.mark.parametrize("znorm", [False, True])
+    def test_shared_search_equals_fresh_search(self, znorm):
+        cfg = small_config(
+            [Strategy.NEIGHS, Strategy.PATCH_INSTRUCT_NEIGHS], horizons=(1, 4),
+            eval_stride=8, max_windows=6, candidate_stride=2, k=3, znorm_neighbors=znorm,
+        )
+        fresh = []
+        for strategy in cfg.strategies:
+            for h in cfg.horizons:
+                for series, w in eval_windows(NEIGHBOR_DS, cfg, h):
+                    try:
+                        fresh.append(_bundle_for(cfg, NEIGHBOR_DS, series, w, strategy))
+                    except EmptyPool:
+                        pass
+        assert fresh
+        assert bundles_for_run(NEIGHBOR_DS, cfg) == fresh
+
+
+def varying_dataset(n=106):
+    """One series whose stride-1 windows all differ (period 13 > 10 windows)."""
+    return make_dataset({"v": [float(i % 13) / 4 for i in range(n)]})
+
+
+def fixture_records(bundles):
+    g = Gateway(MOCK_P)
+    return [
+        {
+            "hash": bundle_hash(b),
+            "text": g.complete(b).text,
+            "input_tokens": 5,
+            "output_tokens": 1,
+            "latency_seconds": 0.5,
+        }
+        for b in bundles
+    ]
+
+
+class TestDispatchFailures:
+    """A dispatch error costs its own window only."""
+
+    def test_replay_miss_costs_one_window(self, tmp_path):
+        ds = varying_dataset()
+        cfg = small_config([Strategy.ZEROSHOT], horizons=(1,), eval_stride=1, max_windows=10)
+        bundles = bundles_for_run(ds, cfg)
+        assert len(bundles) == 10 and len({bundle_hash(b) for b in bundles}) == 10
+        fx = tmp_path / "fx.jsonl"
+        save_fixtures(fixture_records(bundles[:3] + bundles[4:]), fx)
+        replay = BackendConfig(kind=BackendKind.REPLAY, fixture_path=str(fx))
+        outcome = run(ds, small_config(
+            [Strategy.ZEROSHOT], horizons=(1,), eval_stride=1, max_windows=10, backend=replay))
+        assert outcome.ok
+        (rep,) = outcome.reports
+        assert (rep.n_windows, rep.n_parsed) == (10, 9)
+        assert rep.parse_failure_rate == pytest.approx(0.1)
+        assert rep.total_input_tokens == 9 * 5
+
+    def test_http_error_costs_one_window(self, monkeypatch):
+        monkeypatch.setenv(gw.API_KEY_ENV, "test-key")
+        ds = varying_dataset()
+        http = BackendConfig(kind=BackendKind.HTTP, endpoint_url="http://llm.example",
+                             model_name="m", max_retries=1, parallelism=3)
+        cfg = small_config([Strategy.ZEROSHOT], horizons=(1,), eval_stride=1, max_windows=10,
+                           backend=http)
+        pairs = eval_windows(ds, cfg, 1)
+        failing = bundles_for_run(ds, cfg)[6].user
+
+        def fake_post(url, json=None, headers=None, timeout=None):
+            if json["messages"][1]["content"] == failing:
+                return FakeResponse(500, text="server error")
+            return FakeResponse(200, ok_payload("[0]", it=7, ot=1))
+
+        monkeypatch.setattr(gw.requests, "post", fake_post)
+        outcome = run(ds, cfg)
+        assert outcome.ok
+        (rep,) = outcome.reports
+        assert (rep.n_windows, rep.n_parsed) == (10, 9)
+        kept = [w.truth[0] ** 2 for i, (_, w) in enumerate(pairs) if i != 6]
+        assert rep.mean_mse == pytest.approx(sum(kept) / 9, rel=1e-12)
+
+    def test_replay_cli_reports_the_other_windows(self, tmp_path):
+        csv = tmp_path / "data.csv"
+        csv.write_text(
+            "timestamp,v\n" + "".join(f"{600 * i},{(i % 13) / 4}\n" for i in range(106)),
+            encoding="utf-8",
+        )
+        ds = load_csv(csv, CsvSchema(timestamp_column="timestamp"))
+        cfg = small_config([Strategy.ZEROSHOT], horizons=(1,), eval_stride=1, max_windows=10)
+        bundles = bundles_for_run(ds, cfg)
+        fx = tmp_path / "fx.jsonl"
+        save_fixtures(fixture_records(bundles[1:]), fx)
+        out = tmp_path / "r.json"
+        rc = main([
+            "replay", "--dataset", str(csv), "--strategy", "zeroshot", "--horizon", "1",
+            "--stride", "1", "--max-windows", "10", "--fixtures", str(fx), "--out", str(out),
+        ])
+        assert rc == 0
+        (rep,) = reports_from_json(out.read_text())
+        assert (rep.n_windows, rep.n_parsed) == (10, 9)
+
+
 class TestCompare:
     def test_self_comparison_zero(self):
         ds = make_dataset({"v": [float(i % 7) for i in range(140)]})
@@ -211,6 +389,21 @@ class TestCli:
         reports = reports_from_json(out.read_text())
         assert {r.strategy for r in reports} == {"zeroshot"}
         assert {r.horizon for r in reports} == {2}
+
+    def test_flag_overrides_config_without_sys_argv(self, tmp_path, monkeypatch):
+        """Explicit flags are read from the argv given to main, not sys.argv."""
+        monkeypatch.setattr("sys.argv", ["tsf"])
+        csv = write_dataset_csv(tmp_path)
+        ini = tmp_path / "run.ini"
+        ini.write_text(
+            f"[run]\ndataset = {csv}\nstrategy = zeroshot\nhorizon = 3\nstride = 1\n"
+            "max-windows = 2\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "r.json"
+        rc = main(["run", "--config", str(ini), "--horizon", "6", "--out", str(out)])
+        assert rc == 0
+        assert {r.horizon for r in reports_from_json(out.read_text())} == {6}
 
     def test_csv_output(self, tmp_path):
         csv = write_dataset_csv(tmp_path)
