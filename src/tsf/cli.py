@@ -9,16 +9,19 @@ import sys
 
 from .dataset import CsvSchema, load_csv
 from .errors import ConfigError, TsfError
-from .evaluation import emit_report, reports_from_json
+from .evaluation import (
+    compare_reports,
+    emit_report,
+    render_comparison_csv,
+    render_comparison_markdown,
+    reports_from_json,
+)
 from .llmgateway import API_KEY_ENV, BackendConfig, BackendKind, record_fixtures
 from .prompting import Strategy
 from .runner import (
     DEFAULT_HORIZONS,
     RunConfig,
     bundles_for_run,
-    compare_reports,
-    render_comparison_csv,
-    render_comparison_markdown,
     run,
     write_manifest,
 )

@@ -1,14 +1,15 @@
 """Per-window MSE/MAE scoring, run-level aggregation with token and latency
-accounting, and report emission (json / csv / markdown)."""
+accounting, and report emission (json / csv / markdown), comparisons included."""
 
 from __future__ import annotations
 
 import csv as csv_mod
+import io
 import json
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
-from .errors import LengthMismatch, MismatchedRuns, NoParsedWindows, ZeroBaseline
+from .errors import LengthMismatch, MismatchedRuns, NoOverlap, NoParsedWindows, ZeroBaseline
 
 CSV_COLUMNS = [
     "dataset",
@@ -152,60 +153,98 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _markdown_table(header: Sequence[str], rows) -> str:
+    lines = [
+        "| " + " | ".join(header) + " |",
+        "| " + " | ".join("---" for _ in header) + " |",
+    ]
+    lines += ["| " + " | ".join(row) + " |" for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _csv_text(header: Sequence[str], rows) -> str:
+    buf = io.StringIO()
+    writer = csv_mod.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def render_markdown(reports: Sequence[RunReport]) -> str:
     """Dataset x Horizon rows, one MSE/MAE column pair per strategy."""
     strategies = sorted({r.strategy for r in reports})
     header = ["Dataset", "Horizon"]
     for s in strategies:
         header += [f"{s} MSE", f"{s} MAE"]
-    lines = [
-        "| " + " | ".join(header) + " |",
-        "| " + " | ".join("---" for _ in header) + " |",
-    ]
     by_key: dict = {}
     for r in reports:
         by_key.setdefault((r.dataset, r.horizon), {})[r.strategy] = r
+    rows = []
     for (ds, h) in sorted(by_key):
         row = [ds, str(h)]
         for s in strategies:
             r = by_key[(ds, h)].get(s)
             row += [_fmt(r.mean_mse) if r else "", _fmt(r.mean_mae) if r else ""]
-        lines.append("| " + " | ".join(row) + " |")
-    return "\n".join(lines) + "\n"
+        rows.append(row)
+    return _markdown_table(header, rows)
 
 
 def render_csv(reports: Sequence[RunReport]) -> str:
-    import io
+    return _csv_text(
+        CSV_COLUMNS,
+        (
+            [r.dataset, r.strategy, r.horizon, r.n_windows, r.n_parsed]
+            + [_fmt(x) for x in (r.mean_mse, r.mean_mae, r.mean_input_tokens,
+                                 r.mean_output_tokens, r.mean_latency_s)]
+            for r in sorted(reports, key=lambda r: (r.dataset, r.strategy, r.horizon))
+        ),
+    )
 
-    buf = io.StringIO()
-    writer = csv_mod.writer(buf)
-    writer.writerow(CSV_COLUMNS)
-    for r in sorted(reports, key=lambda r: (r.dataset, r.strategy, r.horizon)):
-        writer.writerow(
-            [
-                r.dataset,
-                r.strategy,
-                r.horizon,
-                r.n_windows,
-                r.n_parsed,
-                _fmt(r.mean_mse),
-                _fmt(r.mean_mae),
-                _fmt(r.mean_input_tokens),
-                _fmt(r.mean_output_tokens),
-                _fmt(r.mean_latency_s),
-            ]
+
+def compare_reports(
+    baseline: Sequence[RunReport], ours: Sequence[RunReport]
+) -> list[tuple[RunReport, RunReport, float]]:
+    """Pair reports by (dataset, horizon) and compute MSE improvement."""
+    a = {(r.dataset, r.horizon): r for r in baseline}
+    b = {(r.dataset, r.horizon): r for r in ours}
+    keys = sorted(set(a) & set(b))
+    if not keys:
+        raise NoOverlap("no shared (dataset, horizon) keys between reports")
+    return [(a[k], b[k], improvement(a[k], b[k])) for k in keys]
+
+
+def render_comparison_markdown(rows) -> str:
+    table = []
+    for base, ours, imp in rows:
+        b_mse, o_mse = f"{base.mean_mse:.6g}", f"{ours.mean_mse:.6g}"
+        if ours.mean_mse < base.mean_mse:
+            o_mse = f"**{o_mse}**"
+        elif base.mean_mse < ours.mean_mse:
+            b_mse = f"**{b_mse}**"
+        table.append(
+            [base.dataset, str(base.horizon), b_mse, f"{base.mean_mae:.6g}",
+             o_mse, f"{ours.mean_mae:.6g}", f"{imp:.2f}"]
         )
-    return buf.getvalue()
+    header = ["Dataset", "Horizon", "Baseline MSE", "Baseline MAE", "Ours MSE", "Ours MAE",
+              "MSE improvement %"]
+    return _markdown_table(header, table)
+
+
+def render_comparison_csv(rows) -> str:
+    return _csv_text(
+        ["dataset", "horizon", "baseline_mse", "baseline_mae", "ours_mse", "ours_mae",
+         "mse_improvement_pct"],
+        (
+            [base.dataset, base.horizon, base.mean_mse, base.mean_mae,
+             ours.mean_mse, ours.mean_mae, f"{imp:.2f}"]
+            for base, ours, imp in rows
+        ),
+    )
 
 
 def emit_report(reports: Sequence[RunReport], fmt: str, path) -> None:
-    if fmt == "json":
-        text = reports_to_json(reports)
-    elif fmt == "csv":
-        text = render_csv(reports)
-    elif fmt == "markdown":
-        text = render_markdown(reports)
-    else:
+    renderers = {"json": reports_to_json, "csv": render_csv, "markdown": render_markdown}
+    if fmt not in renderers:
         raise ValueError(f"unknown report format {fmt!r}")
     with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
+        f.write(renderers[fmt](reports))

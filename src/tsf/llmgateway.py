@@ -103,12 +103,14 @@ def _mock_text(bundle: PromptBundle, kind: BackendKind) -> str:
     return "[" + ", ".join(format_value(p) for p in preds) + "]"
 
 
-def _estimated_response(text: str, bundle: PromptBundle, backend_id: str) -> LlmResponse:
+def _estimated_response(
+    text: str, bundle: PromptBundle, backend_id: str, latency: float = 0.0
+) -> LlmResponse:
     return LlmResponse(
         text=text,
         input_tokens=estimate_tokens(bundle.system) + estimate_tokens(bundle.user),
         output_tokens=estimate_tokens(text),
-        latency_seconds=0.0,
+        latency_seconds=latency,
         backend_id=backend_id,
         token_source=TokenSource.ESTIMATED,
     )
@@ -153,9 +155,7 @@ def _http_complete(bundle: PromptBundle, cfg: BackendConfig) -> LlmResponse:
         start = time.perf_counter()
         try:
             resp = requests.post(url, json=body, headers=headers, timeout=cfg.timeout_seconds)
-        except requests.Timeout as e:
-            raise TimeoutError(str(e)) from e
-        except requests.RequestException as e:
+        except requests.RequestException as e:  # timeouts included
             last_err = e
             if attempt + 1 < attempts:
                 _sleep(backoff)
@@ -181,14 +181,7 @@ def _http_complete(bundle: PromptBundle, cfg: BackendConfig) -> LlmResponse:
                 backend_id=cfg.backend_id,
                 token_source=TokenSource.REPORTED,
             )
-        return LlmResponse(
-            text=text,
-            input_tokens=estimate_tokens(bundle.system) + estimate_tokens(bundle.user),
-            output_tokens=estimate_tokens(text),
-            latency_seconds=latency,
-            backend_id=cfg.backend_id,
-            token_source=TokenSource.ESTIMATED,
-        )
+        return _estimated_response(text, bundle, cfg.backend_id, latency)
     raise TransportError(str(last_err))
 
 
@@ -222,10 +215,6 @@ class Gateway:
                 token_source=TokenSource.REPORTED,
             )
         return _http_complete(bundle, self.cfg)
-
-
-def complete(bundle: PromptBundle, cfg: BackendConfig) -> LlmResponse:
-    return Gateway(cfg).complete(bundle)
 
 
 def record_fixtures(bundles: Iterable[PromptBundle], cfg: BackendConfig, out) -> None:

@@ -3,6 +3,7 @@ carrying the formatted context window (and optional neighbor block)."""
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -70,7 +71,9 @@ class PromptBundle:
     template_version: str = TEMPLATE_VERSION
 
 
+@functools.cache
 def load_template(strategy: Strategy) -> PromptTemplate:
+    """The strategy's template, read from disk on first use only."""
     text = (
         resources.files("tsf.templates")
         .joinpath(_TEMPLATE_FILES[strategy])

@@ -3,11 +3,14 @@ forecasts -> scored reports."""
 
 from __future__ import annotations
 
+import itertools
 import json
+import queue
 import random
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -21,6 +24,9 @@ from .parsing import parse_prediction
 from .prompting import TEMPLATE_VERSION, PromptBundle, Strategy, assemble
 
 DEFAULT_HORIZONS = (1, 2, 3, 4, 5, 6, 12)
+
+# a window's neighbor set, or the EmptyPool that stands in for it
+Neighbors = Union[NeighborSet, EmptyPool]
 
 
 @dataclass(frozen=True)
@@ -40,21 +46,10 @@ class RunConfig:
     lenient: bool = False
 
     def snapshot(self) -> dict:
-        return {
-            "context_len": self.context_len,
-            "eval_stride": self.eval_stride,
-            "horizons": list(self.horizons),
-            "strategies": [s.value for s in self.strategies],
-            "patch_window": self.patch_window,
-            "patch_stride": self.patch_stride,
-            "k": self.k,
-            "candidate_stride": self.candidate_stride,
-            "znorm_neighbors": self.znorm_neighbors,
-            "max_windows": self.max_windows,
-            "seed": self.seed,
-            "lenient": self.lenient,
-            "backend": self.backend.backend_id,
-        }
+        snap = {f.name: getattr(self, f.name) for f in fields(self)}
+        snap.update(horizons=list(self.horizons), strategies=[s.value for s in self.strategies],
+                    backend=self.backend.backend_id)
+        return snap
 
 
 @dataclass
@@ -83,23 +78,66 @@ def _subsample(windows: Sequence, max_windows: int, seed: int) -> Sequence:
     return [windows[i] for i in keep]
 
 
-def _neighbor_search(dataset: Dataset, cfg: RunConfig) -> Callable[[EvalWindow], NeighborSet]:
+def _neighbor_search(dataset: Dataset, cfg: RunConfig) -> Callable[[EvalWindow], Neighbors]:
     """Neighbor search for one call, done once per (series_id, context_start):
     the config is fixed within a call, and every strategy and horizon of a
-    window shares its context. Series become float64 arrays on first use."""
-    cache: dict[tuple[str, int], NeighborSet] = {}
+    window shares its context. A window without candidates gets the EmptyPool
+    that stands in for its neighbor set. Series become float64 arrays on
+    first use. Not safe for concurrent use."""
+    cache: dict[tuple[str, int], Neighbors] = {}
     arrays: list[np.ndarray] = []
 
-    def search(window: EvalWindow) -> NeighborSet:
+    def search(window: EvalWindow) -> Neighbors:
         key = (window.series_id, window.context_start)
         if key not in cache:
             if not arrays:
                 arrays.extend(np.asarray(s.values, dtype=float) for s in dataset.series)
-            pool = build_pool(dataset, window, cfg.candidate_stride, arrays=arrays)
-            cache[key] = top_k(window, pool, cfg.k, znorm=cfg.znorm_neighbors)
+            try:
+                pool = build_pool(dataset, window, cfg.candidate_stride, arrays=arrays)
+                cache[key] = top_k(window, pool, cfg.k, znorm=cfg.znorm_neighbors)
+            except EmptyPool as e:
+                cache[key] = e
         return cache[key]
 
     return search
+
+
+class _Job(NamedTuple):
+    """One (strategy, horizon, window) of a run's plan."""
+
+    strategy: Strategy
+    series: Series
+    window: EvalWindow
+    neighbors: Optional[Neighbors]  # None for strategies without neighbors
+
+
+def _cells(cfg: RunConfig) -> list[tuple[Strategy, int]]:
+    """The run's (strategy, horizon) cells, in report order."""
+    return list(itertools.product(cfg.strategies, cfg.horizons))
+
+
+def _plan(dataset: Dataset, cfg: RunConfig) -> Iterator[_Job]:
+    """One job per (strategy, horizon, window), in cell order. Each window's
+    neighbors are searched here, on the calling thread."""
+    search = _neighbor_search(dataset, cfg)
+    cells = _cells(cfg)
+    windows = {h: eval_windows(dataset, cfg, h) for h in cfg.horizons} if cells else {}
+    for strategy, horizon in cells:
+        for series, window in windows[horizon]:
+            yield _Job(strategy, series, window, search(window) if strategy.uses_neighbors else None)
+
+
+def _assemble(cfg: RunConfig, job: _Job) -> PromptBundle:
+    return assemble(
+        job.strategy,
+        job.window,
+        series_description=job.series.description,
+        interval_seconds=job.series.interval_seconds,
+        patch_window=cfg.patch_window,
+        patch_stride=cfg.patch_stride,
+        k=cfg.k,
+        neighbor_set=job.neighbors,
+    )
 
 
 def _bundle_for(
@@ -108,21 +146,11 @@ def _bundle_for(
     series: Series,
     window: EvalWindow,
     strategy: Strategy,
-    search: Optional[Callable[[EvalWindow], NeighborSet]] = None,
 ) -> PromptBundle:
-    neighbor_set = None
-    if strategy.uses_neighbors:
-        neighbor_set = (search or _neighbor_search(dataset, cfg))(window)
-    return assemble(
-        strategy,
-        window,
-        series_description=series.description,
-        interval_seconds=series.interval_seconds,
-        patch_window=cfg.patch_window,
-        patch_stride=cfg.patch_stride,
-        k=cfg.k,
-        neighbor_set=neighbor_set,
-    )
+    neighbors = _neighbor_search(dataset, cfg)(window) if strategy.uses_neighbors else None
+    if isinstance(neighbors, EmptyPool):
+        raise neighbors
+    return _assemble(cfg, _Job(strategy, series, window, neighbors))
 
 
 def _failed(window: EvalWindow, error: TsfError, resp: Optional[LlmResponse] = None) -> WindowResult:
@@ -162,12 +190,27 @@ def _score(window: EvalWindow, bundle: PromptBundle, resp: LlmResponse, lenient:
     )
 
 
+def _window_result(gateway: Gateway, cfg: RunConfig, job: _Job) -> WindowResult:
+    """Assemble, dispatch and score one job; a TsfError costs this window only."""
+    if isinstance(job.neighbors, EmptyPool):
+        return _failed(job.window, job.neighbors)
+    resp = None
+    try:
+        bundle = _assemble(cfg, job)
+        resp = gateway.complete(bundle)
+        return _score(job.window, bundle, resp, cfg.lenient)
+    except TsfError as e:
+        return _failed(job.window, e, resp)
+
+
 def eval_windows(dataset: Dataset, cfg: RunConfig, horizon: int) -> list[tuple[Series, EvalWindow]]:
     """Subsampled evaluation windows for every series in the dataset. The
-    subsample draws from the window starts; only the kept windows are built."""
+    subsample draws from the window starts valid at the run's longest
+    horizon, so every horizon scores the same windows; only the kept windows
+    are built."""
     pairs: list[tuple[Series, EvalWindow]] = []
     for series in dataset.series:
-        starts = window_starts(series, cfg.context_len, horizon, cfg.eval_stride)
+        starts = window_starts(series, cfg.context_len, max(cfg.horizons), cfg.eval_stride)
         for start in _subsample(starts, cfg.max_windows, cfg.seed):
             pairs.append((series, eval_window(series, start, cfg.context_len, horizon)))
     return pairs
@@ -175,75 +218,70 @@ def eval_windows(dataset: Dataset, cfg: RunConfig, horizon: int) -> list[tuple[S
 
 def bundles_for_run(dataset: Dataset, cfg: RunConfig) -> list[PromptBundle]:
     """Every prompt bundle a run would dispatch (used by record mode)."""
-    out = []
-    search = _neighbor_search(dataset, cfg)
-    for strategy in cfg.strategies:
-        for horizon in cfg.horizons:
-            for series, window in eval_windows(dataset, cfg, horizon):
-                try:
-                    out.append(_bundle_for(cfg, dataset, series, window, strategy, search))
-                except EmptyPool:
-                    continue
-    return out
+    return [_assemble(cfg, job) for job in _plan(dataset, cfg)
+            if not isinstance(job.neighbors, EmptyPool)]
+
+
+def _aggregate(
+    dataset: Dataset, cfg: RunConfig, cell: tuple[Strategy, int], results: list[WindowResult]
+) -> Union[RunReport, RunFailure]:
+    strategy, horizon = cell
+    if not results:
+        return RunFailure(strategy.value, horizon, "-", "no evaluation windows")
+    try:
+        return evaluation.aggregate(
+            results,
+            dataset=dataset.name,
+            strategy=strategy.value,
+            horizon=horizon,
+            template_version=TEMPLATE_VERSION,
+            backend_id=cfg.backend.backend_id,
+            config=cfg.snapshot(),
+        )
+    except TsfError as e:
+        return RunFailure(strategy.value, horizon, "-", str(e))
 
 
 def run(dataset: Dataset, cfg: RunConfig) -> RunOutcome:
+    """Dispatch the whole plan through one pool of `parallelism` workers that
+    pull job indices from one queue. The worker that finishes a cell's last
+    job aggregates the cell and lets its window results go."""
     gateway = Gateway(cfg.backend)
-    reports: list[RunReport] = []
-    failures: list[RunFailure] = []
-    search = _neighbor_search(dataset, cfg)
+    cells = _cells(cfg)
+    jobs = list(_plan(dataset, cfg))
+    n = len(jobs) // max(1, len(cells))  # every cell scores the same windows
+    results = [[None] * n for _ in cells]
+    left = [n] * len(cells)
+    # with no windows at all, every cell fails at once; else its last worker aggregates it
+    outcomes = [_aggregate(dataset, cfg, cell, []) if not n else None for cell in cells]
+    lock = threading.Lock()
+    todo: queue.SimpleQueue[int] = queue.SimpleQueue()
+    for i in range(len(jobs)):
+        todo.put(i)
 
-    def dispatch(job):
-        """A response, or the error that stands in for it."""
-        if isinstance(job, TsfError):
-            return job
-        try:
-            return gateway.complete(job)
-        except TsfError as e:
-            return e
-
-    for strategy in cfg.strategies:
-        for horizon in cfg.horizons:
-            results: list[WindowResult] = []
-            pairs = eval_windows(dataset, cfg, horizon)
-            jobs: list = []  # a bundle, or the EmptyPool that left a window without one
-            for series, window in pairs:
-                try:
-                    jobs.append(_bundle_for(cfg, dataset, series, window, strategy, search))
-                except EmptyPool as e:
-                    jobs.append(e)
-
-            with ThreadPoolExecutor(max_workers=max(1, cfg.backend.parallelism)) as ex:
-                responses = list(ex.map(dispatch, jobs))
-
-            for (series, window), bundle, resp in zip(pairs, jobs, responses):
-                if isinstance(resp, TsfError):
-                    results.append(_failed(window, resp))
-                    continue
-                try:
-                    results.append(_score(window, bundle, resp, cfg.lenient))
-                except TsfError as e:
-                    results.append(_failed(window, e, resp))
-            if not results:
-                failures.append(
-                    RunFailure(strategy.value, horizon, "-", "no evaluation windows")
-                )
-                continue
+    def work() -> None:
+        while True:
             try:
-                reports.append(
-                    evaluation.aggregate(
-                        results,
-                        dataset=dataset.name,
-                        strategy=strategy.value,
-                        horizon=horizon,
-                        template_version=TEMPLATE_VERSION,
-                        backend_id=cfg.backend.backend_id,
-                        config=cfg.snapshot(),
-                    )
-                )
-            except TsfError as e:
-                failures.append(RunFailure(strategy.value, horizon, "-", str(e)))
-    return RunOutcome(reports=reports, failures=failures)
+                i = todo.get_nowait()
+            except queue.Empty:
+                return
+            c, j = divmod(i, n)
+            results[c][j] = _window_result(gateway, cfg, jobs[i])
+            with lock:
+                left[c] -= 1
+                last = not left[c]
+            if last:
+                outcomes[c] = _aggregate(dataset, cfg, cells[c], results[c])
+                results[c] = None
+
+    workers = max(1, cfg.backend.parallelism)
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        for f in [ex.submit(work) for _ in range(workers)]:
+            f.result()
+    return RunOutcome(
+        reports=[o for o in outcomes if isinstance(o, RunReport)],
+        failures=[o for o in outcomes if isinstance(o, RunFailure)],
+    )
 
 
 def write_manifest(cfg: RunConfig, dataset: Dataset, path) -> None:
@@ -257,76 +295,3 @@ def write_manifest(cfg: RunConfig, dataset: Dataset, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
-
-
-def compare_reports(
-    baseline: Sequence[RunReport], ours: Sequence[RunReport]
-) -> list[tuple[RunReport, RunReport, float]]:
-    """Pair reports by (dataset, horizon) and compute MSE improvement."""
-    from .errors import NoOverlap
-
-    def index(reports):
-        d = {}
-        for r in reports:
-            d[(r.dataset, r.horizon)] = r
-        return d
-
-    a, b = index(baseline), index(ours)
-    keys = sorted(set(a) & set(b))
-    if not keys:
-        raise NoOverlap("no shared (dataset, horizon) keys between reports")
-    return [(a[k], b[k], evaluation.improvement(a[k], b[k])) for k in keys]
-
-
-def render_comparison_markdown(rows) -> str:
-    header = [
-        "Dataset",
-        "Horizon",
-        "Baseline MSE",
-        "Baseline MAE",
-        "Ours MSE",
-        "Ours MAE",
-        "MSE improvement %",
-    ]
-    lines = [
-        "| " + " | ".join(header) + " |",
-        "| " + " | ".join("---" for _ in header) + " |",
-    ]
-    for base, ours, imp in rows:
-        b_mse, o_mse = f"{base.mean_mse:.6g}", f"{ours.mean_mse:.6g}"
-        if ours.mean_mse < base.mean_mse:
-            o_mse = f"**{o_mse}**"
-        elif base.mean_mse < ours.mean_mse:
-            b_mse = f"**{b_mse}**"
-        lines.append(
-            "| "
-            + " | ".join(
-                [
-                    base.dataset,
-                    str(base.horizon),
-                    b_mse,
-                    f"{base.mean_mae:.6g}",
-                    o_mse,
-                    f"{ours.mean_mae:.6g}",
-                    f"{imp:.2f}",
-                ]
-            )
-            + " |"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def render_comparison_csv(rows) -> str:
-    import csv as csv_mod
-    import io
-
-    buf = io.StringIO()
-    w = csv_mod.writer(buf)
-    w.writerow(
-        ["dataset", "horizon", "baseline_mse", "baseline_mae", "ours_mse", "ours_mae", "mse_improvement_pct"]
-    )
-    for base, ours, imp in rows:
-        w.writerow(
-            [base.dataset, base.horizon, base.mean_mse, base.mean_mae, ours.mean_mse, ours.mean_mae, f"{imp:.2f}"]
-        )
-    return buf.getvalue()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -8,10 +9,13 @@ from tsf.evaluation import (
     RunReport,
     WindowResult,
     aggregate,
+    compare_reports,
     emit_report,
     improvement,
     mae,
     mse,
+    render_comparison_csv,
+    render_comparison_markdown,
     render_csv,
     render_markdown,
     reports_from_json,
@@ -179,3 +183,80 @@ class TestEmitReport:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
             emit_report([], "xml", tmp_path / "r.xml")
+
+
+def cell(dataset, strategy, horizon, mse_, mae_, **kw):
+    base = dict(dataset=dataset, strategy=strategy, horizon=horizon, n_windows=4, n_parsed=3,
+                mean_mse=mse_, mean_mae=mae_, total_input_tokens=41, total_output_tokens=9,
+                mean_input_tokens=10.25, mean_output_tokens=2.25, mean_latency_s=0.0125,
+                parse_failure_rate=0.25, config={"seed": 0})
+    base.update(kw)
+    return report(**base)
+
+
+# baseline is better, ours is better, a tie; a cell only one side has; a cell with no means
+BASELINE = [
+    cell("weather, 10 min", "zeroshot", 1, 0.012345678, 0.0876),
+    cell("weather, 10 min", "zeroshot", 6, 0.5, 0.25),
+    cell("traffic", "zeroshot", 12, 2.0, 1.0),
+    cell("traffic", "zeroshot", 1, 0.75, 0.5),
+]
+OURS = [
+    cell("traffic", "patch-instruct", 12, 2.5, 1.125),
+    cell("weather, 10 min", "patch-instruct", 6, 0.5, 0.3333333333),
+    cell("weather, 10 min", "patch-instruct", 1, 0.0098765, 0.07),
+    cell("solar", "patch-instruct", 3, None, None, n_parsed=0, parse_failure_rate=1.0),
+]
+
+
+class TestRenderedBytes:
+    """Every renderer's exact output on one fixed pair of report lists."""
+
+    def test_markdown(self):
+        assert render_markdown(BASELINE + OURS) == (
+            "| Dataset | Horizon | patch-instruct MSE | patch-instruct MAE | zeroshot MSE | zeroshot MAE |\n"
+            "| --- | --- | --- | --- | --- | --- |\n"
+            "| solar | 3 |  |  |  |  |\n"
+            "| traffic | 1 |  |  | 0.75 | 0.5 |\n"
+            "| traffic | 12 | 2.5 | 1.125 | 2 | 1 |\n"
+            "| weather, 10 min | 1 | 0.0098765 | 0.07 | 0.0123457 | 0.0876 |\n"
+            "| weather, 10 min | 6 | 0.5 | 0.333333 | 0.5 | 0.25 |\n"
+        )
+
+    def test_csv(self):
+        assert render_csv(BASELINE + OURS) == (
+            "dataset,strategy,horizon,n_windows,n_parsed,mean_mse,mean_mae,mean_it,mean_ot,mean_latency_s\r\n"
+            "solar,patch-instruct,3,4,0,,,10.25,2.25,0.0125\r\n"
+            "traffic,patch-instruct,12,4,3,2.5,1.125,10.25,2.25,0.0125\r\n"
+            "traffic,zeroshot,1,4,3,0.75,0.5,10.25,2.25,0.0125\r\n"
+            "traffic,zeroshot,12,4,3,2,1,10.25,2.25,0.0125\r\n"
+            '"weather, 10 min",patch-instruct,1,4,3,0.0098765,0.07,10.25,2.25,0.0125\r\n'
+            '"weather, 10 min",patch-instruct,6,4,3,0.5,0.333333,10.25,2.25,0.0125\r\n'
+            '"weather, 10 min",zeroshot,1,4,3,0.0123457,0.0876,10.25,2.25,0.0125\r\n'
+            '"weather, 10 min",zeroshot,6,4,3,0.5,0.25,10.25,2.25,0.0125\r\n'
+        )
+
+    def test_json(self):
+        # 3,746 bytes of sorted, indented JSON; pinned by digest
+        text = reports_to_json(BASELINE + OURS)
+        assert len(text) == 3746
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "6ca87a2d575804b19009b7d5052e2c8d8b54efccdb8753392051409d43fbd2d4"
+        )
+
+    def test_comparison_markdown(self):
+        assert render_comparison_markdown(compare_reports(BASELINE, OURS)) == (
+            "| Dataset | Horizon | Baseline MSE | Baseline MAE | Ours MSE | Ours MAE | MSE improvement % |\n"
+            "| --- | --- | --- | --- | --- | --- | --- |\n"
+            "| traffic | 12 | **2** | 1 | 2.5 | 1.125 | -25.00 |\n"
+            "| weather, 10 min | 1 | 0.0123457 | 0.0876 | **0.0098765** | 0.07 | 20.00 |\n"
+            "| weather, 10 min | 6 | 0.5 | 0.25 | 0.5 | 0.333333 | 0.00 |\n"
+        )
+
+    def test_comparison_csv(self):
+        assert render_comparison_csv(compare_reports(BASELINE, OURS)) == (
+            "dataset,horizon,baseline_mse,baseline_mae,ours_mse,ours_mae,mse_improvement_pct\r\n"
+            "traffic,12,2.0,1.0,2.5,1.125,-25.00\r\n"
+            '"weather, 10 min",1,0.012345678,0.0876,0.0098765,0.07,20.00\r\n'
+            '"weather, 10 min",6,0.5,0.25,0.5,0.3333333333,0.00\r\n'
+        )

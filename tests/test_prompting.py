@@ -153,3 +153,7 @@ class TestAssemble:
         for strategy in Strategy:
             tpl = load_template(strategy)
             assert tpl.strategy is strategy
+
+    def test_templates_loaded_once(self):
+        for strategy in Strategy:
+            assert load_template(strategy) is load_template(strategy)

@@ -1,5 +1,8 @@
 import json
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -10,16 +13,14 @@ import tsf.runner as runner_mod
 from tsf.cli import main
 from tsf.dataset import CsvSchema, load_csv, slice_windows
 from tsf.errors import EmptyPool, SeriesTooShort
-from tsf.evaluation import reports_from_json
+from tsf.evaluation import compare_reports, render_comparison_markdown, reports_from_json
 from tsf.llmgateway import BackendConfig, BackendKind, Gateway, bundle_hash, save_fixtures
 from tsf.prompting import Strategy
 from tsf.runner import (
     RunConfig,
     _bundle_for,
     bundles_for_run,
-    compare_reports,
     eval_windows,
-    render_comparison_markdown,
     run,
 )
 
@@ -119,6 +120,88 @@ class TestRunner:
         for a, b in zip(seq.reports, par.reports):
             assert a.mean_mse == b.mean_mse
             assert a.n_windows == b.n_windows
+
+    def test_many_workers_aggregate_every_cell_once(self):
+        """More workers than cores, switching threads often: a lost update of a
+        cell's count would drop or cut short that cell's report."""
+        ds = make_dataset({"a": [float(i % 7) for i in range(140)],
+                           "b": [float(i % 9) / 4 for i in range(140)]})
+        strategies = [Strategy.ZEROSHOT, Strategy.PATCH_INSTRUCT, Strategy.REVERSE_ORDERED_PI]
+        seq = run(ds, small_config(strategies, horizons=(1, 2, 3), max_windows=8))
+        par_cfg = small_config(strategies, horizons=(1, 2, 3), max_windows=8,
+                               backend=BackendConfig(kind=BackendKind.MOCK_PERSISTENCE,
+                                                     parallelism=16))
+        out = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            t = threading.Thread(target=lambda: out.append(run(ds, par_cfg)))
+            t.start()
+            t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not t.is_alive()
+        (par,) = out
+        assert par.ok and [r.n_windows for r in par.reports] == [16] * 9
+        assert par.reports == seq.reports
+
+    def test_one_executor_per_run(self, monkeypatch):
+        created = []
+
+        class CountingExecutor(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                created.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "ThreadPoolExecutor", CountingExecutor)
+        ds = make_dataset({"v": [float(i % 7) for i in range(140)]})
+        cfg = small_config(
+            [Strategy.ZEROSHOT, Strategy.PATCH_INSTRUCT], horizons=(1, 3),
+            backend=BackendConfig(kind=BackendKind.MOCK_PERSISTENCE, parallelism=3),
+        )
+        outcome = run(ds, cfg)
+        assert outcome.ok and len(outcome.reports) == 4
+        assert len(created) == 1
+
+    def test_same_windows_at_every_horizon(self, monkeypatch):
+        """136 points, stride 8: h=1 has 5 windows and h=12 has 4; keep 3."""
+        ds = make_dataset({"a": [float(i % 7) for i in range(136)],
+                           "b": [float(i % 5) for i in range(136)]})
+        cfg = small_config([Strategy.ZEROSHOT, Strategy.PATCH_INSTRUCT], horizons=(1, 6, 12),
+                           eval_stride=8, max_windows=3)
+        assert [len(slice_windows(ds.series[0], 96, h, 8)) for h in (1, 12)] == [5, 4]
+        scored = {}
+        real_aggregate = runner_mod.evaluation.aggregate
+
+        def recording_aggregate(results, **kw):
+            scored[(kw["strategy"], kw["horizon"])] = sorted(r.window_id for r in results)
+            return real_aggregate(results, **kw)
+
+        monkeypatch.setattr(runner_mod.evaluation, "aggregate", recording_aggregate)
+        outcome = run(ds, cfg)
+        assert outcome.ok and len(scored) == 6
+        ids = scored[("zeroshot", 12)]
+        assert len(ids) == 6
+        assert all(v == ids for v in scored.values())
+        by_horizon = {}
+        for b in bundles_for_run(ds, cfg):
+            by_horizon.setdefault(b.horizon, set()).add(b.window_id)
+        assert by_horizon == {h: set(ids) for h in cfg.horizons}
+
+    def test_cell_failures(self):
+        ds = make_dataset({"v": [float(i % 7) for i in range(140)]})
+        cells = [("zeroshot", 1), ("zeroshot", 3), ("neighs", 1), ("neighs", 3)]
+        outcome = run(ds, small_config([Strategy.ZEROSHOT, Strategy.NEIGHS], max_windows=0))
+        assert outcome.reports == []
+        assert [(f.strategy, f.horizon, f.error) for f in outcome.failures] == [
+            (s, h, "no evaluation windows") for s, h in cells
+        ]
+        # no window starts late enough to have a whole earlier window as a neighbor
+        outcome = run(ds, small_config([Strategy.NEIGHS], max_windows=2))
+        assert outcome.reports == []
+        assert [f.error for f in outcome.failures] == [
+            f"all 2 windows failed to parse (synthetic, neighs, h={h})" for h in (1, 3)
+        ]
 
     def test_subsample_deterministic(self):
         ds = make_dataset({"v": [float(i % 11) for i in range(400)]})
@@ -293,6 +376,33 @@ class TestDispatchFailures:
         assert rc == 0
         (rep,) = reports_from_json(out.read_text())
         assert (rep.n_windows, rep.n_parsed) == (10, 9)
+
+
+class TestHttpTimeout:
+    def test_timeout_costs_one_window(self, monkeypatch):
+        """A timeout is retried with backoff and ends as that window's TransportError."""
+        monkeypatch.setenv(gw.API_KEY_ENV, "test-key")
+        ds = varying_dataset()
+        http = BackendConfig(kind=BackendKind.HTTP, endpoint_url="http://llm.example",
+                             model_name="m", max_retries=3, parallelism=3)
+        cfg = small_config([Strategy.ZEROSHOT], horizons=(1,), eval_stride=1, max_windows=10,
+                           backend=http)
+        failing = bundles_for_run(ds, cfg)[4].user
+        sleeps = []
+
+        def fake_post(url, json=None, headers=None, timeout=None):
+            if json["messages"][1]["content"] == failing:
+                raise gw.requests.Timeout("read timed out")
+            return FakeResponse(200, ok_payload("[0]", it=7, ot=1))
+
+        monkeypatch.setattr(gw.requests, "post", fake_post)
+        monkeypatch.setattr(gw, "_sleep", sleeps.append)
+        outcome = run(ds, cfg)
+        assert outcome.ok
+        (rep,) = outcome.reports
+        assert (rep.n_windows, rep.n_parsed) == (10, 9)
+        assert rep.total_input_tokens == 9 * 7
+        assert len(sleeps) == http.max_retries - 1
 
 
 class TestCompare:
