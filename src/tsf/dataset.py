@@ -19,6 +19,12 @@ from .errors import (
 )
 
 
+def _check_sampling(timestamps: tuple[int, ...], interval: int, where: str) -> None:
+    for a, b in zip(timestamps, timestamps[1:]):
+        if b - a != interval:
+            raise NonUniformSampling(f"{where}gap of {b - a}s where {interval}s expected")
+
+
 @dataclass(frozen=True)
 class Series:
     """One named, uniformly sampled sequence of timestamped real values."""
@@ -35,14 +41,18 @@ class Series:
         for v in self.values:
             if not math.isfinite(v):
                 raise NonFiniteValue(f"series {self.id!r} contains a non-finite value")
-        for a, b in zip(self.timestamps, self.timestamps[1:]):
-            if b - a != self.interval_seconds:
-                raise NonUniformSampling(
-                    f"series {self.id!r}: gap {b - a}s != interval {self.interval_seconds}s"
-                )
+        _check_sampling(self.timestamps, self.interval_seconds, f"series {self.id!r}: ")
 
     def __len__(self) -> int:
         return len(self.values)
+
+
+def _prechecked_series(**fields) -> Series:
+    """A Series whose values and timestamps load_csv has already checked, cell
+    by cell and gap by gap; it skips the same checks in Series.__post_init__."""
+    series = object.__new__(Series)
+    series.__dict__.update(fields)  # frozen: no __setattr__
+    return series
 
 
 @dataclass(frozen=True)
@@ -55,7 +65,9 @@ class Dataset:
             raise ValueError("dataset must contain at least one series")
         first = self.series[0]
         for s in self.series[1:]:
-            if s.interval_seconds != first.interval_seconds or s.timestamps != first.timestamps:
+            if s.interval_seconds != first.interval_seconds or (
+                s.timestamps is not first.timestamps and s.timestamps != first.timestamps
+            ):
                 raise ValueError("all series in a dataset must share timestamps")
 
     @property
@@ -167,15 +179,13 @@ def load_csv(path, schema: CsvSchema, name: str | None = None) -> Dataset:
         interval = timestamps[1] - timestamps[0]
         if interval <= 0:
             raise NonUniformSampling("duplicate or non-increasing timestamps")
-        for a, b in zip(timestamps, timestamps[1:]):
-            if b - a != interval:
-                raise NonUniformSampling(f"gap of {b - a}s where {interval}s expected")
+        _check_sampling(timestamps, interval, "")
     else:
         interval = 1
 
     dataset_name = name if name is not None else str(path)
     series = tuple(
-        Series(
+        _prechecked_series(
             id=c,
             description=schema.descriptions.get(c, c),
             interval_seconds=interval,

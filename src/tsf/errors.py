@@ -41,15 +41,7 @@ class WindowTooLarge(TsfError):
     pass
 
 
-class EvenTrendWindow(TsfError):
-    pass
-
-
 class InvalidClockTime(TsfError):
-    pass
-
-
-class LengthMismatch(TsfError):
     pass
 
 
@@ -57,6 +49,10 @@ class LengthMismatch(TsfError):
 
 class EmptyPool(TsfError):
     pass
+
+
+class LengthMismatch(TsfError):
+    """Sequences that must align differ in length (neighbors, evaluation)."""
 
 
 # --- prompting ---
@@ -108,10 +104,6 @@ class WrongCount(TsfError):
 
 
 class NonNumericElement(TsfError):
-    pass
-
-
-class MalformedPatchList(TsfError):
     pass
 
 

@@ -1,33 +1,16 @@
-"""Extraction of numeric forecasts (and optional echoed patches) from raw
-LLM output text."""
+"""Extraction of numeric forecasts from raw LLM output text."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
-from .errors import MalformedPatchList, NoListFound, NonNumericElement, WrongCount
-from .patching import Patch, PatchSet
+from .errors import NoListFound, NonNumericElement, WrongCount
 
 PREDICTION_MARKER = "Prediction:"
-PATCHES_MARKER = "Patches:"
 
 
-@dataclass(frozen=True)
-class Forecast:
-    values: tuple[float, ...]
-    raw_text: str
-    echoed_patches: Optional[tuple[Patch, ...]] = None
-
-
-@dataclass(frozen=True)
-class FidelityReport:
-    exact_fraction: float
-    mean_abs_dev: Optional[float]  # None when nothing aligned
-
-
-def _bracket_groups(text: str, top_level_only: bool = True) -> list[str]:
+def _bracket_groups(text: str) -> list[str]:
     """Balanced [...] spans; unclosed groups are dropped."""
     groups = []
     depth = 0
@@ -40,7 +23,7 @@ def _bracket_groups(text: str, top_level_only: bool = True) -> list[str]:
         elif ch == "]":
             if depth > 0:
                 depth -= 1
-                if depth == 0 and top_level_only:
+                if depth == 0:
                     groups.append(text[start : i + 1])
     return groups
 
@@ -109,48 +92,3 @@ def parse_prediction(text: str, h: int, lenient: bool = False) -> list[float]:
         else:
             chosen = chosen + [chosen[-1]] * (h - len(chosen))
     return chosen
-
-
-def parse_patches(text: str) -> Optional[list[Patch]]:
-    """Echoed patches (list-of-lists after "Patches:"); None when the marker
-    is absent."""
-    marker_at = text.find(PATCHES_MARKER)
-    if marker_at < 0:
-        return None
-    tail = text[marker_at + len(PATCHES_MARKER) :]
-    groups = _bracket_groups(tail)
-    if not groups:
-        raise MalformedPatchList("no balanced list after Patches: marker")
-    outer = groups[0]
-    inner_groups = _bracket_groups(outer[1:-1])
-    if not inner_groups:
-        raise MalformedPatchList("Patches: list contains no inner lists")
-    patches = []
-    for g in inner_groups:
-        values = _parse_flat(g)
-        if values is None:
-            raise MalformedPatchList(f"unparseable patch {g!r}")
-        patches.append(Patch(values=tuple(values)))
-    return patches
-
-
-def patch_fidelity(
-    echoed: list[Patch], truth: PatchSet, tol: float = 1e-4
-) -> FidelityReport:
-    """Agreement between echoed and ground-truth patches. Position-aligned
-    comparison; surplus or missing patches count as mismatches."""
-    truth_patches = truth.patches
-    total = max(len(echoed), len(truth_patches))
-    if total == 0 or not echoed:
-        return FidelityReport(exact_fraction=0.0, mean_abs_dev=None)
-
-    exact = 0
-    devs: list[float] = []
-    for e, t in zip(echoed, truth_patches):
-        if len(e.values) == len(t.values):
-            diffs = [abs(a - b) for a, b in zip(e.values, t.values)]
-            devs.extend(diffs)
-            if all(d <= tol for d in diffs):
-                exact += 1
-    mad = sum(devs) / len(devs) if devs else None
-    return FidelityReport(exact_fraction=exact / total, mean_abs_dev=mad)

@@ -1,22 +1,22 @@
-"""Patch tokenization strategies: overlapping, non-overlapping, reversed,
-trend/residual decomposition, and daily slot-index meta tokens."""
+"""Reference patch tokenizations: overlapping, non-overlapping and reversed
+patches, and the daily slot index of the meta-token strategy.
+
+The pipeline sends raw contexts and asks the model to patch them; nothing in
+a run calls this module (see ROADMAP item 5)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from datetime import datetime, timezone
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .errors import EvenTrendWindow, InvalidClockTime, LengthMismatch, WindowTooLarge
+from .errors import InvalidClockTime, WindowTooLarge
 
 
 class PatchStrategy(Enum):
     BASIC = "basic"
     NON_OVERLAPPING = "non-overlapping"
-    STR_DECOMPOSE = "str-decompose"
     REVERSE_ORDERED = "reverse-ordered"
-    META_TOKENS = "meta-tokens"
 
 
 class PatchOrder(Enum):
@@ -27,13 +27,10 @@ class PatchOrder(Enum):
 @dataclass(frozen=True)
 class Patch:
     values: tuple[float, ...]
-    meta: Optional[tuple] = None  # slot ids or (trend, residual) pairs
 
     def __post_init__(self):
         if not self.values:
             raise ValueError("patch must be non-empty")
-        if self.meta is not None and len(self.meta) != len(self.values):
-            raise ValueError("meta must align with values")
 
 
 @dataclass(frozen=True)
@@ -43,13 +40,6 @@ class PatchSet:
     stride: int
     patches: tuple[Patch, ...]
     order: PatchOrder = PatchOrder.NATURAL
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    trend: tuple[float, ...]
-    residual: tuple[float, ...]
-    trend_window: int
 
 
 def overlapping_patches(
@@ -97,67 +87,8 @@ def nonoverlapping_patches(context: Sequence[float], h: int) -> PatchSet:
     )
 
 
-def str_decompose(context: Sequence[float], trend_window: int = 5) -> Decomposition:
-    """Centered moving-average trend (window shrinks at the edges) plus the
-    residual defined by exact subtraction."""
-    n = len(context)
-    if trend_window % 2 == 0:
-        raise EvenTrendWindow(f"trend window must be odd, got {trend_window}")
-    if not 1 <= trend_window <= n:
-        raise ValueError(f"trend window {trend_window} not in [1, {n}]")
-    half = trend_window // 2
-    trend = []
-    for t in range(n):
-        lo = max(0, t - half)
-        hi = min(n, t + half + 1)
-        window = context[lo:hi]
-        first = window[0]
-        if all(v == first for v in window):
-            # mean of equal values is that value; avoids float drift
-            trend.append(first)
-        else:
-            trend.append(sum(window) / (hi - lo))
-    residual = []
-    for t in range(n):
-        x, tr = context[t], trend[t]
-        # nudge the trend so trend + residual reproduces x bitwise
-        r = x - tr
-        for _ in range(5):
-            if tr + r == x:
-                break
-            tr = x - r
-            r = x - tr
-        else:
-            tr, r = x, 0.0
-        trend[t] = tr
-        residual.append(r)
-    return Decomposition(
-        trend=tuple(trend), residual=tuple(residual), trend_window=trend_window
-    )
-
-
-def composite_tokens(d: Decomposition) -> list[tuple[float, float]]:
-    """(trend, residual) pair per time step, natural order."""
-    return list(zip(d.trend, d.residual))
-
-
 def slot_index(hour: int, minute: int) -> int:
     """10-minute slot-of-day index: floor((60*hour + minute) / 10)."""
     if not (0 <= hour <= 23 and 0 <= minute <= 59):
         raise InvalidClockTime(f"{hour:02d}:{minute:02d} is not a valid clock time")
     return (60 * hour + minute) // 10
-
-
-def meta_tokens(
-    context: Sequence[float], context_timestamps: Sequence[int]
-) -> list[tuple[float, int]]:
-    """Pair each value with the slot index of its UTC clock time."""
-    if len(context) != len(context_timestamps):
-        raise LengthMismatch(
-            f"{len(context)} values vs {len(context_timestamps)} timestamps"
-        )
-    out = []
-    for v, ts in zip(context, context_timestamps):
-        dt = datetime.fromtimestamp(ts, tz=timezone.utc)
-        out.append((v, slot_index(dt.hour, dt.minute)))
-    return out

@@ -145,6 +145,7 @@ def assemble(
         "window": patch_window,
         "stride": patch_stride,
         "horizon": window.horizon,
+        "context_len": len(window.context),
         "k": k,
         "output_example": output_example(window.horizon),
     }

@@ -26,7 +26,6 @@ from tsf.patching import (
     overlapping_patches,
     reverse_patches,
     slot_index,
-    str_decompose,
 )
 from tsf.prompting import Strategy
 from tsf.runner import RunConfig, bundles_for_run, eval_windows, run
@@ -70,18 +69,6 @@ def test_appendix_example_reproduction():
     ]
     assert slot_index(10, 30) == 63
     ok("12-value non-overlapping example and 10:30 -> slot 63 reproduced exactly")
-
-
-def test_decomposition_identity_1000_random_series():
-    rng = random.Random(7)
-    for _ in range(1000):
-        n = rng.randint(5, 200)
-        xs = [rng.uniform(-1000, 1000) for _ in range(n)]
-        d = str_decompose(xs, 5)
-        assert max(abs((t + r) - x) for x, t, r in zip(xs, d.trend, d.residual)) == 0.0
-    d = str_decompose([3.7] * 50, 5)
-    assert all(r == 0.0 for r in d.residual)
-    ok("trend + residual identity exact on 1000 random series; constant -> zero residual")
 
 
 def test_neighbor_oracle_50_random_datasets():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tsf.dataset import CsvSchema, format_value, load_csv, slice_windows
+from tsf.dataset import CsvSchema, Dataset, Series, format_value, load_csv, slice_windows
 from tsf.errors import (
     EmptyFile,
     MissingColumn,
@@ -61,6 +61,26 @@ class TestLoadCsv:
         assert exc.value.row == 3
         assert exc.value.column == "v"
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "NaN"])
+    def test_non_finite_value_reports_row_and_column(self, tmp_path, cell):
+        p = write_csv(tmp_path, f"t,v,w\n0,1,2\n600,3,{cell}\n1200,5,6\n")
+        with pytest.raises(NonNumericValue) as exc:
+            load_csv(p, SCHEMA)
+        assert (exc.value.row, exc.value.column, exc.value.raw) == (3, "w", cell)
+
+    def test_duplicate_timestamp(self, tmp_path):
+        p = write_csv(tmp_path, "t,v\n0,1\n0,2\n600,3\n")
+        with pytest.raises(NonUniformSampling):
+            load_csv(p, SCHEMA)
+
+    def test_loaded_series_pass_direct_validation(self, tmp_path):
+        p = write_csv(tmp_path, "t,v,w\n1200,3,6\n0,1.5,2\n600,2.25,4\n")
+        ds = load_csv(p, SCHEMA)
+        for s in ds.series:
+            rebuilt = Series(s.id, s.description, s.interval_seconds, s.timestamps, s.values)
+            assert rebuilt == s
+        assert Dataset(ds.name, ds.series) == ds
+
     def test_empty_file(self, tmp_path):
         p = write_csv(tmp_path, "")
         with pytest.raises(EmptyFile):
@@ -96,6 +116,30 @@ class TestLoadCsv:
         assert ds2.series[0].values == s1.values
         assert ds2.series[1].values == s2.values
         assert ds2.series[0].timestamps == s1.timestamps
+
+
+class TestDirectConstruction:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_series_non_finite(self, bad):
+        with pytest.raises(NonFiniteValue):
+            Series("s", "s", 600, (0, 600, 1200), (1.0, bad, 3.0))
+
+    @pytest.mark.parametrize("timestamps", [(0, 600, 1300), (0, 600, 600), (0, 1200, 1800)])
+    def test_series_uneven_gaps(self, timestamps):
+        with pytest.raises(NonUniformSampling):
+            Series("s", "s", 600, timestamps, (1.0, 2.0, 3.0))
+
+    def test_dataset_mismatched_timestamps(self):
+        a = make_series([1, 2, 3], series_id="a")
+        b = make_series([1, 2, 3], series_id="b", start_ts=600)
+        with pytest.raises(ValueError):
+            Dataset("d", (a, b))
+
+    def test_dataset_mismatched_interval(self):
+        a = make_series([1.0], series_id="a", interval=600)
+        b = make_series([1.0], series_id="b", interval=60)
+        with pytest.raises(ValueError):
+            Dataset("d", (a, b))
 
 
 class TestSliceWindows:

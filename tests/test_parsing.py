@@ -1,13 +1,27 @@
 import pytest
 
-from tsf.errors import MalformedPatchList, NoListFound, NonNumericElement, WrongCount
-from tsf.parsing import parse_patches, parse_prediction, patch_fidelity
-from tsf.patching import Patch, overlapping_patches
+from tsf.errors import NoListFound, NonNumericElement, WrongCount
+from tsf.parsing import parse_prediction
+
+# The rows the other patch templates' output formats ask the model to echo
+# before "Prediction:"; like the "Patches:" echo, none is taken as the forecast.
+PATCH_ROW_ECHOES = {
+    "nonoverlap-rows": "[8.35, 8.36, 8.32]\n[8.45, 8.35, 8.25]\n[8.2, 8.09, 8.13]",
+    "str-rows": "[[1.5,0.1], [1.6,-0.2], [1.7,0]]\n[[1.6,-0.2], [1.7,0], [1.8,0.3]]",
+    "meta-rows": "[(8.35;63), (8.36;64), (8.32;65)]\n[(8.36;64), (8.32;65), (8.45;66)]",
+}
 
 
 class TestParsePrediction:
     def test_prediction_marker(self):
         text = "Patches:\n[[2,3,4],[1,2,3]]\nPrediction:\n[0.1, 0.2, 0.3]"
+        assert parse_prediction(text, 3) == [0.1, 0.2, 0.3]
+
+    @pytest.mark.parametrize(
+        "echo", PATCH_ROW_ECHOES.values(), ids=PATCH_ROW_ECHOES.keys()
+    )
+    def test_patch_row_echo_not_forecast(self, echo):
+        text = f"{echo}\nPrediction:\n[0.1, 0.2, 0.3]"
         assert parse_prediction(text, 3) == [0.1, 0.2, 0.3]
 
     def test_bare_list(self):
@@ -55,54 +69,3 @@ class TestParsePrediction:
     def test_deterministic(self):
         text = "Prediction:\n[9.1, 9.2]"
         assert parse_prediction(text, 2) == parse_prediction(text, 2)
-
-
-class TestParsePatches:
-    def test_basic(self):
-        text = "Patches:\n[[2,3,4],[1,2,3]]\nPrediction:\n[5]"
-        patches = parse_patches(text)
-        assert [p.values for p in patches] == [(2, 3, 4), (1, 2, 3)]
-
-    def test_absent_marker(self):
-        assert parse_patches("[1, 2, 3]") is None
-
-    def test_malformed(self):
-        with pytest.raises(MalformedPatchList):
-            parse_patches("Patches:\n[[1,2,")
-
-    def test_non_numeric_patch(self):
-        with pytest.raises(MalformedPatchList):
-            parse_patches("Patches:\n[[1,x]]")
-
-
-class TestPatchFidelity:
-    def test_identity(self):
-        truth = overlapping_patches([1, 2, 3, 4], w=3, s=1)
-        rep = patch_fidelity(list(truth.patches), truth)
-        assert rep.exact_fraction == 1.0
-        assert rep.mean_abs_dev == 0
-
-    def test_empty_echo(self):
-        truth = overlapping_patches([1, 2, 3, 4], w=3, s=1)
-        rep = patch_fidelity([], truth)
-        assert rep.exact_fraction == 0.0
-        assert rep.mean_abs_dev is None
-
-    def test_one_of_two_perturbed(self):
-        truth = overlapping_patches([1, 2, 3, 4], w=3, s=1)
-        echoed = [Patch(values=(1, 2, 3)), Patch(values=(2, 3, 4.5))]
-        rep = patch_fidelity(echoed, truth)
-        assert rep.exact_fraction == 0.5
-        assert rep.mean_abs_dev == pytest.approx(0.5 / 6)
-
-    def test_surplus_counts_as_mismatch(self):
-        truth = overlapping_patches([1, 2, 3], w=3, s=1)
-        echoed = [Patch(values=(1, 2, 3)), Patch(values=(9, 9, 9))]
-        rep = patch_fidelity(echoed, truth)
-        assert rep.exact_fraction == 0.5
-
-    def test_within_tolerance(self):
-        truth = overlapping_patches([1, 2, 3], w=3, s=1)
-        echoed = [Patch(values=(1.00005, 2, 3))]
-        rep = patch_fidelity(echoed, truth, tol=1e-4)
-        assert rep.exact_fraction == 1.0

@@ -2,16 +2,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tsf.errors import EvenTrendWindow, InvalidClockTime, LengthMismatch, WindowTooLarge
+from tsf.errors import InvalidClockTime, WindowTooLarge
 from tsf.patching import (
     PatchOrder,
-    composite_tokens,
-    meta_tokens,
     nonoverlapping_patches,
     overlapping_patches,
     reverse_patches,
     slot_index,
-    str_decompose,
 )
 
 contexts = st.lists(
@@ -98,39 +95,6 @@ class TestNonOverlapping:
         assert all(len(p.values) == h for p in ps.patches)
 
 
-class TestStrDecompose:
-    def test_constant(self):
-        d = str_decompose([5, 5, 5, 5, 5], 5)
-        assert d.trend == (5, 5, 5, 5, 5)
-        assert d.residual == (0, 0, 0, 0, 0)
-
-    def test_window_one_identity(self):
-        d = str_decompose([1.5, 2.5, 3.5], 1)
-        assert d.trend == (1.5, 2.5, 3.5)
-        assert d.residual == (0, 0, 0)
-
-    def test_hand_computed(self):
-        d = str_decompose([1, 2, 3, 4, 5], 3)
-        assert d.trend == (1.5, 2, 3, 4, 4.5)
-        assert d.residual == (-0.5, 0, 0, 0, 0.5)
-
-    def test_even_window_rejected(self):
-        with pytest.raises(EvenTrendWindow):
-            str_decompose([1, 2, 3, 4], 4)
-
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=5, max_size=200))
-    def test_identity_exact(self, ctx):
-        d = str_decompose(ctx, 5)
-        assert all(t + r == x for x, t, r in zip(ctx, d.trend, d.residual))
-
-    def test_composite_tokens(self):
-        d = str_decompose([1, 2, 3, 4, 5], 3)
-        pairs = composite_tokens(d)
-        assert pairs[0] == (1.5, -0.5)
-        assert len(pairs) == 5
-        assert pairs == list(zip(d.trend, d.residual))
-
-
 class TestSlotIndex:
     @pytest.mark.parametrize("h,m,slot", [(10, 30, 63), (0, 0, 0), (23, 59, 143)])
     def test_examples(self, h, m, slot):
@@ -147,21 +111,3 @@ class TestSlotIndex:
         assert slots == sorted(slots)
         assert sorted(set(slots)) == list(range(144))
 
-
-class TestMetaTokens:
-    def test_slot_pairing(self):
-        # 10:30 UTC on day one
-        ts = 10 * 3600 + 30 * 60
-        assert meta_tokens([8.35], [ts]) == [(8.35, 63)]
-
-    def test_midnight(self):
-        assert meta_tokens([1.0], [0]) == [(1.0, 0)]
-
-    def test_96_at_10min_cadence(self):
-        values = [float(i) for i in range(96)]
-        stamps = [600 * i for i in range(96)]
-        assert [slot for _, slot in meta_tokens(values, stamps)] == list(range(96))
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            meta_tokens([1.0, 2.0], [0])

@@ -21,6 +21,8 @@ from tsf.prompting import (
 )
 
 from golden_util import (
+    DESCRIPTION,
+    INTERVAL_SECONDS,
     golden_bundle,
     golden_neighbors,
     golden_path,
@@ -82,6 +84,26 @@ class TestSystemPrompt:
             b = golden_bundle(strategy)
             assert not re.search(r"\{\w+\}", b.system)
             assert not re.search(r"\{\w+\}", b.user)
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [Strategy.META_TOKENS_PI, Strategy.REVERSE_ORDERED_PI, Strategy.STR_DECOMPOSE_PI],
+        ids=lambda s: s.value,
+    )
+    def test_counts_follow_context_len(self, strategy):
+        phrases = (
+            "{n} raw numbers",
+            "the {n}-point series into {n} two-element tokens",
+            "the {n} composite tokens",
+        )
+        at_96 = golden_bundle(strategy).system
+        window = tiny_window(range(48), horizon=3)
+        at_48 = assemble(strategy, window, DESCRIPTION, INTERVAL_SECONDS).system
+        expected = at_96
+        for phrase in phrases:
+            expected = expected.replace(phrase.format(n=96), phrase.format(n=48))
+        assert expected != at_96
+        assert at_48 == expected
 
     def test_decimals_contract_everywhere_but_zeroshot(self):
         for strategy in Strategy:
