@@ -170,6 +170,8 @@ def _cmd_run(args, argv: list[str], backend_kind=None) -> int:
 
 
 def _cmd_record(args, argv: list[str]) -> int:
+    if args.out:  # checked before the config file, whose out is for run and replay
+        raise ConfigError("record writes no report: fixtures go to --fixtures, not --out")
     descriptions = _apply_config_file(args, argv)
     args.backend = "http"
     backend = _backend_config(args)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
@@ -127,6 +128,27 @@ def _parse_timestamp(raw: str, row: int, column: str) -> int:
     return int(dt.timestamp())
 
 
+def _cell(row: list[str], j: int) -> str:
+    """A row's cell j; a short row's missing cells read as empty."""
+    return row[j] if j < len(row) else ""
+
+
+def _checked_values(row: list[str], i: int, columns: list[str], idx: list[int]) -> list[float]:
+    """Row i's values parsed cell by cell, in column order; the first cell that
+    is not a finite number raises NonNumericValue naming it."""
+    vals = []
+    for c, j in zip(columns, idx):
+        raw = _cell(row, j).strip()
+        try:
+            v = float(raw)
+        except ValueError:
+            raise NonNumericValue(i, c, raw) from None
+        if not math.isfinite(v):
+            raise NonNumericValue(i, c, raw)
+        vals.append(v)
+    return vals
+
+
 def load_csv(path, schema: CsvSchema, name: str | None = None) -> Dataset:
     """Load a CSV file into a Dataset, one Series per value column.
 
@@ -152,29 +174,26 @@ def load_csv(path, schema: CsvSchema, name: str | None = None) -> Dataset:
             if c not in header:
                 raise MissingColumn(f"value column {c!r} not in header")
         ts_idx = header.index(schema.timestamp_column)
-        col_idx = {c: header.index(c) for c in value_cols}
+        idx = [header.index(c) for c in value_cols]
+        pick = operator.itemgetter(*idx) if len(idx) > 1 else lambda row: (row[idx[0]],)
 
         rows = []
         for i, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            if not any(map(str.strip, row)):
                 continue
-            ts = _parse_timestamp(row[ts_idx], i, schema.timestamp_column)
-            vals = []
-            for c in value_cols:
-                raw = row[col_idx[c]].strip()
-                try:
-                    v = float(raw)
-                except ValueError:
-                    raise NonNumericValue(i, c, raw) from None
-                if not math.isfinite(v):
-                    raise NonNumericValue(i, c, raw)
-                vals.append(v)
+            ts = _parse_timestamp(_cell(row, ts_idx), i, schema.timestamp_column)
+            try:
+                vals = list(map(float, pick(row)))
+            except (ValueError, IndexError):  # a bad or missing cell
+                vals = None
+            if vals is None or not all(map(math.isfinite, vals)):
+                vals = _checked_values(row, i, value_cols, idx)  # names a bad cell
             rows.append((ts, vals))
 
     if not rows:
         raise EmptyFile(f"{path}: no data rows")
-    rows.sort(key=lambda r: r[0])
-    timestamps = tuple(r[0] for r in rows)
+    rows.sort(key=operator.itemgetter(0))
+    timestamps = tuple(map(operator.itemgetter(0), rows))
     if len(timestamps) > 1:
         interval = timestamps[1] - timestamps[0]
         if interval <= 0:
@@ -182,6 +201,8 @@ def load_csv(path, schema: CsvSchema, name: str | None = None) -> Dataset:
         _check_sampling(timestamps, interval, "")
     else:
         interval = 1
+    value_rows = list(map(operator.itemgetter(1), rows))
+    del rows  # frees the row pairs before the columns are built, keeping peak memory down
 
     dataset_name = name if name is not None else str(path)
     series = tuple(
@@ -190,7 +211,7 @@ def load_csv(path, schema: CsvSchema, name: str | None = None) -> Dataset:
             description=schema.descriptions.get(c, c),
             interval_seconds=interval,
             timestamps=timestamps,
-            values=tuple(r[1][j] for r in rows),
+            values=tuple(map(operator.itemgetter(j), value_rows)),
         )
         for j, c in enumerate(value_cols)
     )

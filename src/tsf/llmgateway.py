@@ -6,7 +6,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -80,20 +79,19 @@ def bundle_hash(bundle: PromptBundle) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-_SEQ_RE = re.compile(r"<([^<>]*)>")
-
-
-def _context_values(bundle: PromptBundle) -> list[float]:
-    """Target context = the last <...> sequence in the user prompt (neighbor
-    lines, when present, come before it)."""
-    groups = _SEQ_RE.findall(bundle.user)
-    if not groups:
+def _context_tail(bundle: PromptBundle) -> list[float]:
+    """The last one or two values of the target context, the last <...>
+    sequence in the user prompt; the mocks answer from nothing else."""
+    user = bundle.user
+    start = user.rfind("<")
+    end = user.find(">", start)
+    if start < 0 or end < 0:
         raise ValueError("user prompt carries no <...> sequence")
-    return [float(tok) for tok in groups[-1].split(", ")]
+    return [float(tok) for tok in user[start + 1 : end].rsplit(", ", 2)[-2:]]
 
 
 def _mock_text(bundle: PromptBundle, kind: BackendKind) -> str:
-    values = _context_values(bundle)
+    values = _context_tail(bundle)
     h = bundle.horizon
     if kind is BackendKind.MOCK_PERSISTENCE:
         preds = [values[-1]] * h

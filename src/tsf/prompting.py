@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import functools
 import re
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
-from typing import Optional
+from typing import Callable, Optional
 
 from .dataset import EvalWindow, describe_interval, format_value
 from .errors import (
@@ -93,11 +94,7 @@ def output_example(horizon: int) -> str:
 
 
 def build_user_prompt(window: EvalWindow) -> str:
-    return (
-        "Continue the following sequence without producing any additional text."
-        f" Sequence: {render_sequence(window.context)}."
-        f" Predict the next {window.horizon} values."
-    )
+    return PromptText().user_prompt(window)
 
 
 def build_system_prompt(template: PromptTemplate, bindings: dict) -> str:
@@ -122,6 +119,89 @@ def render_neighbor_block(ns: NeighborSet) -> str:
     )
 
 
+class PromptText:
+    """The prompt text of one run, each reused piece rendered once: a window's
+    context sequence and neighbor block, keyed by (series_id, context_start),
+    and each system prompt, keyed by its bindings. The window keys hold for one
+    dataset, context length and neighbor search, as within a run. Safe for
+    concurrent use: a piece is rendered under a lock, once, and read without it."""
+
+    def __init__(self) -> None:
+        self._sequences: dict[tuple, str] = {}
+        self._neighbor_blocks: dict[tuple, str] = {}
+        self._systems: dict[tuple, str] = {}
+        self._lock = threading.Lock()
+
+    def _once(self, memo: dict[tuple, str], key: tuple, render: Callable[[], str]) -> str:
+        text = memo.get(key)
+        if text is None:
+            with self._lock:
+                text = memo.get(key)
+                if text is None:
+                    text = memo[key] = render()
+        return text
+
+    def user_prompt(self, window: EvalWindow) -> str:
+        sequence = self._once(self._sequences, (window.series_id, window.context_start),
+                              lambda: render_sequence(window.context))
+        return (
+            "Continue the following sequence without producing any additional text."
+            f" Sequence: {sequence}."
+            f" Predict the next {window.horizon} values."
+        )
+
+    def assemble(
+        self,
+        strategy: Strategy,
+        window: EvalWindow,
+        series_description: str,
+        interval_seconds: int,
+        patch_window: int = 3,
+        patch_stride: int = 1,
+        k: int = 5,
+        neighbor_set: Optional[NeighborSet] = None,
+    ) -> PromptBundle:
+        """Build the full system + user message pair for one forecast request."""
+        if strategy.uses_neighbors and neighbor_set is None:
+            raise MissingNeighbors(f"{strategy.value} requires a neighbor set")
+        if not strategy.uses_neighbors and neighbor_set is not None:
+            raise UnexpectedNeighbors(f"{strategy.value} does not take neighbors")
+
+        template = load_template(strategy)
+        horizon, context_len = window.horizon, len(window.context)
+        system = self._once(
+            self._systems,
+            (strategy, series_description, interval_seconds, patch_window, patch_stride, k,
+             horizon, context_len),
+            lambda: build_system_prompt(template, {
+                "series_description": series_description,
+                "interval_description": describe_interval(interval_seconds),
+                "window": patch_window,
+                "stride": patch_stride,
+                "horizon": horizon,
+                "context_len": context_len,
+                "k": k,
+                "output_example": output_example(horizon),
+            }),
+        )
+
+        user = self.user_prompt(window)
+        if neighbor_set is not None:
+            block = self._once(self._neighbor_blocks, (window.series_id, window.context_start),
+                               lambda: render_neighbor_block(neighbor_set))
+            user = block + "\n" + user
+
+        return PromptBundle(
+            system=system,
+            user=user,
+            strategy=strategy,
+            window_id=f"{window.series_id}:{window.context_start}",
+            horizon=window.horizon,
+            neighbor_count=len(neighbor_set.entries) if neighbor_set else 0,
+            template_version=template.version,
+        )
+
+
 def assemble(
     strategy: Strategy,
     window: EvalWindow,
@@ -132,35 +212,7 @@ def assemble(
     k: int = 5,
     neighbor_set: Optional[NeighborSet] = None,
 ) -> PromptBundle:
-    """Build the full system + user message pair for one forecast request."""
-    if strategy.uses_neighbors and neighbor_set is None:
-        raise MissingNeighbors(f"{strategy.value} requires a neighbor set")
-    if not strategy.uses_neighbors and neighbor_set is not None:
-        raise UnexpectedNeighbors(f"{strategy.value} does not take neighbors")
-
-    template = load_template(strategy)
-    bindings = {
-        "series_description": series_description,
-        "interval_description": describe_interval(interval_seconds),
-        "window": patch_window,
-        "stride": patch_stride,
-        "horizon": window.horizon,
-        "context_len": len(window.context),
-        "k": k,
-        "output_example": output_example(window.horizon),
-    }
-    system = build_system_prompt(template, bindings)
-
-    user = build_user_prompt(window)
-    if neighbor_set is not None:
-        user = render_neighbor_block(neighbor_set) + "\n" + user
-
-    return PromptBundle(
-        system=system,
-        user=user,
-        strategy=strategy,
-        window_id=f"{window.series_id}:{window.context_start}",
-        horizon=window.horizon,
-        neighbor_count=len(neighbor_set.entries) if neighbor_set else 0,
-        template_version=template.version,
-    )
+    """Build the full system + user message pair for one forecast request,
+    every piece rendered afresh; a run reuses its pieces through one PromptText."""
+    return PromptText().assemble(strategy, window, series_description, interval_seconds,
+                                 patch_window, patch_stride, k, neighbor_set)

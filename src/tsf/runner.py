@@ -21,7 +21,7 @@ from .evaluation import RunReport, WindowResult
 from .llmgateway import BackendConfig, Gateway, LlmResponse
 from .neighbors import NeighborSet, build_pool, top_k
 from .parsing import parse_prediction
-from .prompting import TEMPLATE_VERSION, PromptBundle, Strategy, assemble
+from .prompting import TEMPLATE_VERSION, PromptBundle, PromptText, Strategy
 
 DEFAULT_HORIZONS = (1, 2, 3, 4, 5, 6, 12)
 
@@ -127,8 +127,8 @@ def _plan(dataset: Dataset, cfg: RunConfig) -> Iterator[_Job]:
             yield _Job(strategy, series, window, search(window) if strategy.uses_neighbors else None)
 
 
-def _assemble(cfg: RunConfig, job: _Job) -> PromptBundle:
-    return assemble(
+def _assemble(text: PromptText, cfg: RunConfig, job: _Job) -> PromptBundle:
+    return text.assemble(
         job.strategy,
         job.window,
         series_description=job.series.description,
@@ -150,7 +150,7 @@ def _bundle_for(
     neighbors = _neighbor_search(dataset, cfg)(window) if strategy.uses_neighbors else None
     if isinstance(neighbors, EmptyPool):
         raise neighbors
-    return _assemble(cfg, _Job(strategy, series, window, neighbors))
+    return _assemble(PromptText(), cfg, _Job(strategy, series, window, neighbors))
 
 
 def _failed(window: EvalWindow, error: TsfError, resp: Optional[LlmResponse] = None) -> WindowResult:
@@ -190,13 +190,13 @@ def _score(window: EvalWindow, bundle: PromptBundle, resp: LlmResponse, lenient:
     )
 
 
-def _window_result(gateway: Gateway, cfg: RunConfig, job: _Job) -> WindowResult:
+def _window_result(gateway: Gateway, text: PromptText, cfg: RunConfig, job: _Job) -> WindowResult:
     """Assemble, dispatch and score one job; a TsfError costs this window only."""
     if isinstance(job.neighbors, EmptyPool):
         return _failed(job.window, job.neighbors)
     resp = None
     try:
-        bundle = _assemble(cfg, job)
+        bundle = _assemble(text, cfg, job)
         resp = gateway.complete(bundle)
         return _score(job.window, bundle, resp, cfg.lenient)
     except TsfError as e:
@@ -218,7 +218,8 @@ def eval_windows(dataset: Dataset, cfg: RunConfig, horizon: int) -> list[tuple[S
 
 def bundles_for_run(dataset: Dataset, cfg: RunConfig) -> list[PromptBundle]:
     """Every prompt bundle a run would dispatch (used by record mode)."""
-    return [_assemble(cfg, job) for job in _plan(dataset, cfg)
+    text = PromptText()
+    return [_assemble(text, cfg, job) for job in _plan(dataset, cfg)
             if not isinstance(job.neighbors, EmptyPool)]
 
 
@@ -244,9 +245,10 @@ def _aggregate(
 
 def run(dataset: Dataset, cfg: RunConfig) -> RunOutcome:
     """Dispatch the whole plan through one pool of `parallelism` workers that
-    pull job indices from one queue. The worker that finishes a cell's last
-    job aggregates the cell and lets its window results go."""
+    pull job indices from one queue and share one PromptText. The worker that
+    finishes a cell's last job aggregates the cell and lets its window results go."""
     gateway = Gateway(cfg.backend)
+    text = PromptText()
     cells = _cells(cfg)
     jobs = list(_plan(dataset, cfg))
     n = len(jobs) // max(1, len(cells))  # every cell scores the same windows
@@ -266,7 +268,7 @@ def run(dataset: Dataset, cfg: RunConfig) -> RunOutcome:
             except queue.Empty:
                 return
             c, j = divmod(i, n)
-            results[c][j] = _window_result(gateway, cfg, jobs[i])
+            results[c][j] = _window_result(gateway, text, cfg, jobs[i])
             with lock:
                 left[c] -= 1
                 last = not left[c]

@@ -68,6 +68,29 @@ class TestLoadCsv:
             load_csv(p, SCHEMA)
         assert (exc.value.row, exc.value.column, exc.value.raw) == (3, "w", cell)
 
+    @pytest.mark.parametrize("text, column", [
+        ("t,a,b\n0,1,2\n600,1.5\n", "b"),
+        ("a,b,t\n1,2,0\n1.5,2\n", "t"),
+        ("t,v\n0,1\n600\n", "v"),
+    ])
+    def test_short_row_reads_as_empty_cell(self, tmp_path, text, column):
+        p = write_csv(tmp_path, text)
+        with pytest.raises(NonNumericValue) as exc:
+            load_csv(p, SCHEMA)
+        assert (exc.value.row, exc.value.column, exc.value.raw) == (3, column, "")
+
+    def test_first_bad_cell_in_column_order(self, tmp_path):
+        p = write_csv(tmp_path, "t,u,v,w\n0,1,2,3\n600,4, nan ,oops\n")
+        with pytest.raises(NonNumericValue) as exc:
+            load_csv(p, SCHEMA)
+        assert (exc.value.row, exc.value.column, exc.value.raw) == (3, "v", "nan")
+
+    def test_cells_padded_with_any_whitespace(self, tmp_path):
+        # float() alone rejects the trailing \x1c that str.strip() removes
+        p = write_csv(tmp_path, "t,v,w\n0, 1 ,\t2\x1c\n600,\xa03,4\u2003\n")
+        ds = load_csv(p, SCHEMA)
+        assert [s.values for s in ds.series] == [(1.0, 3.0), (2.0, 4.0)]
+
     def test_duplicate_timestamp(self, tmp_path):
         p = write_csv(tmp_path, "t,v\n0,1\n0,2\n600,3\n")
         with pytest.raises(NonUniformSampling):

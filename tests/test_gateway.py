@@ -1,8 +1,12 @@
 import json
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tsf.llmgateway as gw
+from tsf.dataset import format_value
 from tsf.errors import HttpStatusError, ReplayMiss, TransportError
 from tsf.llmgateway import (
     BackendConfig,
@@ -15,6 +19,7 @@ from tsf.llmgateway import (
     record_fixtures,
     save_fixtures,
 )
+from tsf.neighbors import CandidateWindow, NeighborSet
 from tsf.prompting import Strategy, assemble
 
 from golden_util import golden_bundle, golden_window
@@ -23,7 +28,7 @@ MOCK_P = BackendConfig(kind=BackendKind.MOCK_PERSISTENCE)
 MOCK_L = BackendConfig(kind=BackendKind.MOCK_LINEAR)
 
 
-def bundle_for(context, horizon, truth=None, strategy=Strategy.ZEROSHOT):
+def bundle_for(context, horizon, truth=None, strategy=Strategy.ZEROSHOT, neighbor_set=None):
     from tsf.dataset import EvalWindow
 
     w = EvalWindow(
@@ -34,7 +39,7 @@ def bundle_for(context, horizon, truth=None, strategy=Strategy.ZEROSHOT):
         truth=tuple(truth or [0.0] * horizon),
         context_timestamps=tuple(600 * i for i in range(len(context))),
     )
-    return assemble(strategy, w, "a test series", 600)
+    return assemble(strategy, w, "a test series", 600, neighbor_set=neighbor_set)
 
 
 class TestEstimateTokens:
@@ -74,6 +79,43 @@ class TestMockBackends:
     def test_zero_latency(self):
         b = bundle_for([1, 2], horizon=1)
         assert Gateway(MOCK_P).complete(b).latency_seconds == 0.0
+
+
+def full_parse_answer(bundle, kind):
+    """Reference mock answer: every value of the last <...> group parsed."""
+    values = [float(tok) for tok in re.findall(r"<([^<>]*)>", bundle.user)[-1].split(", ")]
+    h = bundle.horizon
+    if kind is BackendKind.MOCK_PERSISTENCE:
+        preds = [values[-1]] * h
+    else:
+        slope = values[-1] - values[-2] if len(values) >= 2 else 0.0
+        preds = [values[-1] + (i + 1) * slope for i in range(h)]
+    return "[" + ", ".join(format_value(p) for p in preds) + "]"
+
+
+# ties and near-ties at the fourth decimal, negatives, and values that render as 0
+VALUES = st.floats(-1e6, 1e6) | st.sampled_from(
+    [0.00025, -0.00015, 1.00005, -2.5, -0.0, 0.00004, -0.00004, 123.45675])
+
+
+class TestMockAnswersFromTail:
+    @settings(max_examples=300, deadline=None)
+    @example(context=[-0.00015], horizon=3, neighbors=[])
+    @example(context=[2.00025, -1.5], horizon=2, neighbors=[[7.0, 8.0]])
+    @given(
+        context=st.lists(VALUES, min_size=1, max_size=12),
+        horizon=st.integers(1, 12),
+        neighbors=st.lists(st.lists(VALUES, min_size=1, max_size=12), max_size=3),
+    )
+    def test_equal_full_parse(self, context, horizon, neighbors):
+        if neighbors:
+            ns = NeighborSet(k=len(neighbors), entries=tuple(
+                (CandidateWindow("n", i, tuple(v)), float(i)) for i, v in enumerate(neighbors)))
+            b = bundle_for(context, horizon, strategy=Strategy.NEIGHS, neighbor_set=ns)
+        else:
+            b = bundle_for(context, horizon)
+        for cfg in (MOCK_P, MOCK_L):
+            assert Gateway(cfg).complete(b).text == full_parse_answer(b, cfg.kind)
 
 
 class TestTokenDirection:

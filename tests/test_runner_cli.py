@@ -2,6 +2,7 @@ import json
 import random
 import sys
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -9,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tsf.llmgateway as gw
+import tsf.prompting as prompting_mod
 import tsf.runner as runner_mod
 from tsf.cli import main
 from tsf.dataset import CsvSchema, load_csv, slice_windows
 from tsf.errors import EmptyPool, SeriesTooShort
 from tsf.evaluation import compare_reports, render_comparison_markdown, reports_from_json
 from tsf.llmgateway import BackendConfig, BackendKind, Gateway, bundle_hash, save_fixtures
+from tsf.neighbors import build_pool, top_k
 from tsf.prompting import Strategy
 from tsf.runner import (
     RunConfig,
@@ -279,11 +282,10 @@ class TestNeighborSearch:
         assert len(bundles) > len(searched) > 1
 
     @pytest.mark.parametrize("znorm", [False, True])
-    def test_shared_search_equals_fresh_search(self, znorm):
-        cfg = small_config(
-            [Strategy.NEIGHS, Strategy.PATCH_INSTRUCT_NEIGHS], horizons=(1, 4),
-            eval_stride=8, max_windows=6, candidate_stride=2, k=3, znorm_neighbors=znorm,
-        )
+    def test_shared_search_equals_fresh_search(self, znorm, monkeypatch):
+        """Every bundle of bundles_for_run and run, built from shared searches and
+        shared prompt text, equals a fresh search and assemble for its job alone."""
+        cfg = all_strategies_config(znorm=znorm, parallelism=4)
         fresh = []
         for strategy in cfg.strategies:
             for h in cfg.horizons:
@@ -292,8 +294,95 @@ class TestNeighborSearch:
                         fresh.append(_bundle_for(cfg, NEIGHBOR_DS, series, w, strategy))
                     except EmptyPool:
                         pass
-        assert fresh
+        assert len({b.strategy for b in fresh}) == 9
         assert bundles_for_run(NEIGHBOR_DS, cfg) == fresh
+        sent = dispatched_bundles(monkeypatch)
+        run(NEIGHBOR_DS, cfg)
+        assert Counter(sent) == Counter(fresh)
+
+
+def all_strategies_config(znorm=False, parallelism=1):
+    return small_config(
+        list(Strategy), horizons=(1, 6, 12), eval_stride=8, max_windows=6, candidate_stride=2,
+        k=3, znorm_neighbors=znorm,
+        backend=BackendConfig(kind=BackendKind.MOCK_PERSISTENCE, parallelism=parallelism),
+    )
+
+
+def dispatched_bundles(monkeypatch) -> list:
+    """The bundles that reach Gateway.complete, from any thread."""
+    sent = []
+    real_complete = Gateway.complete
+
+    def recording_complete(self, bundle):
+        sent.append(bundle)
+        return real_complete(self, bundle)
+
+    monkeypatch.setattr(Gateway, "complete", recording_complete)
+    return sent
+
+
+class TestSharedPromptText:
+    @staticmethod
+    def expected_renders(ds, cfg) -> Counter:
+        """One context sequence per window and one neighbor block per window with
+        neighbors, whose entries render one sequence each."""
+        windows = {(w.series_id, w.context_start): w
+                   for h in cfg.horizons for _, w in eval_windows(ds, cfg, h)}
+        blocks = entries = 0
+        for w in windows.values():
+            try:
+                pool = build_pool(ds, w, cfg.candidate_stride)
+            except EmptyPool:
+                continue
+            blocks += 1
+            entries += len(top_k(w, pool, cfg.k, znorm=cfg.znorm_neighbors).entries)
+        assert blocks > 1 and len(windows) > blocks
+        return Counter(sequence=len(windows) + entries, neighbor_block=blocks)
+
+    @staticmethod
+    def count_renders(monkeypatch) -> list:
+        calls = []  # list.append is atomic, so workers may share it
+        for name in ("render_sequence", "render_neighbor_block"):
+            real = getattr(prompting_mod, name)
+
+            def counting(arg, real=real, name=name):
+                calls.append(name.removeprefix("render_"))
+                return real(arg)
+
+            monkeypatch.setattr(prompting_mod, name, counting)
+        return calls
+
+    def test_renders_once_per_window_per_call(self, monkeypatch):
+        cfg = all_strategies_config()
+        expected = self.expected_renders(NEIGHBOR_DS, cfg)
+        calls = self.count_renders(monkeypatch)
+        for call in (run, bundles_for_run):
+            for _ in range(2):  # a second call renders again
+                calls.clear()
+                call(NEIGHBOR_DS, cfg)
+                assert Counter(calls) == expected
+
+    def test_many_workers_render_once(self, monkeypatch):
+        """16 workers switching threads often: each window is still rendered
+        once, and every bundle is the one a serial call builds."""
+        cfg = all_strategies_config(parallelism=16)
+        expected = self.expected_renders(NEIGHBOR_DS, cfg)
+        serial = bundles_for_run(NEIGHBOR_DS, cfg)
+        calls = self.count_renders(monkeypatch)
+        sent = dispatched_bundles(monkeypatch)
+        out = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            t = threading.Thread(target=lambda: out.append(run(NEIGHBOR_DS, cfg)))
+            t.start()
+            t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not t.is_alive() and out
+        assert Counter(calls) == expected
+        assert Counter(sent) == Counter(serial)
 
 
 def varying_dataset(n=106):
@@ -566,3 +655,29 @@ class TestCli:
             assert rc == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_short_row_exits_2_naming_row_and_column(self, tmp_path, capsys):
+        csv = tmp_path / "short.csv"
+        csv.write_text("timestamp,a,b\n0,1,2\n600,1.5\n", encoding="utf-8")
+        rc = main(["run", "--dataset", str(csv), "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert "non-numeric value '' at row 3, column 'b'" in capsys.readouterr().err
+
+    def test_record_rejects_out(self, tmp_path, monkeypatch, capsys):
+        """Fixtures go to --fixtures; record writes no report, so --out is an error."""
+        import tsf.cli as cli_mod
+
+        recorded = []
+        monkeypatch.setattr(cli_mod, "record_fixtures",
+                            lambda bundles, backend, out: recorded.append(out))
+        monkeypatch.setenv("TSF_API_KEY", "k")
+        csv = write_dataset_csv(tmp_path)
+        argv = ["record", "--dataset", str(csv), "--strategy", "zeroshot", "--horizon", "1",
+                "--max-windows", "1", "--backend", "http", "--endpoint", "http://x",
+                "--model", "m", "--fixtures", str(tmp_path / "fx.jsonl")]
+        rc = main(argv + ["--out", str(tmp_path / "live.json")])
+        assert rc == 2
+        assert "--fixtures" in capsys.readouterr().err
+        assert recorded == [] and not (tmp_path / "live.json").exists()
+        assert main(argv) == 0
+        assert recorded == [str(tmp_path / "fx.jsonl")]
