@@ -67,10 +67,15 @@ def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> dict:
     if not cp.read(args.config):
         raise ConfigError(f"cannot read config file {args.config!r}")
     defaults = dict(cp["run"]) if cp.has_section("run") else {}
+    flags = set(vars(args)) - {"command", "config"}
+    unknown = [k for k in defaults if k.replace("-", "_") not in flags]
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in [run] of {args.config!r}")
+    # the parsers take no abbreviations, so every explicit flag is spelled out in argv
     explicit = {a.split("=")[0].lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
     for key, raw in defaults.items():
         attr = key.replace("-", "_")
-        if attr in explicit or not hasattr(args, attr):
+        if attr in explicit:
             continue
         current = getattr(args, attr)
         if attr in ("horizon", "strategy"):
@@ -205,19 +210,20 @@ def _cmd_compare(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="tsf", description="LLM time-series forecasting harness")
+    parser = argparse.ArgumentParser(prog="tsf", description="LLM time-series forecasting harness",
+                                     allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run the forecasting pipeline")
+    p_run = sub.add_parser("run", help="run the forecasting pipeline", allow_abbrev=False)
     _add_run_flags(p_run)
 
-    p_record = sub.add_parser("record", help="record live http fixtures")
+    p_record = sub.add_parser("record", help="record live http fixtures", allow_abbrev=False)
     _add_run_flags(p_record)
 
-    p_replay = sub.add_parser("replay", help="rerun a recorded run offline")
+    p_replay = sub.add_parser("replay", help="rerun a recorded run offline", allow_abbrev=False)
     _add_run_flags(p_replay)
 
-    p_cmp = sub.add_parser("compare", help="compare two report files")
+    p_cmp = sub.add_parser("compare", help="compare two report files", allow_abbrev=False)
     p_cmp.add_argument("baseline")
     p_cmp.add_argument("ours")
     p_cmp.add_argument("--out")

@@ -75,12 +75,6 @@ class Dataset:
     def feature_count(self) -> int:
         return len(self.series)
 
-    def get(self, series_id: str) -> Series:
-        for s in self.series:
-            if s.id == series_id:
-                return s
-        raise KeyError(series_id)
-
 
 @dataclass(frozen=True)
 class EvalWindow:

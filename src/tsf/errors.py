@@ -35,16 +35,6 @@ class NonFiniteValue(TsfError):
     pass
 
 
-# --- patching ---
-
-class WindowTooLarge(TsfError):
-    pass
-
-
-class InvalidClockTime(TsfError):
-    pass
-
-
 # --- neighbors ---
 
 class EmptyPool(TsfError):

@@ -20,7 +20,7 @@ from .errors import (
 )
 from .neighbors import NeighborSet
 
-TEMPLATE_VERSION = "1.0.0"
+TEMPLATE_VERSION = "1.1.0"
 
 _PLACEHOLDER_RE = re.compile(r"\{(\w+)\}")
 
@@ -91,10 +91,6 @@ def render_sequence(values) -> str:
 def output_example(horizon: int) -> str:
     """The bracketed y1..yh list shown in the output-format contract."""
     return "[" + ", ".join(f"y{i}" for i in range(1, horizon + 1)) + "]"
-
-
-def build_user_prompt(window: EvalWindow) -> str:
-    return PromptText().user_prompt(window)
 
 
 def build_system_prompt(template: PromptTemplate, bindings: dict) -> str:
@@ -169,10 +165,15 @@ class PromptText:
 
         template = load_template(strategy)
         horizon, context_len = window.horizon, len(window.context)
+        clock = {}
+        if strategy is Strategy.META_TOKENS_PI:  # the one template that names a clock time
+            sod = window.context_timestamps[0] % 86400  # the first value's second of the UTC day
+            clock = {"start_clock": f"{sod // 3600:02d}:{sod // 60 % 60:02d}",
+                     "start_slot": sod // 600}
         system = self._once(
             self._systems,
             (strategy, series_description, interval_seconds, patch_window, patch_stride, k,
-             horizon, context_len),
+             horizon, context_len, *clock.values()),
             lambda: build_system_prompt(template, {
                 "series_description": series_description,
                 "interval_description": describe_interval(interval_seconds),
@@ -182,6 +183,7 @@ class PromptText:
                 "context_len": context_len,
                 "k": k,
                 "output_example": output_example(horizon),
+                **clock,
             }),
         )
 
@@ -201,18 +203,3 @@ class PromptText:
             template_version=template.version,
         )
 
-
-def assemble(
-    strategy: Strategy,
-    window: EvalWindow,
-    series_description: str,
-    interval_seconds: int,
-    patch_window: int = 3,
-    patch_stride: int = 1,
-    k: int = 5,
-    neighbor_set: Optional[NeighborSet] = None,
-) -> PromptBundle:
-    """Build the full system + user message pair for one forecast request,
-    every piece rendered afresh; a run reuses its pieces through one PromptText."""
-    return PromptText().assemble(strategy, window, series_description, interval_seconds,
-                                 patch_window, patch_stride, k, neighbor_set)

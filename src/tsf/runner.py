@@ -140,19 +140,6 @@ def _assemble(text: PromptText, cfg: RunConfig, job: _Job) -> PromptBundle:
     )
 
 
-def _bundle_for(
-    cfg: RunConfig,
-    dataset: Dataset,
-    series: Series,
-    window: EvalWindow,
-    strategy: Strategy,
-) -> PromptBundle:
-    neighbors = _neighbor_search(dataset, cfg)(window) if strategy.uses_neighbors else None
-    if isinstance(neighbors, EmptyPool):
-        raise neighbors
-    return _assemble(PromptText(), cfg, _Job(strategy, series, window, neighbors))
-
-
 def _failed(window: EvalWindow, error: TsfError, resp: Optional[LlmResponse] = None) -> WindowResult:
     """A window that produced no forecast; its tokens count if it was answered."""
     return WindowResult(

@@ -5,7 +5,7 @@ from pathlib import Path
 
 from tsf.dataset import EvalWindow
 from tsf.neighbors import CandidateWindow, NeighborSet
-from tsf.prompting import PromptBundle, Strategy, assemble
+from tsf.prompting import PromptBundle, PromptText, Strategy
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -47,7 +47,7 @@ def golden_neighbors() -> NeighborSet:
 
 def golden_bundle(strategy: Strategy) -> PromptBundle:
     neighbor_set = golden_neighbors() if strategy.uses_neighbors else None
-    return assemble(
+    return PromptText().assemble(
         strategy,
         golden_window(),
         series_description=DESCRIPTION,

@@ -6,11 +6,12 @@ Run with `pytest tests/test_acceptance.py -v -s`.
 import math
 import random
 import time
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
 
-from tsf.dataset import EvalWindow
+from tsf.dataset import CsvSchema, EvalWindow, load_csv
 from tsf.errors import EmptyPool
 from tsf.evaluation import RunReport, improvement, mae, mse, reports_to_json
 from tsf.llmgateway import (
@@ -21,54 +22,15 @@ from tsf.llmgateway import (
     save_fixtures,
 )
 from tsf.neighbors import build_pool, euclidean, top_k
-from tsf.patching import (
-    nonoverlapping_patches,
-    overlapping_patches,
-    reverse_patches,
-    slot_index,
-)
 from tsf.prompting import Strategy
 from tsf.runner import RunConfig, bundles_for_run, eval_windows, run
 
-from conftest import make_dataset
+from conftest import fresh_bundle, make_dataset
 from golden_util import golden_bundle, golden_path, render_bundle
 
 
 def ok(msg):
     print(f"\nACCEPTANCE PASS: {msg}")
-
-
-def test_patch_invariants_1000_random_contexts():
-    rng = random.Random(2024)
-    start = time.perf_counter()
-    for _ in range(1000):
-        n = rng.randint(3, 200)
-        ctx = [rng.uniform(-50, 50) for _ in range(n)]
-        ps = overlapping_patches(ctx, w=3, s=1)
-        assert len(ps.patches) == n - 2
-        rev = reverse_patches(ps)
-        assert tuple(reversed(rev.patches)) == ps.patches
-
-        h = rng.randint(1, min(12, n))
-        nop = nonoverlapping_patches(ctx, h)
-        covered = [v for p in nop.patches for v in p.values]
-        assert covered == ctx[n % h :]  # disjoint, suffix-aligned
-    elapsed = time.perf_counter() - start
-    assert elapsed < 1.0, f"took {elapsed:.2f}s"
-    ok(f"patch invariants on 1000 random contexts ({elapsed:.2f}s < 1s)")
-
-
-def test_appendix_example_reproduction():
-    ctx = [8.35, 8.36, 8.32, 8.45, 8.35, 8.25, 8.20, 8.09, 8.13, 8.00, 7.94, 7.86]
-    ps = nonoverlapping_patches(ctx, 3)
-    assert [list(p.values) for p in ps.patches] == [
-        [8.35, 8.36, 8.32],
-        [8.45, 8.35, 8.25],
-        [8.20, 8.09, 8.13],
-        [8.00, 7.94, 7.86],
-    ]
-    assert slot_index(10, 30) == 63
-    ok("12-value non-overlapping example and 10:30 -> slot 63 reproduced exactly")
 
 
 def test_neighbor_oracle_50_random_datasets():
@@ -135,6 +97,29 @@ def test_metric_oracle_10000_random_pairs():
     ok("mse/mae match independent recomputation on 10000 pairs; improvement(0.0095, 0.0014) = 85.26%")
 
 
+def test_meta_patch_worked_example_clock(tmp_path):
+    """The paper's worked example, 10:30 -> slot 63, read off a CSV with naive
+    ISO times, which load_csv reads as UTC."""
+    start = datetime(2021, 3, 4, 10, 30)
+    rows = [f"{(start + timedelta(minutes=10 * i)).isoformat()},{i % 7}.5" for i in range(40)]
+    path = tmp_path / "clock.csv"
+    path.write_text("date,v\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    ds = load_csv(path, CsvSchema(timestamp_column="date"))
+    cfg = RunConfig(
+        strategies=(Strategy.META_TOKENS_PI,),
+        backend=BackendConfig(kind=BackendKind.MOCK_PERSISTENCE),
+        horizons=(1,),
+        context_len=12,
+        eval_stride=6,
+    )
+    stated = {b.window_id: b.system.split("measured at ")[1].split(";")[0]
+              for b in bundles_for_run(ds, cfg)}
+    assert stated["v:0"] == "10:30 UTC (slot 63)"
+    minutes = {f"v:{s}": 630 + 10 * s for s in range(0, 28, 6)}
+    assert stated == {w: f"{m // 60}:{m % 60:02d} UTC (slot {m // 10})" for w, m in minutes.items()}
+    ok(f"meta-patch states 10:30 UTC (slot 63) for a context starting at 10:30 ({len(stated)} windows)")
+
+
 def test_golden_prompts_byte_identical():
     phrases = {
         "zeroshot": "Continue the following sequence without producing any additional text",
@@ -196,16 +181,14 @@ def test_token_cost_direction_per_window():
         max_windows=20,
     )
     gateway = Gateway(cfg.backend)
-    from tsf.runner import _bundle_for
-
     checked = 0
     for series, window in eval_windows(ds, cfg, 3):
         try:
-            pin = _bundle_for(cfg, ds, series, window, Strategy.PATCH_INSTRUCT_NEIGHS)
+            pin = fresh_bundle(cfg, ds, series, window, Strategy.PATCH_INSTRUCT_NEIGHS)
         except EmptyPool:
             continue
-        zs = _bundle_for(cfg, ds, series, window, Strategy.ZEROSHOT)
-        pi = _bundle_for(cfg, ds, series, window, Strategy.PATCH_INSTRUCT)
+        zs = fresh_bundle(cfg, ds, series, window, Strategy.ZEROSHOT)
+        pi = fresh_bundle(cfg, ds, series, window, Strategy.PATCH_INSTRUCT)
         it = [gateway.complete(b).input_tokens for b in (zs, pi, pin)]
         assert it[0] < it[1] < it[2]
         checked += 1

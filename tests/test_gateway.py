@@ -20,7 +20,7 @@ from tsf.llmgateway import (
     save_fixtures,
 )
 from tsf.neighbors import CandidateWindow, NeighborSet
-from tsf.prompting import Strategy, assemble
+from tsf.prompting import PromptText, Strategy
 
 from golden_util import golden_bundle, golden_window
 
@@ -39,7 +39,7 @@ def bundle_for(context, horizon, truth=None, strategy=Strategy.ZEROSHOT, neighbo
         truth=tuple(truth or [0.0] * horizon),
         context_timestamps=tuple(600 * i for i in range(len(context))),
     )
-    return assemble(strategy, w, "a test series", 600, neighbor_set=neighbor_set)
+    return PromptText().assemble(strategy, w, "a test series", 600, neighbor_set=neighbor_set)
 
 
 class TestEstimateTokens:

@@ -79,7 +79,7 @@ class TestBuildPool:
 
     def test_pool_spans_all_features(self):
         ds = make_dataset({"a": range(30), "b": range(100, 130)})
-        target = window_at(ds.get("a"), 20, 8)
+        target = window_at(ds.series[0], 20, 8)
         pool = build_pool(ds, target)
         assert {c.series_id for c in pool} == {"a", "b"}
 
@@ -240,7 +240,7 @@ def neighbor_cases(draw, values):
             where = draw(st.integers(0, cstart - L))
             cols[draw(st.sampled_from(ids))][where : where + L] = context
     ds = make_dataset(cols)
-    return ds, window_at(ds.get(target_id), cstart, L)
+    return ds, window_at(ds.series[ids.index(target_id)], cstart, L)
 
 
 FLOATS = st.floats(-1e3, 1e3, allow_nan=False)

@@ -2,6 +2,8 @@ import re
 
 import pytest
 
+import tsf.prompting as prompting_mod
+
 from tsf.dataset import EvalWindow
 from tsf.errors import (
     EmptyNeighborSet,
@@ -12,10 +14,9 @@ from tsf.errors import (
 from tsf.neighbors import CandidateWindow, NeighborSet
 from tsf.prompting import (
     PromptTemplate,
+    PromptText,
     Strategy,
-    assemble,
     build_system_prompt,
-    build_user_prompt,
     load_template,
     render_neighbor_block,
 )
@@ -31,36 +32,36 @@ from golden_util import (
 )
 
 
-def tiny_window(context, horizon=1, truth=None):
+def tiny_window(context, horizon=1, truth=None, start_ts=0):
     return EvalWindow(
         series_id="s",
         context=tuple(float(v) for v in context),
         context_start=0,
         horizon=horizon,
         truth=tuple(truth or [0.0] * horizon),
-        context_timestamps=tuple(600 * i for i in range(len(context))),
+        context_timestamps=tuple(start_ts + 600 * i for i in range(len(context))),
     )
 
 
 class TestUserPrompt:
     def test_h1_example(self):
         w = tiny_window([1, 2, 3], horizon=1)
-        assert build_user_prompt(w) == (
+        assert PromptText().user_prompt(w) == (
             "Continue the following sequence without producing any additional text."
             " Sequence: <1, 2, 3>. Predict the next 1 values."
         )
 
     def test_h3_suffix(self):
         w = tiny_window([1, 2, 3], horizon=3)
-        assert build_user_prompt(w).endswith("Predict the next 3 values.")
+        assert PromptText().user_prompt(w).endswith("Predict the next 3 values.")
 
     def test_values_rendered_via_format_value(self):
         w = tiny_window([0.80325], horizon=1)
-        assert "<0.8032>" in build_user_prompt(w)
+        assert "<0.8032>" in PromptText().user_prompt(w)
 
     def test_value_count_equals_context_len(self):
         w = golden_window()
-        user = build_user_prompt(w)
+        user = PromptText().user_prompt(w)
         inner = re.search(r"<([^>]*)>", user).group(1)
         assert len(inner.split(", ")) == len(w.context)
 
@@ -98,7 +99,7 @@ class TestSystemPrompt:
         )
         at_96 = golden_bundle(strategy).system
         window = tiny_window(range(48), horizon=3)
-        at_48 = assemble(strategy, window, DESCRIPTION, INTERVAL_SECONDS).system
+        at_48 = PromptText().assemble(strategy, window, DESCRIPTION, INTERVAL_SECONDS).system
         expected = at_96
         for phrase in phrases:
             expected = expected.replace(phrase.format(n=96), phrase.format(n=48))
@@ -111,6 +112,53 @@ class TestSystemPrompt:
                 continue
             b = golden_bundle(strategy)
             assert "Decimals" in b.system and "4" in b.system
+
+
+def meta_system(start_ts: int) -> str:
+    window = tiny_window(range(12), horizon=3, start_ts=start_ts)
+    return PromptText().assemble(Strategy.META_TOKENS_PI, window, DESCRIPTION, INTERVAL_SECONDS).system
+
+
+class TestMetaPatchClock:
+    """meta-patch states the UTC clock time and 10-minute slot of the first
+    context value, so a model can pair every value with its slot."""
+
+    @staticmethod
+    def clock_line(h: int, m: int, slot: int) -> str:
+        return f"The first value was measured at {h:02d}:{m:02d} UTC (slot {slot});"
+
+    def test_golden_window_starts_at_midnight(self):
+        system = golden_bundle(Strategy.META_TOKENS_PI).system
+        assert self.clock_line(0, 0, 0) + " each later value is 10 minutes after" in system
+
+    @pytest.mark.parametrize("h,m,slot", [(10, 30, 63), (0, 0, 0), (23, 59, 143)])
+    def test_examples(self, h, m, slot):
+        """10:30 -> 63 is the paper's worked example (37,800 s into the day)."""
+        assert self.clock_line(h, m, slot) in meta_system(3600 * h + 60 * m)
+
+    def test_nondecreasing_and_surjective_at_10min(self):
+        slots = [int(re.search(r"\(slot (\d+)\)", meta_system(600 * i)).group(1))
+                 for i in range(144)]
+        assert slots == list(range(144))
+
+    def test_any_timestamp_reads_a_clock_of_its_day(self):
+        assert self.clock_line(10, 30, 63) in meta_system(3 * 86400 + 37800)
+        assert self.clock_line(23, 50, 143) in meta_system(-600)  # before the epoch
+        assert self.clock_line(10, 30, 63) in meta_system(37800 + 59)
+
+    def test_only_meta_patch_renders_per_start_time(self, monkeypatch):
+        calls = []
+        real = prompting_mod.build_system_prompt
+        monkeypatch.setattr(prompting_mod, "build_system_prompt",
+                            lambda tpl, bindings: calls.append(tpl.strategy) or real(tpl, bindings))
+        text = PromptText()
+        starts = (0, 37800, 86400 + 600)
+        for strategy in (Strategy.PATCH_INSTRUCT, Strategy.META_TOKENS_PI):
+            systems = {text.assemble(strategy, tiny_window(range(12), 3, start_ts=t), DESCRIPTION,
+                                     INTERVAL_SECONDS).system for t in starts}
+            assert len(systems) == calls.count(strategy)
+        assert calls.count(Strategy.PATCH_INSTRUCT) == 1
+        assert calls.count(Strategy.META_TOKENS_PI) == len(starts)
 
 
 class TestNeighborBlock:
@@ -141,11 +189,11 @@ class TestAssemble:
 
     def test_missing_neighbors(self):
         with pytest.raises(MissingNeighbors):
-            assemble(Strategy.PATCH_INSTRUCT_NEIGHS, golden_window(), "x", 600)
+            PromptText().assemble(Strategy.PATCH_INSTRUCT_NEIGHS, golden_window(), "x", 600)
 
     def test_unexpected_neighbors(self):
         with pytest.raises(UnexpectedNeighbors):
-            assemble(
+            PromptText().assemble(
                 Strategy.PATCH_INSTRUCT,
                 golden_window(),
                 "x",

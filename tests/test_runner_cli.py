@@ -1,5 +1,7 @@
 import json
+import os
 import random
+import subprocess
 import sys
 import threading
 from collections import Counter
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tsf
 import tsf.llmgateway as gw
 import tsf.prompting as prompting_mod
 import tsf.runner as runner_mod
@@ -21,13 +24,12 @@ from tsf.neighbors import build_pool, top_k
 from tsf.prompting import Strategy
 from tsf.runner import (
     RunConfig,
-    _bundle_for,
     bundles_for_run,
     eval_windows,
     run,
 )
 
-from conftest import make_dataset
+from conftest import fresh_bundle, make_dataset
 from test_gateway import FakeResponse, ok_payload
 
 MOCK_P = BackendConfig(kind=BackendKind.MOCK_PERSISTENCE)
@@ -54,6 +56,18 @@ def small_config(strategies, horizons=(1, 3), backend=MOCK_P, **kw):
     )
     defaults.update(kw)
     return RunConfig(**defaults)
+
+
+def test_every_module_reachable_from_cli():
+    """No tsf module is reached by tests alone: importing the CLI, in a fresh
+    interpreter, loads every module of the package."""
+    code = ("import pkgutil, sys, tsf, tsf.cli; print(sorted(m.name for m in "
+            "pkgutil.iter_modules(tsf.__path__) if 'tsf.' + m.name not in sys.modules))")
+    src = os.path.dirname(os.path.dirname(tsf.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestRunner:
@@ -291,7 +305,7 @@ class TestNeighborSearch:
             for h in cfg.horizons:
                 for series, w in eval_windows(NEIGHBOR_DS, cfg, h):
                     try:
-                        fresh.append(_bundle_for(cfg, NEIGHBOR_DS, series, w, strategy))
+                        fresh.append(fresh_bundle(cfg, NEIGHBOR_DS, series, w, strategy))
                     except EmptyPool:
                         pass
         assert len({b.strategy for b in fresh}) == 9
@@ -603,6 +617,29 @@ class TestCli:
         rc = main(["run", "--config", str(ini), "--horizon", "6", "--out", str(out)])
         assert rc == 0
         assert {r.horizon for r in reports_from_json(out.read_text())} == {6}
+
+    @pytest.mark.parametrize("flag", [["--hor", "6"], ["--max-w", "3"]], ids=lambda f: f[0])
+    def test_abbreviated_flag_is_a_usage_error(self, tmp_path, capsys, flag):
+        """A prefix of a flag would lose to the INI value it names; it exits 2."""
+        csv = write_dataset_csv(tmp_path)
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[run]\ndataset = {csv}\nhorizon = 1\nmax-windows = 2\n", encoding="utf-8")
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(ini), *flag, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
+        csv = write_dataset_csv(tmp_path)
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[run]\ndataset = {csv}\nout = {tmp_path / 'r.json'}\nhorizons = 6\n",
+                       encoding="utf-8")
+        rc = main(["run", "--config", str(ini)])
+        assert rc == 2
+        assert "unknown key 'horizons' in [run]" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_csv_output(self, tmp_path):
         csv = write_dataset_csv(tmp_path)
