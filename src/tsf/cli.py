@@ -16,17 +16,13 @@ from .evaluation import (
     render_comparison_markdown,
     reports_from_json,
 )
-from .llmgateway import API_KEY_ENV, BackendConfig, BackendKind, record_fixtures
+from .llmgateway import API_KEY_ENV, BackendConfig, BackendKind
 from .prompting import Strategy
-from .runner import (
-    DEFAULT_HORIZONS,
-    RunConfig,
-    bundles_for_run,
-    run,
-    write_manifest,
-)
+from .runner import DEFAULT_HORIZONS, RunConfig, run, write_manifest
 
 STRATEGY_NAMES = [s.value for s in Strategy]
+# the backend each run-like command forces; `run` takes --backend
+FORCED_BACKEND = {"run": None, "record": "http", "replay": "replay"}
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
@@ -54,45 +50,53 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lenient", action="store_true")
     p.add_argument("--znorm-neighbors", action="store_true")
-    p.add_argument("--fixtures", help="fixture file (record/replay)")
+    p.add_argument("--fixtures", help="fixture file: replay reads it, a live (http) run writes it")
     p.add_argument("--out", help="output report path")
 
 
 def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> dict:
-    """Merge [run] section of the INI file under the flags given in argv;
-    returns the [descriptions] section."""
+    """Merge the [run] section of the INI file under the flags given in argv:
+    each key not given there becomes flag tokens, parsed by the command's own
+    flags, so a bad value is a usage error (exit 2). Returns the [descriptions]
+    section."""
     if not args.config:
         return {}
     cp = configparser.ConfigParser()
     if not cp.read(args.config):
         raise ConfigError(f"cannot read config file {args.config!r}")
-    defaults = dict(cp["run"]) if cp.has_section("run") else {}
+    section = cp["run"] if cp.has_section("run") else {}
     flags = set(vars(args)) - {"command", "config"}
-    unknown = [k for k in defaults if k.replace("-", "_") not in flags]
+    unknown = [k for k in section if k.replace("-", "_") not in flags]
     if unknown:
         raise ConfigError(f"unknown key {unknown[0]!r} in [run] of {args.config!r}")
     # the parsers take no abbreviations, so every explicit flag is spelled out in argv
     explicit = {a.split("=")[0].lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
-    for key, raw in defaults.items():
+    tokens = []
+    for key, raw in section.items():
         attr = key.replace("-", "_")
         if attr in explicit:
             continue
-        current = getattr(args, attr)
-        if attr in ("horizon", "strategy"):
-            setattr(args, attr, [v.strip() for v in raw.split(",")])
-        elif isinstance(current, bool):
-            setattr(args, attr, raw.lower() in ("1", "true", "yes"))
-        elif isinstance(current, int):
-            setattr(args, attr, int(raw))
-        elif isinstance(current, float):
-            setattr(args, attr, float(raw))
+        flag = "--" + attr.replace("_", "-")
+        if isinstance(getattr(args, attr), bool):  # a store_true flag
+            try:
+                on = section.getboolean(key)
+            except ValueError:
+                raise ConfigError(f"{key} = {raw!r} in [run] of {args.config!r}"
+                                  " is not a boolean") from None
+            if on:
+                tokens.append(flag)
+        elif attr in ("horizon", "strategy"):
+            tokens += [f"{flag}={v.strip()}" for v in raw.split(",")]
         else:
-            setattr(args, attr, raw)
+            tokens.append(f"{flag}={raw}")
+    parser = argparse.ArgumentParser(prog=f"tsf {args.command}", allow_abbrev=False)
+    _add_run_flags(parser)
+    parser.parse_args(tokens, namespace=args)  # sets only the attributes the tokens name
     return dict(cp["descriptions"]) if cp.has_section("descriptions") else {}
 
 
-def _backend_config(args, kind_override: str | None = None) -> BackendConfig:
-    kind = BackendKind(kind_override or args.backend)
+def _backend_config(args) -> BackendConfig:
+    kind = BackendKind(FORCED_BACKEND[args.command] or args.backend)
     if kind is BackendKind.HTTP:
         if not os.environ.get(API_KEY_ENV):
             raise ConfigError(f"{API_KEY_ENV} must be set for the http backend")
@@ -100,6 +104,8 @@ def _backend_config(args, kind_override: str | None = None) -> BackendConfig:
             raise ConfigError("--endpoint and --model are required for the http backend")
     if kind is BackendKind.REPLAY and not args.fixtures:
         raise ConfigError("--fixtures is required for the replay backend")
+    if args.command == "record" and not args.fixtures:
+        raise ConfigError("--fixtures is required for record")
     return BackendConfig(
         kind=kind,
         endpoint_url=args.endpoint,
@@ -159,9 +165,10 @@ def _emit(reports, out: str) -> None:
     emit_report(reports, fmt, out)
 
 
-def _cmd_run(args, argv: list[str], backend_kind=None) -> int:
+def _cmd_run(args, argv: list[str]) -> int:
+    """run, replay and record alike: one run on the backend the command names or forces."""
     descriptions = _apply_config_file(args, argv)
-    backend = _backend_config(args, backend_kind)
+    backend = _backend_config(args)
     dataset = _load_dataset(args, descriptions)
     cfg = _run_config(args, backend)
     outcome = run(dataset, cfg)
@@ -172,22 +179,6 @@ def _cmd_run(args, argv: list[str], backend_kind=None) -> int:
     for f in outcome.failures:
         print(f"FAILED {f.strategy} h={f.horizon} {f.window_id}: {f.error}", file=sys.stderr)
     return 0 if outcome.ok else 1
-
-
-def _cmd_record(args, argv: list[str]) -> int:
-    if args.out:  # checked before the config file, whose out is for run and replay
-        raise ConfigError("record writes no report: fixtures go to --fixtures, not --out")
-    descriptions = _apply_config_file(args, argv)
-    args.backend = "http"
-    backend = _backend_config(args)
-    if not args.fixtures:
-        raise ConfigError("--fixtures output path is required for record")
-    dataset = _load_dataset(args, descriptions)
-    cfg = _run_config(args, backend)
-    bundles = bundles_for_run(dataset, cfg)
-    record_fixtures(bundles, backend, args.fixtures)
-    print(f"recorded {len(bundles)} fixtures to {args.fixtures}")
-    return 0
 
 
 def _cmd_compare(args) -> int:
@@ -217,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run the forecasting pipeline", allow_abbrev=False)
     _add_run_flags(p_run)
 
-    p_record = sub.add_parser("record", help="record live http fixtures", allow_abbrev=False)
+    p_record = sub.add_parser("record", help="run live over http, recording fixtures",
+                              allow_abbrev=False)
     _add_run_flags(p_record)
 
     p_replay = sub.add_parser("replay", help="rerun a recorded run offline", allow_abbrev=False)
@@ -234,18 +226,12 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args, argv)
-        if args.command == "replay":
-            return _cmd_run(args, argv, backend_kind="replay")
-        if args.command == "record":
-            return _cmd_record(args, argv)
         if args.command == "compare":
             return _cmd_compare(args)
+        return _cmd_run(args, argv)
     except TsfError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

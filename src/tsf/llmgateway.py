@@ -1,11 +1,12 @@
 """LLM dispatch: an OpenAI-style HTTP backend plus deterministic offline
-backends (persistence / linear mocks and record-replay fixtures)."""
+backends (persistence / linear mocks and replay of fixtures a live run recorded)."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import os
+import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -126,10 +127,14 @@ def load_fixtures(path) -> dict:
     return fixtures
 
 
+def _write_fixtures(records: Iterable[dict], path, mode: str) -> None:
+    """One JSON object per line, keys sorted: the format load_fixtures reads."""
+    with open(path, mode, encoding="utf-8") as f:
+        f.writelines(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
+
+
 def save_fixtures(records: Iterable[dict], path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for rec in records:
-            f.write(json.dumps(rec, sort_keys=True) + "\n")
+    _write_fixtures(records, path, "w")
 
 
 def _http_complete(bundle: PromptBundle, cfg: BackendConfig) -> LlmResponse:
@@ -185,13 +190,18 @@ def _http_complete(bundle: PromptBundle, cfg: BackendConfig) -> LlmResponse:
 
 class Gateway:
     """Dispatches bundles against one configured backend. Replay fixtures are
-    loaded once; all methods are safe for concurrent use."""
+    loaded once. An http backend with a fixture path records to it: the file is
+    emptied here, and each answer is appended as soon as it arrives. All methods
+    are safe for concurrent use."""
 
     def __init__(self, cfg: BackendConfig):
         self.cfg = cfg
         self._fixtures: Optional[dict] = None
+        self._record_lock = threading.Lock()
         if cfg.kind is BackendKind.REPLAY:
             self._fixtures = load_fixtures(cfg.fixture_path)
+        elif cfg.kind is BackendKind.HTTP and cfg.fixture_path:
+            save_fixtures([], cfg.fixture_path)
 
     def complete(self, bundle: PromptBundle) -> LlmResponse:
         kind = self.cfg.kind
@@ -212,23 +222,15 @@ class Gateway:
                 backend_id=self.cfg.backend_id,
                 token_source=TokenSource.REPORTED,
             )
-        return _http_complete(bundle, self.cfg)
-
-
-def record_fixtures(bundles: Iterable[PromptBundle], cfg: BackendConfig, out) -> None:
-    """Capture live responses keyed by bundle content hash for later replay."""
-    if cfg.kind is not BackendKind.HTTP:
-        raise ValueError("only the http backend can record fixtures")
-    records = []
-    for bundle in bundles:
-        resp = _http_complete(bundle, cfg)
-        records.append(
-            {
+        resp = _http_complete(bundle, self.cfg)
+        if self.cfg.fixture_path:
+            rec = {
                 "hash": bundle_hash(bundle),
                 "text": resp.text,
                 "input_tokens": resp.input_tokens,
                 "output_tokens": resp.output_tokens,
                 "latency_seconds": resp.latency_seconds,
             }
-        )
-    save_fixtures(records, out)
+            with self._record_lock:
+                _write_fixtures([rec], self.cfg.fixture_path, "a")
+        return resp

@@ -42,12 +42,10 @@ class Pool:
                 for sid, starts, rows in self.parts for start, row in zip(starts.tolist(), rows))
 
 
-def build_pool(dataset: Dataset, target: EvalWindow, candidate_stride: int = 1,
+def build_pool(dataset: Dataset, target: EvalWindow,
                arrays: Sequence[np.ndarray] | None = None) -> Pool:
     """Every length-L window of every series that ends before the target context
     begins; `arrays` may hold each series' values as float64, converted once."""
-    if candidate_stride < 1:
-        raise ValueError("candidate_stride must be >= 1")
     L = len(target.context)
     parts = []
     for j, series in enumerate(dataset.series):
@@ -55,8 +53,7 @@ def build_pool(dataset: Dataset, target: EvalWindow, candidate_stride: int = 1,
         n = bisect_left(series.timestamps, target.context_timestamps[0]) - L + 1
         if n > 0:
             values = arrays[j] if arrays is not None else np.asarray(series.values, dtype=float)
-            rows = sliding_window_view(values, L)[:n:candidate_stride]
-            parts.append((series.id, np.arange(0, n, candidate_stride), rows))
+            parts.append((series.id, np.arange(n), sliding_window_view(values, L)[:n]))
     if not parts:
         raise EmptyPool(f"no candidate windows precede target at {target.series_id!r}"
                         f" start {target.context_start}")

@@ -20,7 +20,7 @@ from .errors import (
 )
 from .neighbors import NeighborSet
 
-TEMPLATE_VERSION = "1.1.0"
+TEMPLATE_VERSION = "1.2.0"
 
 _PLACEHOLDER_RE = re.compile(r"\{(\w+)\}")
 
@@ -55,33 +55,23 @@ _TEMPLATE_FILES = {
 
 
 @dataclass(frozen=True)
-class PromptTemplate:
-    strategy: Strategy
-    system_text: str
-    version: str = TEMPLATE_VERSION
-
-
-@dataclass(frozen=True)
 class PromptBundle:
     system: str
     user: str
     strategy: Strategy
     window_id: str
     horizon: int
-    neighbor_count: int = 0
-    template_version: str = TEMPLATE_VERSION
 
 
 @functools.cache
-def load_template(strategy: Strategy) -> PromptTemplate:
-    """The strategy's template, read from disk on first use only."""
-    text = (
+def load_template(strategy: Strategy) -> str:
+    """The strategy's system-prompt template, read from disk on first use only."""
+    return (
         resources.files("tsf.templates")
         .joinpath(_TEMPLATE_FILES[strategy])
         .read_text(encoding="utf-8")
         .rstrip("\n")
     )
-    return PromptTemplate(strategy=strategy, system_text=text)
 
 
 def render_sequence(values) -> str:
@@ -93,16 +83,14 @@ def output_example(horizon: int) -> str:
     return "[" + ", ".join(f"y{i}" for i in range(1, horizon + 1)) + "]"
 
 
-def build_system_prompt(template: PromptTemplate, bindings: dict) -> str:
+def build_system_prompt(strategy: Strategy, template: str, bindings: dict) -> str:
     def sub(m: re.Match) -> str:
         name = m.group(1)
         if name not in bindings:
-            raise UnboundPlaceholder(
-                f"placeholder {{{name}}} unbound in {template.strategy.value} template"
-            )
+            raise UnboundPlaceholder(f"placeholder {{{name}}} unbound in {strategy.value} template")
         return str(bindings[name])
 
-    return _PLACEHOLDER_RE.sub(sub, template.system_text)
+    return _PLACEHOLDER_RE.sub(sub, template)
 
 
 def render_neighbor_block(ns: NeighborSet) -> str:
@@ -163,7 +151,6 @@ class PromptText:
         if not strategy.uses_neighbors and neighbor_set is not None:
             raise UnexpectedNeighbors(f"{strategy.value} does not take neighbors")
 
-        template = load_template(strategy)
         horizon, context_len = window.horizon, len(window.context)
         clock = {}
         if strategy is Strategy.META_TOKENS_PI:  # the one template that names a clock time
@@ -174,13 +161,15 @@ class PromptText:
             self._systems,
             (strategy, series_description, interval_seconds, patch_window, patch_stride, k,
              horizon, context_len, *clock.values()),
-            lambda: build_system_prompt(template, {
+            lambda: build_system_prompt(strategy, load_template(strategy), {
                 "series_description": series_description,
                 "interval_description": describe_interval(interval_seconds),
                 "window": patch_window,
                 "stride": patch_stride,
                 "horizon": horizon,
                 "context_len": context_len,
+                "context_len_minus_1": context_len - 1,
+                "context_len_minus_2": context_len - 2,
                 "k": k,
                 "output_example": output_example(horizon),
                 **clock,
@@ -199,7 +188,5 @@ class PromptText:
             strategy=strategy,
             window_id=f"{window.series_id}:{window.context_start}",
             horizon=window.horizon,
-            neighbor_count=len(neighbor_set.entries) if neighbor_set else 0,
-            template_version=template.version,
         )
 

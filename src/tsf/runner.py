@@ -39,7 +39,6 @@ class RunConfig:
     patch_window: int = 3
     patch_stride: int = 1
     k: int = 5
-    candidate_stride: int = 1
     znorm_neighbors: bool = False
     max_windows: int = 100
     seed: int = 0
@@ -93,7 +92,7 @@ def _neighbor_search(dataset: Dataset, cfg: RunConfig) -> Callable[[EvalWindow],
             if not arrays:
                 arrays.extend(np.asarray(s.values, dtype=float) for s in dataset.series)
             try:
-                pool = build_pool(dataset, window, cfg.candidate_stride, arrays=arrays)
+                pool = build_pool(dataset, window, arrays=arrays)
                 cache[key] = top_k(window, pool, cfg.k, znorm=cfg.znorm_neighbors)
             except EmptyPool as e:
                 cache[key] = e
@@ -204,7 +203,7 @@ def eval_windows(dataset: Dataset, cfg: RunConfig, horizon: int) -> list[tuple[S
 
 
 def bundles_for_run(dataset: Dataset, cfg: RunConfig) -> list[PromptBundle]:
-    """Every prompt bundle a run would dispatch (used by record mode)."""
+    """Every prompt bundle a run would dispatch, in plan order."""
     text = PromptText()
     return [_assemble(text, cfg, job) for job in _plan(dataset, cfg)
             if not isinstance(job.neighbors, EmptyPool)]
@@ -233,11 +232,13 @@ def _aggregate(
 def run(dataset: Dataset, cfg: RunConfig) -> RunOutcome:
     """Dispatch the whole plan through one pool of `parallelism` workers that
     pull job indices from one queue and share one PromptText. The worker that
-    finishes a cell's last job aggregates the cell and lets its window results go."""
-    gateway = Gateway(cfg.backend)
-    text = PromptText()
+    finishes a cell's last job aggregates the cell and lets its window results go.
+    The plan is built before the gateway, so a run that fails while planning
+    leaves a fixture file it would record to untouched."""
     cells = _cells(cfg)
     jobs = list(_plan(dataset, cfg))
+    gateway = Gateway(cfg.backend)
+    text = PromptText()
     n = len(jobs) // max(1, len(cells))  # every cell scores the same windows
     results = [[None] * n for _ in cells]
     left = [n] * len(cells)

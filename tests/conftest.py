@@ -32,7 +32,7 @@ def fresh_bundle(cfg, dataset, series, window, strategy):
     Raises EmptyPool for a neighbor strategy on a window without candidates."""
     neighbors = None
     if strategy.uses_neighbors:
-        pool = build_pool(dataset, window, cfg.candidate_stride)
+        pool = build_pool(dataset, window)
         neighbors = top_k(window, pool, cfg.k, znorm=cfg.znorm_neighbors)
     return PromptText().assemble(
         strategy, window, series.description, series.interval_seconds,

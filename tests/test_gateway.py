@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +17,6 @@ from tsf.llmgateway import (
     bundle_hash,
     estimate_tokens,
     load_fixtures,
-    record_fixtures,
     save_fixtures,
 )
 from tsf.neighbors import CandidateWindow, NeighborSet
@@ -263,22 +263,32 @@ class TestHttp:
 
 class TestRecordFixtures:
     def test_record_then_replay_identical(self, monkeypatch, api_key, tmp_path):
+        """An http gateway with a fixture path records each answer; a replay
+        gateway over that file answers the same, every time."""
         monkeypatch.setattr(
             gw.requests, "post", lambda *a, **k: FakeResponse(200, ok_payload("[9]", 11, 1))
         )
         bundles = [bundle_for([1, 2], horizon=1), bundle_for([3, 4], horizon=1)]
         path = tmp_path / "fx.jsonl"
-        record_fixtures(bundles, HTTP_CFG, path)
-        cfg = BackendConfig(kind=BackendKind.REPLAY, fixture_path=str(path))
-        g = Gateway(cfg)
+        path.write_text("stale\n", encoding="utf-8")  # a new recording starts the file afresh
+        live = Gateway(replace(HTTP_CFG, fixture_path=str(path)))
+        recorded = [live.complete(b) for b in bundles]
+        g = Gateway(BackendConfig(kind=BackendKind.REPLAY, fixture_path=str(path)))
         first = [g.complete(b) for b in bundles]
         second = [g.complete(b) for b in bundles]
         assert first == second
         assert all(r.text == "[9]" for r in first)
+        fields = [(r.text, r.input_tokens, r.output_tokens, r.latency_seconds) for r in recorded]
+        assert [(r.text, r.input_tokens, r.output_tokens, r.latency_seconds) for r in first] == fields
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["hash"] for line in lines] == [bundle_hash(b) for b in bundles]
 
-    def test_mock_backend_refused(self, tmp_path):
-        with pytest.raises(ValueError):
-            record_fixtures([], MOCK_P, tmp_path / "fx.jsonl")
+    def test_offline_backends_leave_fixture_path_alone(self, tmp_path):
+        path = tmp_path / "fx.jsonl"
+        path.write_text("kept\n", encoding="utf-8")
+        g = Gateway(replace(MOCK_P, fixture_path=str(path)))
+        g.complete(bundle_for([1, 2], horizon=1))
+        assert path.read_text(encoding="utf-8") == "kept\n"
 
     def test_fixture_serialization_round_trip(self, tmp_path):
         rec = {"hash": "h", "text": "[1]", "input_tokens": 1, "output_tokens": 1, "latency_seconds": 0.5}

@@ -89,12 +89,6 @@ class TestBuildPool:
         for c in pool_ends(ds, target):
             assert c <= 25 - 8
 
-    def test_stride(self):
-        ds = make_dataset({"a": range(40)})
-        target = window_at(ds.series[0], 30, 8)
-        pool = build_pool(ds, target, candidate_stride=5)
-        assert [c.start_index for c in pool] == [0, 5, 10, 15, 20]
-
 
 def pool_ends(ds, target):
     return [c.start_index for c in build_pool(ds, target)]
@@ -201,14 +195,14 @@ class TestTopK:
             top_k(target, [], k=5)
 
 
-def enumerate_candidates(ds, target, stride=1):
+def enumerate_candidates(ds, target):
     """Every length-L window, of every series, that ends before the target
     context begins, found by checking each start in turn."""
     L = len(target.context)
     return [
         CandidateWindow(s.id, start, s.values[start : start + L])
         for s in ds.series
-        for start in range(0, len(s) - L + 1, stride)
+        for start in range(len(s) - L + 1)
         if s.timestamps[start + L - 1] < target.context_timestamps[0]
     ]
 
@@ -252,17 +246,16 @@ class TestBruteForceOracle:
     @given(
         case=st.one_of(neighbor_cases(FLOATS), neighbor_cases(QUARTERS)),
         k=st.integers(1, 8),
-        stride=st.integers(1, 4),
         znorm=st.booleans(),
     )
-    def test_top_k_equals_sorted_brute_force(self, case, k, stride, znorm):
+    def test_top_k_equals_sorted_brute_force(self, case, k, znorm):
         ds, target = case
-        candidates = enumerate_candidates(ds, target, stride)
+        candidates = enumerate_candidates(ds, target)
         if not candidates:
             with pytest.raises(EmptyPool):
-                build_pool(ds, target, candidate_stride=stride)
+                build_pool(ds, target)
             return
-        pool = build_pool(ds, target, candidate_stride=stride)
+        pool = build_pool(ds, target)
         assert len(pool) == len(candidates)
         assert list(pool) == candidates
         expected = sorted(
@@ -274,15 +267,15 @@ class TestBruteForceOracle:
         assert [(d, c.series_id, c.start_index, c.values) for c, d in got.entries] == expected
 
     @settings(max_examples=100, deadline=None)
-    @given(case=neighbor_cases(QUARTERS), k=st.integers(1, 8), stride=st.integers(1, 3))
-    def test_plain_distances_equal_euclidean(self, case, k, stride):
+    @given(case=neighbor_cases(QUARTERS), k=st.integers(1, 8))
+    def test_plain_distances_equal_euclidean(self, case, k):
         """On quarter-step values every sum is exact, so the pure-Python
         euclidean oracle is bit-identical whatever order it adds in."""
         ds, target = case
-        candidates = enumerate_candidates(ds, target, stride)
+        candidates = enumerate_candidates(ds, target)
         if not candidates:
             return
-        got = top_k(target, build_pool(ds, target, stride), k=k)
+        got = top_k(target, build_pool(ds, target), k=k)
         assert [(c.series_id, c.start_index, d) for c, d in got.entries] == [
             (c.series_id, c.start_index, d) for c, d in brute_force_top_k(target, candidates, k)
         ]

@@ -13,7 +13,6 @@ from tsf.errors import (
 )
 from tsf.neighbors import CandidateWindow, NeighborSet
 from tsf.prompting import (
-    PromptTemplate,
     PromptText,
     Strategy,
     build_system_prompt,
@@ -76,9 +75,8 @@ class TestSystemPrompt:
         assert "You will also be given 5 neighbor time-series similar to the one to forecast" in b.system
 
     def test_unbound_placeholder(self):
-        tpl = PromptTemplate(strategy=Strategy.PATCH_INSTRUCT, system_text="h={horizon}")
-        with pytest.raises(UnboundPlaceholder):
-            build_system_prompt(tpl, {"window": 3})
+        with pytest.raises(UnboundPlaceholder, match="patch-instruct"):
+            build_system_prompt(Strategy.PATCH_INSTRUCT, "h={horizon}", {"window": 3})
 
     def test_no_placeholder_markers_remain(self):
         for strategy in Strategy:
@@ -96,13 +94,16 @@ class TestSystemPrompt:
             "{n} raw numbers",
             "the {n}-point series into {n} two-element tokens",
             "the {n} composite tokens",
+            "[(v{a};slot{a}), (v{b};slot{b}), (v{n};slot{n})]",  # meta-patch's last patch
+            "[[T{a},R{a}], [T{b},R{b}], [T{n},R{n}]]",  # str-patch's last patch
         )
         at_96 = golden_bundle(strategy).system
         window = tiny_window(range(48), horizon=3)
         at_48 = PromptText().assemble(strategy, window, DESCRIPTION, INTERVAL_SECONDS).system
         expected = at_96
         for phrase in phrases:
-            expected = expected.replace(phrase.format(n=96), phrase.format(n=48))
+            expected = expected.replace(phrase.format(n=96, a=94, b=95),
+                                        phrase.format(n=48, a=46, b=47))
         assert expected != at_96
         assert at_48 == expected
 
@@ -150,7 +151,7 @@ class TestMetaPatchClock:
         calls = []
         real = prompting_mod.build_system_prompt
         monkeypatch.setattr(prompting_mod, "build_system_prompt",
-                            lambda tpl, bindings: calls.append(tpl.strategy) or real(tpl, bindings))
+                            lambda strategy, *rest: calls.append(strategy) or real(strategy, *rest))
         text = PromptText()
         starts = (0, 37800, 86400 + 600)
         for strategy in (Strategy.PATCH_INSTRUCT, Strategy.META_TOKENS_PI):
@@ -221,8 +222,8 @@ class TestAssemble:
 
     def test_templates_load(self):
         for strategy in Strategy:
-            tpl = load_template(strategy)
-            assert tpl.strategy is strategy
+            text = load_template(strategy)
+            assert isinstance(text, str) and not text.endswith("\n")
 
     def test_templates_loaded_once(self):
         for strategy in Strategy:

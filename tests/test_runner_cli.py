@@ -6,6 +6,7 @@ import sys
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -317,8 +318,8 @@ class TestNeighborSearch:
 
 def all_strategies_config(znorm=False, parallelism=1):
     return small_config(
-        list(Strategy), horizons=(1, 6, 12), eval_stride=8, max_windows=6, candidate_stride=2,
-        k=3, znorm_neighbors=znorm,
+        list(Strategy), horizons=(1, 6, 12), eval_stride=8, max_windows=6, k=3,
+        znorm_neighbors=znorm,
         backend=BackendConfig(kind=BackendKind.MOCK_PERSISTENCE, parallelism=parallelism),
     )
 
@@ -346,7 +347,7 @@ class TestSharedPromptText:
         blocks = entries = 0
         for w in windows.values():
             try:
-                pool = build_pool(ds, w, cfg.candidate_stride)
+                pool = build_pool(ds, w)
             except EmptyPool:
                 continue
             blocks += 1
@@ -631,6 +632,32 @@ class TestCli:
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("body", [
+        "max-windows = six", "horizon = 1, x", "strategy = bogus", "backend = bogus",
+        "lenient = maybe", "lenient = on",
+    ])
+    def test_config_values_parse_as_flags(self, tmp_path, capsys, body):
+        """A [run] value gets its flag's type and choices checks: a bad one exits 2
+        naming its key, and booleans read as configparser reads them."""
+        key = body.split(" = ")[0]
+        csv = write_dataset_csv(tmp_path, n=200)
+        keys = {"dataset": str(csv), "strategy": "zeroshot", "horizon": "1", "max-windows": "2",
+                key: body.split(" = ")[1]}
+        ini = tmp_path / "run.ini"
+        ini.write_text("[run]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()),
+                       encoding="utf-8")
+        out = tmp_path / "r.json"
+        try:
+            rc = main(["run", "--config", str(ini), "--out", str(out)])
+        except SystemExit as e:
+            rc = e.code
+        if body == "lenient = on":
+            assert rc == 0
+            assert json.loads((tmp_path / "r.json.manifest.json").read_text())["config"]["lenient"]
+        else:
+            assert rc == 2 and not out.exists()
+            assert key in capsys.readouterr().err
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         csv = write_dataset_csv(tmp_path)
         ini = tmp_path / "run.ini"
@@ -700,21 +727,145 @@ class TestCli:
         assert rc == 2
         assert "non-numeric value '' at row 3, column 'b'" in capsys.readouterr().err
 
-    def test_record_rejects_out(self, tmp_path, monkeypatch, capsys):
-        """Fixtures go to --fixtures; record writes no report, so --out is an error."""
-        import tsf.cli as cli_mod
 
-        recorded = []
-        monkeypatch.setattr(cli_mod, "record_fixtures",
-                            lambda bundles, backend, out: recorded.append(out))
-        monkeypatch.setenv("TSF_API_KEY", "k")
-        csv = write_dataset_csv(tmp_path)
-        argv = ["record", "--dataset", str(csv), "--strategy", "zeroshot", "--horizon", "1",
-                "--max-windows", "1", "--backend", "http", "--endpoint", "http://x",
-                "--model", "m", "--fixtures", str(tmp_path / "fx.jsonl")]
-        rc = main(argv + ["--out", str(tmp_path / "live.json")])
+def live_csv(tmp_path, n=1000):
+    """One series whose ten stride-96 windows all differ (period 13)."""
+    p = tmp_path / "live.csv"
+    p.write_text("timestamp,v\n" + "".join(f"{600 * i},{(i % 13) / 4}\n" for i in range(n)),
+                 encoding="utf-8")
+    return p
+
+
+class FakeLlm:
+    """A fake requests.post answering every prompt with "[1.25]" and reported
+    usage; the call numbered `fail_at` (from 1) gets an HTTP 500."""
+
+    def __init__(self, monkeypatch, fail_at=None):
+        self.calls = 0
+        self.fail_at = fail_at
+        self._lock = threading.Lock()
+        monkeypatch.setenv(gw.API_KEY_ENV, "test-key")
+        monkeypatch.setattr(gw.requests, "post", self)
+
+    def __call__(self, url, json=None, headers=None, timeout=None):
+        with self._lock:
+            self.calls += 1
+            n = self.calls
+        if n == self.fail_at:
+            return FakeResponse(500, text="server error")
+        return FakeResponse(200, ok_payload("[1.25]", it=7, ot=1))
+
+
+RECORD_FLAGS = ["--strategy", "zeroshot", "--horizon", "1", "--endpoint", "http://llm.example",
+                "--model", "m", "--retries", "1", "--parallel", "4"]
+
+
+def read_records(path):
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+class TestRecord:
+    """tsf record is a live run over http that appends each answer to --fixtures."""
+
+    def record(self, tmp_path, out="live.json", csv=None):
+        return main(["record", "--dataset", str(csv or live_csv(tmp_path)), *RECORD_FLAGS,
+                     "--fixtures", str(tmp_path / "fx.jsonl"), "--out", str(tmp_path / out)])
+
+    def test_http_error_costs_one_window(self, tmp_path, monkeypatch):
+        llm = FakeLlm(monkeypatch, fail_at=7)
+        assert self.record(tmp_path) == 0
+        assert llm.calls == 10
+        records = read_records(tmp_path / "fx.jsonl")
+        assert len(records) == 9 and len({r["hash"] for r in records}) == 9
+        (rep,) = reports_from_json((tmp_path / "live.json").read_text())
+        assert (rep.n_windows, rep.n_parsed) == (10, 9)
+        manifest = json.loads((tmp_path / "live.json.manifest.json").read_text())
+        assert manifest["backend_id"] == "http:m"
+
+    def test_replay_reproduces_the_live_run(self, tmp_path, monkeypatch):
+        FakeLlm(monkeypatch, fail_at=7)
+        assert self.record(tmp_path) == 0
+        rc = main(["replay", "--dataset", str(tmp_path / "live.csv"), *RECORD_FLAGS,
+                   "--fixtures", str(tmp_path / "fx.jsonl"), "--out", str(tmp_path / "replayed.json")])
+        assert rc == 0
+        (live,) = reports_from_json((tmp_path / "live.json").read_text())
+        (replayed,) = reports_from_json((tmp_path / "replayed.json").read_text())
+        assert (replayed.backend_id, replayed.config["backend"]) == ("replay", "replay")
+        assert replace(replayed, backend_id=live.backend_id,
+                       config={**replayed.config, "backend": live.config["backend"]}) == live
+
+    def test_one_pool_of_parallel_workers(self, tmp_path, monkeypatch):
+        workers = []
+
+        class CountingExecutor(ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                workers.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "ThreadPoolExecutor", CountingExecutor)
+        FakeLlm(monkeypatch)
+        assert self.record(tmp_path) == 0
+        assert workers == [4]
+        assert len(read_records(tmp_path / "fx.jsonl")) == 10
+
+    def test_many_workers_append_whole_records(self, tmp_path, monkeypatch):
+        """16 workers switching threads often share one fixture file: it holds one
+        whole record per prompt the run dispatched."""
+        FakeLlm(monkeypatch)
+        fx = tmp_path / "fx.jsonl"
+        http = BackendConfig(kind=BackendKind.HTTP, endpoint_url="http://llm.example",
+                             model_name="m", parallelism=16, fixture_path=str(fx))
+        ds = load_csv(live_csv(tmp_path), CsvSchema(timestamp_column="timestamp"))
+        cfg = small_config([Strategy.ZEROSHOT, Strategy.PATCH_INSTRUCT, Strategy.BASIC_PI],
+                           horizons=(1,), eval_stride=8, max_windows=40, backend=http)
+        out = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            t = threading.Thread(target=lambda: out.append(run(ds, cfg)))
+            t.start()
+            t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not t.is_alive() and out[0].ok
+        hashes = Counter(r["hash"] for r in read_records(fx))
+        assert hashes == Counter(bundle_hash(b) for b in bundles_for_run(ds, cfg))
+        assert sum(hashes.values()) == 120
+
+    def test_answers_on_disk_before_an_escape(self, tmp_path, monkeypatch):
+        """An exception that escapes the run after five answers leaves their five records."""
+        llm = FakeLlm(monkeypatch)
+
+        def post(*args, **kwargs):
+            if llm.calls == 5:
+                raise RuntimeError("process stopped")
+            return llm(*args, **kwargs)
+
+        monkeypatch.setattr(gw.requests, "post", post)
+        fx = tmp_path / "fx.jsonl"
+        http = BackendConfig(kind=BackendKind.HTTP, endpoint_url="http://llm.example",
+                             model_name="m", fixture_path=str(fx))
+        ds = load_csv(live_csv(tmp_path), CsvSchema(timestamp_column="timestamp"))
+        with pytest.raises(RuntimeError):
+            run(ds, small_config([Strategy.ZEROSHOT], horizons=(1,), eval_stride=96,
+                                 max_windows=10, backend=http))
+        records = read_records(fx)
+        assert len(records) == 5
+        assert all(set(r) == {"hash", "text", "input_tokens", "output_tokens", "latency_seconds"}
+                   for r in records)
+
+    def test_failed_plan_leaves_fixtures_untouched(self, tmp_path, monkeypatch, capsys):
+        llm = FakeLlm(monkeypatch)
+        fx = tmp_path / "fx.jsonl"
+        fx.write_text("kept\n", encoding="utf-8")
+        assert self.record(tmp_path, csv=live_csv(tmp_path, n=50)) == 2
+        assert "has 50 points; needs 97" in capsys.readouterr().err
+        assert fx.read_text(encoding="utf-8") == "kept\n" and llm.calls == 0
+
+    def test_fixtures_required(self, tmp_path, monkeypatch, capsys):
+        FakeLlm(monkeypatch)
+        rc = main(["record", "--dataset", str(live_csv(tmp_path)), *RECORD_FLAGS,
+                   "--out", str(tmp_path / "live.json")])
         assert rc == 2
-        assert "--fixtures" in capsys.readouterr().err
-        assert recorded == [] and not (tmp_path / "live.json").exists()
-        assert main(argv) == 0
-        assert recorded == [str(tmp_path / "fx.jsonl")]
+        assert "--fixtures is required for record" in capsys.readouterr().err
+        assert not (tmp_path / "live.json").exists()
