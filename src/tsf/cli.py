@@ -25,19 +25,26 @@ STRATEGY_NAMES = [s.value for s in Strategy]
 FORCED_BACKEND = {"run": None, "record": "http", "replay": "replay"}
 
 
+def _count(raw: str) -> int:
+    """A positive integer, the type of every count flag."""
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise argparse.ArgumentTypeError(f"{raw!r} is not a positive integer")
+    return int(raw)
+
+
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="INI config file; flags override it")
     p.add_argument("--dataset", help="CSV dataset path")
     p.add_argument("--schema", default="timestamp", help="timestamp column name")
     p.add_argument("--features", help="comma-separated value columns (default: all)")
     p.add_argument("--name", help="dataset name (default: file path)")
-    p.add_argument("--context-len", type=int, default=96)
-    p.add_argument("--horizon", type=int, action="append", help="repeatable")
-    p.add_argument("--stride", type=int, default=96, help="eval window stride")
+    p.add_argument("--context-len", type=_count, default=96)
+    p.add_argument("--horizon", type=_count, action="append", help="repeatable")
+    p.add_argument("--stride", type=_count, default=96, help="eval window stride")
     p.add_argument("--strategy", action="append", choices=STRATEGY_NAMES, help="repeatable")
-    p.add_argument("--patch-window", type=int, default=3)
-    p.add_argument("--patch-stride", type=int, default=1)
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--patch-window", type=_count, default=3)
+    p.add_argument("--patch-stride", type=_count, default=1)
+    p.add_argument("--k", type=_count, default=5)
     p.add_argument("--backend", default="mock-persistence",
                    choices=[k.value for k in BackendKind])
     p.add_argument("--endpoint", help="base URL for the http backend")
@@ -45,8 +52,8 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--temperature", type=float, default=0.0)
     p.add_argument("--timeout", type=int, default=60)
     p.add_argument("--retries", type=int, default=3)
-    p.add_argument("--parallel", type=int, default=1)
-    p.add_argument("--max-windows", type=int, default=100)
+    p.add_argument("--parallel", type=_count, default=1)
+    p.add_argument("--max-windows", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lenient", action="store_true")
     p.add_argument("--znorm-neighbors", action="store_true")
@@ -133,7 +140,7 @@ def _load_dataset(args, descriptions: dict):
 
 
 def _run_config(args, backend: BackendConfig) -> RunConfig:
-    horizons = tuple(int(h) for h in args.horizon) if args.horizon else DEFAULT_HORIZONS
+    horizons = tuple(args.horizon) if args.horizon else DEFAULT_HORIZONS
     strategies = (
         tuple(Strategy(s) for s in args.strategy)
         if args.strategy
@@ -177,7 +184,7 @@ def _cmd_run(args, argv: list[str]) -> int:
     write_manifest(cfg, dataset, out + ".manifest.json")
     print(f"wrote {len(outcome.reports)} reports to {out}")
     for f in outcome.failures:
-        print(f"FAILED {f.strategy} h={f.horizon} {f.window_id}: {f.error}", file=sys.stderr)
+        print(f"FAILED {f.strategy} h={f.horizon}: {f.error}", file=sys.stderr)
     return 0 if outcome.ok else 1
 
 
@@ -229,7 +236,7 @@ def main(argv=None) -> int:
         if args.command == "compare":
             return _cmd_compare(args)
         return _cmd_run(args, argv)
-    except TsfError as e:
+    except (TsfError, OSError) as e:  # a missing or unreadable file among them
         print(f"error: {e}", file=sys.stderr)
         return 2
 

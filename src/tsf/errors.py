@@ -55,14 +55,6 @@ class EmptyNeighborSet(TsfError):
     pass
 
 
-class MissingNeighbors(TsfError):
-    pass
-
-
-class UnexpectedNeighbors(TsfError):
-    pass
-
-
 # --- llm gateway ---
 
 class TransportError(TsfError):

@@ -28,8 +28,6 @@ CSV_COLUMNS = [
 @dataclass(frozen=True)
 class WindowResult:
     window_id: str
-    forecast: Optional[tuple[float, ...]]
-    truth: tuple[float, ...]
     mse: Optional[float]
     mae: Optional[float]
     input_tokens: int
@@ -201,12 +199,23 @@ def render_csv(reports: Sequence[RunReport]) -> str:
     )
 
 
+def _by_key(reports: Sequence[RunReport], side: str) -> dict[tuple[str, int], RunReport]:
+    keyed: dict[tuple[str, int], list[RunReport]] = {}
+    for r in reports:
+        keyed.setdefault((r.dataset, r.horizon), []).append(r)
+    for (dataset, horizon), rs in keyed.items():
+        if len(rs) > 1:
+            raise MismatchedRuns(f"{side} has {len(rs)} reports for ({dataset}, h={horizon}):"
+                                 f" {', '.join(r.strategy for r in rs)}")
+    return {key: rs[0] for key, rs in keyed.items()}
+
+
 def compare_reports(
     baseline: Sequence[RunReport], ours: Sequence[RunReport]
 ) -> list[tuple[RunReport, RunReport, float]]:
-    """Pair reports by (dataset, horizon) and compute MSE improvement."""
-    a = {(r.dataset, r.horizon): r for r in baseline}
-    b = {(r.dataset, r.horizon): r for r in ours}
+    """Pair reports by (dataset, horizon) and compute MSE improvement; a side with
+    several reports for one key, such as one per strategy, raises MismatchedRuns."""
+    a, b = _by_key(baseline, "baseline"), _by_key(ours, "ours")
     keys = sorted(set(a) & set(b))
     if not keys:
         raise NoOverlap("no shared (dataset, horizon) keys between reports")

@@ -66,7 +66,6 @@ class LlmResponse:
     input_tokens: int
     output_tokens: int
     latency_seconds: float
-    backend_id: str
     token_source: TokenSource
 
 
@@ -102,15 +101,12 @@ def _mock_text(bundle: PromptBundle, kind: BackendKind) -> str:
     return "[" + ", ".join(format_value(p) for p in preds) + "]"
 
 
-def _estimated_response(
-    text: str, bundle: PromptBundle, backend_id: str, latency: float = 0.0
-) -> LlmResponse:
+def _estimated_response(text: str, bundle: PromptBundle, latency: float = 0.0) -> LlmResponse:
     return LlmResponse(
         text=text,
         input_tokens=estimate_tokens(bundle.system) + estimate_tokens(bundle.user),
         output_tokens=estimate_tokens(text),
         latency_seconds=latency,
-        backend_id=backend_id,
         token_source=TokenSource.ESTIMATED,
     )
 
@@ -181,10 +177,9 @@ def _http_complete(bundle: PromptBundle, cfg: BackendConfig) -> LlmResponse:
                 input_tokens=usage["prompt_tokens"],
                 output_tokens=usage["completion_tokens"],
                 latency_seconds=latency,
-                backend_id=cfg.backend_id,
                 token_source=TokenSource.REPORTED,
             )
-        return _estimated_response(text, bundle, cfg.backend_id, latency)
+        return _estimated_response(text, bundle, latency)
     raise TransportError(str(last_err))
 
 
@@ -206,7 +201,7 @@ class Gateway:
     def complete(self, bundle: PromptBundle) -> LlmResponse:
         kind = self.cfg.kind
         if kind in (BackendKind.MOCK_PERSISTENCE, BackendKind.MOCK_LINEAR):
-            return _estimated_response(_mock_text(bundle, kind), bundle, self.cfg.backend_id)
+            return _estimated_response(_mock_text(bundle, kind), bundle)
         if kind is BackendKind.REPLAY:
             rec = self._fixtures.get(bundle_hash(bundle))
             if rec is None:
@@ -219,7 +214,6 @@ class Gateway:
                 input_tokens=rec["input_tokens"],
                 output_tokens=rec["output_tokens"],
                 latency_seconds=rec["latency_seconds"],
-                backend_id=self.cfg.backend_id,
                 token_source=TokenSource.REPORTED,
             )
         resp = _http_complete(bundle, self.cfg)

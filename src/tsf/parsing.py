@@ -62,15 +62,14 @@ def parse_prediction(text: str, h: int, lenient: bool = False) -> list[float]:
     candidates: list[str] = []
     if marker_at >= 0:
         candidates = _bracket_groups(text[marker_at + len(PREDICTION_MARKER) :])
-    if not candidates:
-        candidates = _bracket_groups(text)
+    if not candidates:  # no list after a marker: search the whole text from its end
+        candidates = _bracket_groups(text)[::-1]
     if not candidates:
         raise NoListFound("no bracketed list in text")
 
     chosen: Optional[list[float]] = None
     saw_flat = False
-    search = candidates if marker_at >= 0 else list(reversed(candidates))
-    for group in search:
+    for group in candidates:
         inner = group[1:-1]
         if "[" in inner:
             continue

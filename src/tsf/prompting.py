@@ -5,19 +5,13 @@ from __future__ import annotations
 
 import functools
 import re
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
-from typing import Callable, Optional
+from typing import Optional
 
-from .dataset import EvalWindow, describe_interval, format_value
-from .errors import (
-    EmptyNeighborSet,
-    MissingNeighbors,
-    UnboundPlaceholder,
-    UnexpectedNeighbors,
-)
+from .dataset import describe_interval, format_value
+from .errors import EmptyNeighborSet, UnboundPlaceholder
 from .neighbors import NeighborSet
 
 TEMPLATE_VERSION = "1.2.0"
@@ -39,6 +33,11 @@ class Strategy(Enum):
     @property
     def uses_neighbors(self) -> bool:
         return self in (Strategy.NEIGHS, Strategy.PATCH_INSTRUCT_NEIGHS)
+
+    @property
+    def states_clock(self) -> bool:
+        """Its prompt names the UTC clock time of the first context value."""
+        return self is Strategy.META_TOKENS_PI
 
 
 _TEMPLATE_FILES = {
@@ -103,90 +102,44 @@ def render_neighbor_block(ns: NeighborSet) -> str:
     )
 
 
-class PromptText:
-    """The prompt text of one run, each reused piece rendered once: a window's
-    context sequence and neighbor block, keyed by (series_id, context_start),
-    and each system prompt, keyed by its bindings. The window keys hold for one
-    dataset, context length and neighbor search, as within a run. Safe for
-    concurrent use: a piece is rendered under a lock, once, and read without it."""
+def system_prompt(
+    strategy: Strategy,
+    series_description: str,
+    interval_seconds: int,
+    horizon: int,
+    context_len: int,
+    patch_window: int,
+    patch_stride: int,
+    k: int,
+    start_timestamp: int,
+) -> str:
+    """The strategy's system prompt. Of the first context value's timestamp,
+    only the UTC clock time counts, and only where the strategy states it."""
+    clock = {}
+    if strategy.states_clock:
+        sod = start_timestamp % 86400  # the first value's second of the UTC day
+        clock = {"start_clock": f"{sod // 3600:02d}:{sod // 60 % 60:02d}",
+                 "start_slot": sod // 600}
+    return build_system_prompt(strategy, load_template(strategy), {
+        "series_description": series_description,
+        "interval_description": describe_interval(interval_seconds),
+        "window": patch_window,
+        "stride": patch_stride,
+        "horizon": horizon,
+        "context_len": context_len,
+        "context_len_minus_1": context_len - 1,
+        "context_len_minus_2": context_len - 2,
+        "k": k,
+        "output_example": output_example(horizon),
+        **clock,
+    })
 
-    def __init__(self) -> None:
-        self._sequences: dict[tuple, str] = {}
-        self._neighbor_blocks: dict[tuple, str] = {}
-        self._systems: dict[tuple, str] = {}
-        self._lock = threading.Lock()
 
-    def _once(self, memo: dict[tuple, str], key: tuple, render: Callable[[], str]) -> str:
-        text = memo.get(key)
-        if text is None:
-            with self._lock:
-                text = memo.get(key)
-                if text is None:
-                    text = memo[key] = render()
-        return text
-
-    def user_prompt(self, window: EvalWindow) -> str:
-        sequence = self._once(self._sequences, (window.series_id, window.context_start),
-                              lambda: render_sequence(window.context))
-        return (
-            "Continue the following sequence without producing any additional text."
-            f" Sequence: {sequence}."
-            f" Predict the next {window.horizon} values."
-        )
-
-    def assemble(
-        self,
-        strategy: Strategy,
-        window: EvalWindow,
-        series_description: str,
-        interval_seconds: int,
-        patch_window: int = 3,
-        patch_stride: int = 1,
-        k: int = 5,
-        neighbor_set: Optional[NeighborSet] = None,
-    ) -> PromptBundle:
-        """Build the full system + user message pair for one forecast request."""
-        if strategy.uses_neighbors and neighbor_set is None:
-            raise MissingNeighbors(f"{strategy.value} requires a neighbor set")
-        if not strategy.uses_neighbors and neighbor_set is not None:
-            raise UnexpectedNeighbors(f"{strategy.value} does not take neighbors")
-
-        horizon, context_len = window.horizon, len(window.context)
-        clock = {}
-        if strategy is Strategy.META_TOKENS_PI:  # the one template that names a clock time
-            sod = window.context_timestamps[0] % 86400  # the first value's second of the UTC day
-            clock = {"start_clock": f"{sod // 3600:02d}:{sod // 60 % 60:02d}",
-                     "start_slot": sod // 600}
-        system = self._once(
-            self._systems,
-            (strategy, series_description, interval_seconds, patch_window, patch_stride, k,
-             horizon, context_len, *clock.values()),
-            lambda: build_system_prompt(strategy, load_template(strategy), {
-                "series_description": series_description,
-                "interval_description": describe_interval(interval_seconds),
-                "window": patch_window,
-                "stride": patch_stride,
-                "horizon": horizon,
-                "context_len": context_len,
-                "context_len_minus_1": context_len - 1,
-                "context_len_minus_2": context_len - 2,
-                "k": k,
-                "output_example": output_example(horizon),
-                **clock,
-            }),
-        )
-
-        user = self.user_prompt(window)
-        if neighbor_set is not None:
-            block = self._once(self._neighbor_blocks, (window.series_id, window.context_start),
-                               lambda: render_neighbor_block(neighbor_set))
-            user = block + "\n" + user
-
-        return PromptBundle(
-            system=system,
-            user=user,
-            strategy=strategy,
-            window_id=f"{window.series_id}:{window.context_start}",
-            horizon=window.horizon,
-        )
-
+def user_prompt(sequence: str, horizon: int, neighbor_block: Optional[str] = None) -> str:
+    """The user message around a rendered context sequence, the neighbor block first."""
+    user = (
+        "Continue the following sequence without producing any additional text."
+        f" Sequence: {sequence}."
+        f" Predict the next {horizon} values."
+    )
+    return user if neighbor_block is None else neighbor_block + "\n" + user

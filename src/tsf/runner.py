@@ -9,24 +9,21 @@ import queue
 import random
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
+from dataclasses import dataclass, field, fields, replace
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from . import evaluation
+from . import evaluation, prompting
 from .dataset import Dataset, EvalWindow, Series, eval_window, window_starts
 from .errors import EmptyPool, TsfError, WrongCount
 from .evaluation import RunReport, WindowResult
 from .llmgateway import BackendConfig, Gateway, LlmResponse
-from .neighbors import NeighborSet, build_pool, top_k
+from .neighbors import build_pool, top_k
 from .parsing import parse_prediction
-from .prompting import TEMPLATE_VERSION, PromptBundle, PromptText, Strategy
+from .prompting import TEMPLATE_VERSION, PromptBundle, Strategy
 
 DEFAULT_HORIZONS = (1, 2, 3, 4, 5, 6, 12)
-
-# a window's neighbor set, or the EmptyPool that stands in for it
-Neighbors = Union[NeighborSet, EmptyPool]
 
 
 @dataclass(frozen=True)
@@ -55,7 +52,6 @@ class RunConfig:
 class RunFailure:
     strategy: str
     horizon: int
-    window_id: str
     error: str
 
 
@@ -77,37 +73,14 @@ def _subsample(windows: Sequence, max_windows: int, seed: int) -> Sequence:
     return [windows[i] for i in keep]
 
 
-def _neighbor_search(dataset: Dataset, cfg: RunConfig) -> Callable[[EvalWindow], Neighbors]:
-    """Neighbor search for one call, done once per (series_id, context_start):
-    the config is fixed within a call, and every strategy and horizon of a
-    window shares its context. A window without candidates gets the EmptyPool
-    that stands in for its neighbor set. Series become float64 arrays on
-    first use. Not safe for concurrent use."""
-    cache: dict[tuple[str, int], Neighbors] = {}
-    arrays: list[np.ndarray] = []
-
-    def search(window: EvalWindow) -> Neighbors:
-        key = (window.series_id, window.context_start)
-        if key not in cache:
-            if not arrays:
-                arrays.extend(np.asarray(s.values, dtype=float) for s in dataset.series)
-            try:
-                pool = build_pool(dataset, window, arrays=arrays)
-                cache[key] = top_k(window, pool, cfg.k, znorm=cfg.znorm_neighbors)
-            except EmptyPool as e:
-                cache[key] = e
-        return cache[key]
-
-    return search
-
-
 class _Job(NamedTuple):
-    """One (strategy, horizon, window) of a run's plan."""
+    """One (strategy, horizon, window) of a run's plan, with its prompt text."""
 
     strategy: Strategy
-    series: Series
     window: EvalWindow
-    neighbors: Optional[Neighbors]  # None for strategies without neighbors
+    system: str
+    sequence: str  # the rendered context
+    neighbors: Union[str, EmptyPool, None]  # the rendered block, or what stood in for it
 
 
 def _cells(cfg: RunConfig) -> list[tuple[Strategy, int]]:
@@ -115,27 +88,53 @@ def _cells(cfg: RunConfig) -> list[tuple[Strategy, int]]:
     return list(itertools.product(cfg.strategies, cfg.horizons))
 
 
-def _plan(dataset: Dataset, cfg: RunConfig) -> Iterator[_Job]:
-    """One job per (strategy, horizon, window), in cell order. Each window's
-    neighbors are searched here, on the calling thread."""
-    search = _neighbor_search(dataset, cfg)
+def _plan(dataset: Dataset, cfg: RunConfig) -> list[_Job]:
+    """One job per (strategy, horizon, window), in cell order, its text rendered
+    here on the calling thread: each window's context sequence and neighbor block
+    once, and each system prompt once per (strategy, horizon, series, and the start
+    clock where the strategy states it). A window without candidates gets the
+    EmptyPool that stands in for its neighbor block."""
     cells = _cells(cfg)
-    windows = {h: eval_windows(dataset, cfg, h) for h in cfg.horizons} if cells else {}
+    if not cells:
+        return []
+    search = any(s.uses_neighbors for s in cfg.strategies)
+    arrays = [np.asarray(s.values, dtype=float) for s in dataset.series] if search else None
+    windows = []
+    for series, window in eval_windows(dataset, cfg, max(cfg.horizons)):
+        block = None
+        if search:
+            try:
+                pool = build_pool(dataset, window, arrays=arrays)
+                found = top_k(window, pool, cfg.k, znorm=cfg.znorm_neighbors)
+                block = prompting.render_neighbor_block(found)
+            except EmptyPool as e:
+                block = e
+        at = {h: replace(window, horizon=h, truth=window.truth[:h]) for h in cfg.horizons}
+        windows.append((series, at, prompting.render_sequence(window.context), block))
+    systems: dict[tuple, str] = {}
+    jobs = []
     for strategy, horizon in cells:
-        for series, window in windows[horizon]:
-            yield _Job(strategy, series, window, search(window) if strategy.uses_neighbors else None)
+        for series, at, sequence, block in windows:
+            window = at[horizon]
+            start = window.context_timestamps[0]
+            key = (strategy, horizon, series.id, start % 86400 if strategy.states_clock else None)
+            if key not in systems:
+                systems[key] = prompting.system_prompt(
+                    strategy, series.description, series.interval_seconds, horizon,
+                    cfg.context_len, cfg.patch_window, cfg.patch_stride, cfg.k, start)
+            jobs.append(_Job(strategy, window, systems[key], sequence,
+                             block if strategy.uses_neighbors else None))
+    return jobs
 
 
-def _assemble(text: PromptText, cfg: RunConfig, job: _Job) -> PromptBundle:
-    return text.assemble(
-        job.strategy,
-        job.window,
-        series_description=job.series.description,
-        interval_seconds=job.series.interval_seconds,
-        patch_window=cfg.patch_window,
-        patch_stride=cfg.patch_stride,
-        k=cfg.k,
-        neighbor_set=job.neighbors,
+def _bundle(job: _Job) -> PromptBundle:
+    window = job.window
+    return PromptBundle(
+        system=job.system,
+        user=prompting.user_prompt(job.sequence, window.horizon, job.neighbors),
+        strategy=job.strategy,
+        window_id=f"{window.series_id}:{window.context_start}",
+        horizon=window.horizon,
     )
 
 
@@ -143,8 +142,6 @@ def _failed(window: EvalWindow, error: TsfError, resp: Optional[LlmResponse] = N
     """A window that produced no forecast; its tokens count if it was answered."""
     return WindowResult(
         window_id=f"{window.series_id}:{window.context_start}",
-        forecast=None,
-        truth=window.truth,
         mse=None,
         mae=None,
         input_tokens=resp.input_tokens if resp else 0,
@@ -165,8 +162,6 @@ def _score(window: EvalWindow, bundle: PromptBundle, resp: LlmResponse, lenient:
         repaired = True
     return WindowResult(
         window_id=bundle.window_id,
-        forecast=tuple(values),
-        truth=window.truth,
         mse=evaluation.mse(values, window.truth),
         mae=evaluation.mae(values, window.truth),
         input_tokens=resp.input_tokens,
@@ -176,13 +171,14 @@ def _score(window: EvalWindow, bundle: PromptBundle, resp: LlmResponse, lenient:
     )
 
 
-def _window_result(gateway: Gateway, text: PromptText, cfg: RunConfig, job: _Job) -> WindowResult:
-    """Assemble, dispatch and score one job; a TsfError costs this window only."""
+def _window_result(gateway: Gateway, cfg: RunConfig, job: _Job) -> WindowResult:
+    """Join the user message, dispatch and score one job; a TsfError costs this
+    window only."""
     if isinstance(job.neighbors, EmptyPool):
         return _failed(job.window, job.neighbors)
     resp = None
     try:
-        bundle = _assemble(text, cfg, job)
+        bundle = _bundle(job)
         resp = gateway.complete(bundle)
         return _score(job.window, bundle, resp, cfg.lenient)
     except TsfError as e:
@@ -204,8 +200,7 @@ def eval_windows(dataset: Dataset, cfg: RunConfig, horizon: int) -> list[tuple[S
 
 def bundles_for_run(dataset: Dataset, cfg: RunConfig) -> list[PromptBundle]:
     """Every prompt bundle a run would dispatch, in plan order."""
-    text = PromptText()
-    return [_assemble(text, cfg, job) for job in _plan(dataset, cfg)
+    return [_bundle(job) for job in _plan(dataset, cfg)
             if not isinstance(job.neighbors, EmptyPool)]
 
 
@@ -214,7 +209,7 @@ def _aggregate(
 ) -> Union[RunReport, RunFailure]:
     strategy, horizon = cell
     if not results:
-        return RunFailure(strategy.value, horizon, "-", "no evaluation windows")
+        return RunFailure(strategy.value, horizon, "no evaluation windows")
     try:
         return evaluation.aggregate(
             results,
@@ -226,19 +221,19 @@ def _aggregate(
             config=cfg.snapshot(),
         )
     except TsfError as e:
-        return RunFailure(strategy.value, horizon, "-", str(e))
+        return RunFailure(strategy.value, horizon, str(e))
 
 
 def run(dataset: Dataset, cfg: RunConfig) -> RunOutcome:
     """Dispatch the whole plan through one pool of `parallelism` workers that
-    pull job indices from one queue and share one PromptText. The worker that
-    finishes a cell's last job aggregates the cell and lets its window results go.
+    pull job indices from one queue; the plan carries every job's prompt text.
+    The worker that finishes a cell's last job aggregates the cell and lets its
+    window results go.
     The plan is built before the gateway, so a run that fails while planning
     leaves a fixture file it would record to untouched."""
     cells = _cells(cfg)
-    jobs = list(_plan(dataset, cfg))
+    jobs = _plan(dataset, cfg)
     gateway = Gateway(cfg.backend)
-    text = PromptText()
     n = len(jobs) // max(1, len(cells))  # every cell scores the same windows
     results = [[None] * n for _ in cells]
     left = [n] * len(cells)
@@ -256,7 +251,7 @@ def run(dataset: Dataset, cfg: RunConfig) -> RunOutcome:
             except queue.Empty:
                 return
             c, j = divmod(i, n)
-            results[c][j] = _window_result(gateway, text, cfg, jobs[i])
+            results[c][j] = _window_result(gateway, cfg, jobs[i])
             with lock:
                 left[c] -= 1
                 last = not left[c]

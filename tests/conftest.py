@@ -2,7 +2,8 @@ import pytest
 
 from tsf.dataset import Dataset, Series
 from tsf.neighbors import build_pool, top_k
-from tsf.prompting import PromptText
+
+from golden_util import compose
 
 
 def make_series(values, series_id="s", interval=600, description=None, start_ts=0):
@@ -27,17 +28,15 @@ def make_dataset(columns, name="synthetic", interval=600):
 
 
 def fresh_bundle(cfg, dataset, series, window, strategy):
-    """One job's bundle from a neighbor search and prompt text of its own: the
+    """One job's bundle from a neighbor search and rendering of its own: the
     oracle for the bundles a run builds from shared searches and shared text.
     Raises EmptyPool for a neighbor strategy on a window without candidates."""
     neighbors = None
     if strategy.uses_neighbors:
         pool = build_pool(dataset, window)
         neighbors = top_k(window, pool, cfg.k, znorm=cfg.znorm_neighbors)
-    return PromptText().assemble(
-        strategy, window, series.description, series.interval_seconds,
-        cfg.patch_window, cfg.patch_stride, cfg.k, neighbors,
-    )
+    return compose(strategy, window, series.description, series.interval_seconds,
+                   cfg.patch_window, cfg.patch_stride, cfg.k, neighbors)
 
 
 @pytest.fixture

@@ -1,11 +1,20 @@
 """Shared construction of the fixed window and bundles pinned by the golden
 prompt files."""
 
+from __future__ import annotations
+
 from pathlib import Path
 
 from tsf.dataset import EvalWindow
 from tsf.neighbors import CandidateWindow, NeighborSet
-from tsf.prompting import PromptBundle, PromptText, Strategy
+from tsf.prompting import (
+    PromptBundle,
+    Strategy,
+    render_neighbor_block,
+    render_sequence,
+    system_prompt,
+    user_prompt,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -45,15 +54,26 @@ def golden_neighbors() -> NeighborSet:
     return NeighborSet(k=5, entries=entries)
 
 
+def compose(strategy: Strategy, window: EvalWindow, description: str, interval_seconds: int,
+            patch_window: int = 3, patch_stride: int = 1, k: int = 5,
+            neighbor_set: NeighborSet | None = None) -> PromptBundle:
+    """One request's bundle, composed from the prompting functions alone."""
+    block = None if neighbor_set is None else render_neighbor_block(neighbor_set)
+    return PromptBundle(
+        system=system_prompt(strategy, description, interval_seconds, window.horizon,
+                             len(window.context), patch_window, patch_stride, k,
+                             window.context_timestamps[0]),
+        user=user_prompt(render_sequence(window.context), window.horizon, block),
+        strategy=strategy,
+        window_id=f"{window.series_id}:{window.context_start}",
+        horizon=window.horizon,
+    )
+
+
 def golden_bundle(strategy: Strategy) -> PromptBundle:
     neighbor_set = golden_neighbors() if strategy.uses_neighbors else None
-    return PromptText().assemble(
-        strategy,
-        golden_window(),
-        series_description=DESCRIPTION,
-        interval_seconds=INTERVAL_SECONDS,
-        neighbor_set=neighbor_set,
-    )
+    return compose(strategy, golden_window(), DESCRIPTION, INTERVAL_SECONDS,
+                   neighbor_set=neighbor_set)
 
 
 def render_bundle(bundle: PromptBundle) -> str:

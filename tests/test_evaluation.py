@@ -26,8 +26,6 @@ from tsf.evaluation import (
 def result(window_id="w0", mse_=1.0, mae_=0.5, it=10, ot=2, lat=0.1, status="ok"):
     return WindowResult(
         window_id=window_id,
-        forecast=(1.0,),
-        truth=(2.0,),
         mse=mse_ if status == "ok" else None,
         mae=mae_ if status == "ok" else None,
         input_tokens=it,

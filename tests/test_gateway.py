@@ -20,9 +20,9 @@ from tsf.llmgateway import (
     save_fixtures,
 )
 from tsf.neighbors import CandidateWindow, NeighborSet
-from tsf.prompting import PromptText, Strategy
+from tsf.prompting import Strategy
 
-from golden_util import golden_bundle, golden_window
+from golden_util import compose, golden_bundle, golden_window
 
 MOCK_P = BackendConfig(kind=BackendKind.MOCK_PERSISTENCE)
 MOCK_L = BackendConfig(kind=BackendKind.MOCK_LINEAR)
@@ -39,7 +39,7 @@ def bundle_for(context, horizon, truth=None, strategy=Strategy.ZEROSHOT, neighbo
         truth=tuple(truth or [0.0] * horizon),
         context_timestamps=tuple(600 * i for i in range(len(context))),
     )
-    return PromptText().assemble(strategy, w, "a test series", 600, neighbor_set=neighbor_set)
+    return compose(strategy, w, "a test series", 600, neighbor_set=neighbor_set)
 
 
 class TestEstimateTokens:

@@ -37,6 +37,9 @@ class TestParsePrediction:
         text = "Input was [1, 2, 3] and the answer is [4, 5, 6]"
         assert parse_prediction(text, 3) == [4, 5, 6]
 
+    def test_marker_without_list_takes_last_list(self):
+        assert parse_prediction("draft [1, 2] final [3, 4]\nPrediction:", 2) == [3.0, 4.0]
+
     def test_surrounding_prose_tolerated(self):
         text = "Sure! Here is the forecast:\nPrediction: [1.5, 2.5] .\nHope that helps."
         assert parse_prediction(text, 2) == [1.5, 2.5]

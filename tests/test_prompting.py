@@ -1,34 +1,37 @@
 import re
+from collections import Counter
 
 import pytest
 
 import tsf.prompting as prompting_mod
 
-from tsf.dataset import EvalWindow
-from tsf.errors import (
-    EmptyNeighborSet,
-    MissingNeighbors,
-    UnboundPlaceholder,
-    UnexpectedNeighbors,
-)
+from tsf.dataset import Dataset, EvalWindow
+from tsf.errors import EmptyNeighborSet, UnboundPlaceholder
+from tsf.llmgateway import BackendConfig, BackendKind
 from tsf.neighbors import CandidateWindow, NeighborSet
 from tsf.prompting import (
-    PromptText,
     Strategy,
     build_system_prompt,
     load_template,
     render_neighbor_block,
+    render_sequence,
+    user_prompt,
 )
+from tsf.runner import RunConfig, bundles_for_run, run
 
+from conftest import make_dataset, make_series
 from golden_util import (
     DESCRIPTION,
     INTERVAL_SECONDS,
+    compose,
     golden_bundle,
     golden_neighbors,
     golden_path,
     golden_window,
     render_bundle,
 )
+
+MOCK_P = BackendConfig(kind=BackendKind.MOCK_PERSISTENCE)
 
 
 def tiny_window(context, horizon=1, truth=None, start_ts=0):
@@ -42,26 +45,29 @@ def tiny_window(context, horizon=1, truth=None, start_ts=0):
     )
 
 
+def user(window: EvalWindow) -> str:
+    return user_prompt(render_sequence(window.context), window.horizon)
+
+
 class TestUserPrompt:
     def test_h1_example(self):
         w = tiny_window([1, 2, 3], horizon=1)
-        assert PromptText().user_prompt(w) == (
+        assert user(w) == (
             "Continue the following sequence without producing any additional text."
             " Sequence: <1, 2, 3>. Predict the next 1 values."
         )
 
     def test_h3_suffix(self):
         w = tiny_window([1, 2, 3], horizon=3)
-        assert PromptText().user_prompt(w).endswith("Predict the next 3 values.")
+        assert user(w).endswith("Predict the next 3 values.")
 
     def test_values_rendered_via_format_value(self):
         w = tiny_window([0.80325], horizon=1)
-        assert "<0.8032>" in PromptText().user_prompt(w)
+        assert "<0.8032>" in user(w)
 
     def test_value_count_equals_context_len(self):
         w = golden_window()
-        user = PromptText().user_prompt(w)
-        inner = re.search(r"<([^>]*)>", user).group(1)
+        inner = re.search(r"<([^>]*)>", user(w)).group(1)
         assert len(inner.split(", ")) == len(w.context)
 
 
@@ -99,7 +105,7 @@ class TestSystemPrompt:
         )
         at_96 = golden_bundle(strategy).system
         window = tiny_window(range(48), horizon=3)
-        at_48 = PromptText().assemble(strategy, window, DESCRIPTION, INTERVAL_SECONDS).system
+        at_48 = compose(strategy, window, DESCRIPTION, INTERVAL_SECONDS).system
         expected = at_96
         for phrase in phrases:
             expected = expected.replace(phrase.format(n=96, a=94, b=95),
@@ -117,7 +123,7 @@ class TestSystemPrompt:
 
 def meta_system(start_ts: int) -> str:
     window = tiny_window(range(12), horizon=3, start_ts=start_ts)
-    return PromptText().assemble(Strategy.META_TOKENS_PI, window, DESCRIPTION, INTERVAL_SECONDS).system
+    return compose(Strategy.META_TOKENS_PI, window, DESCRIPTION, INTERVAL_SECONDS).system
 
 
 class TestMetaPatchClock:
@@ -148,18 +154,23 @@ class TestMetaPatchClock:
         assert self.clock_line(10, 30, 63) in meta_system(37800 + 59)
 
     def test_only_meta_patch_renders_per_start_time(self, monkeypatch):
+        """Each run and each bundles_for_run call renders patch-instruct's system
+        prompt once per horizon, and meta-patch's once per horizon and start clock."""
         calls = []
         real = prompting_mod.build_system_prompt
         monkeypatch.setattr(prompting_mod, "build_system_prompt",
                             lambda strategy, *rest: calls.append(strategy) or real(strategy, *rest))
-        text = PromptText()
-        starts = (0, 37800, 86400 + 600)
-        for strategy in (Strategy.PATCH_INSTRUCT, Strategy.META_TOKENS_PI):
-            systems = {text.assemble(strategy, tiny_window(range(12), 3, start_ts=t), DESCRIPTION,
-                                     INTERVAL_SECONDS).system for t in starts}
-            assert len(systems) == calls.count(strategy)
-        assert calls.count(Strategy.PATCH_INSTRUCT) == 1
-        assert calls.count(Strategy.META_TOKENS_PI) == len(starts)
+        ds = make_dataset({"v": [i % 7 for i in range(40)]})  # starts 0, 6, ..., 24
+        strategies = (Strategy.PATCH_INSTRUCT, Strategy.META_TOKENS_PI)
+        cfg = RunConfig(strategies=strategies, backend=MOCK_P, horizons=(1, 3), context_len=12,
+                        eval_stride=6)
+        expected = {Strategy.PATCH_INSTRUCT: 2, Strategy.META_TOKENS_PI: 2 * 5}
+        for call in (run, bundles_for_run, run):  # a second run renders again
+            calls.clear()
+            call(ds, cfg)
+            assert Counter(calls) == expected
+        distinct = {(b.strategy, b.system) for b in bundles_for_run(ds, cfg)}
+        assert Counter(strategy for strategy, _ in distinct) == expected
 
 
 class TestNeighborBlock:
@@ -188,20 +199,6 @@ class TestAssemble:
         assert b.system == ""
         assert b.user.startswith("Continue the following sequence")
 
-    def test_missing_neighbors(self):
-        with pytest.raises(MissingNeighbors):
-            PromptText().assemble(Strategy.PATCH_INSTRUCT_NEIGHS, golden_window(), "x", 600)
-
-    def test_unexpected_neighbors(self):
-        with pytest.raises(UnexpectedNeighbors):
-            PromptText().assemble(
-                Strategy.PATCH_INSTRUCT,
-                golden_window(),
-                "x",
-                600,
-                neighbor_set=golden_neighbors(),
-            )
-
     def test_deterministic(self):
         for strategy in Strategy:
             assert render_bundle(golden_bundle(strategy)) == render_bundle(golden_bundle(strategy))
@@ -219,6 +216,20 @@ class TestAssemble:
         expected = golden_path(strategy).read_bytes()
         actual = render_bundle(golden_bundle(strategy)).encode("utf-8")
         assert actual == expected
+
+    def test_run_plan_renders_the_goldens(self):
+        """The run's own composition, on a one-series dataset of the golden values
+        (99 points: one window of context 96 and h 3), gives the seven goldens of
+        the strategies without neighbors byte for byte."""
+        w = golden_window()
+        series = make_series(w.context + w.truth, series_id="humidity", description=DESCRIPTION,
+                             interval=INTERVAL_SECONDS)
+        strategies = tuple(s for s in Strategy if not s.uses_neighbors)
+        cfg = RunConfig(strategies=strategies, backend=MOCK_P, horizons=(3,), context_len=96)
+        bundles = bundles_for_run(Dataset(name="golden", series=(series,)), cfg)
+        assert [b.strategy for b in bundles] == list(strategies) and len(strategies) == 7
+        for b in bundles:
+            assert render_bundle(b).encode("utf-8") == golden_path(b.strategy).read_bytes()
 
     def test_templates_load(self):
         for strategy in Strategy:

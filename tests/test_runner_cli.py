@@ -338,10 +338,14 @@ def dispatched_bundles(monkeypatch) -> list:
 
 
 class TestSharedPromptText:
+    """The plan renders each piece of prompt text once per call, on the calling
+    thread, and every job that shares a piece carries it."""
+
     @staticmethod
     def expected_renders(ds, cfg) -> Counter:
         """One context sequence per window and one neighbor block per window with
-        neighbors, whose entries render one sequence each."""
+        neighbors, whose entries render one sequence each; one system prompt per
+        (strategy, horizon, series), and per start clock for meta-patch."""
         windows = {(w.series_id, w.context_start): w
                    for h in cfg.horizons for _, w in eval_windows(ds, cfg, h)}
         blocks = entries = 0
@@ -353,17 +357,22 @@ class TestSharedPromptText:
             blocks += 1
             entries += len(top_k(w, pool, cfg.k, znorm=cfg.znorm_neighbors).entries)
         assert blocks > 1 and len(windows) > blocks
-        return Counter(sequence=len(windows) + entries, neighbor_block=blocks)
+        systems = {(s, h, w.series_id,
+                    w.context_timestamps[0] % 86400 if s is Strategy.META_TOKENS_PI else None)
+                   for s in cfg.strategies for h in cfg.horizons for w in windows.values()}
+        assert len(systems) > len(cfg.strategies) * len(cfg.horizons) * len(ds.series)
+        return Counter(sequence=len(windows) + entries, neighbor_block=blocks,
+                       system_prompt=len(systems))
 
     @staticmethod
     def count_renders(monkeypatch) -> list:
         calls = []  # list.append is atomic, so workers may share it
-        for name in ("render_sequence", "render_neighbor_block"):
+        for name in ("render_sequence", "render_neighbor_block", "system_prompt"):
             real = getattr(prompting_mod, name)
 
-            def counting(arg, real=real, name=name):
+            def counting(*args, real=real, name=name):
                 calls.append(name.removeprefix("render_"))
-                return real(arg)
+                return real(*args)
 
             monkeypatch.setattr(prompting_mod, name, counting)
         return calls
@@ -379,8 +388,8 @@ class TestSharedPromptText:
                 assert Counter(calls) == expected
 
     def test_many_workers_render_once(self, monkeypatch):
-        """16 workers switching threads often: each window is still rendered
-        once, and every bundle is the one a serial call builds."""
+        """16 workers switching threads often: each piece of text is still rendered
+        once, and every bundle dispatched is one a serial call builds."""
         cfg = all_strategies_config(parallelism=16)
         expected = self.expected_renders(NEIGHBOR_DS, cfg)
         serial = bundles_for_run(NEIGHBOR_DS, cfg)
@@ -529,6 +538,55 @@ class TestCompare:
 
 
 class TestCli:
+    def test_compare_refuses_several_strategies_per_key(self, tmp_path, capsys):
+        """Reports keyed by (dataset, horizon) with two strategies each would pair
+        one arbitrary report per side; compare names the key and exits 2."""
+        csv = write_dataset_csv(tmp_path, varying=True)
+        for name, strategies in (("a", ("zeroshot", "patch-instruct")),
+                                 ("b", ("basic-patch", "meta-patch"))):
+            flags = [a for s in strategies for a in ("--strategy", s)]
+            assert main(["run", "--dataset", str(csv), *flags, "--horizon", "1", "--stride", "1",
+                         "--max-windows", "3", "--out", str(tmp_path / f"{name}.json")]) == 0
+        capsys.readouterr()
+        assert main(["compare", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 2
+        err = capsys.readouterr().err
+        assert "baseline has 2 reports for (" in err and "h=1): zeroshot, patch-instruct" in err
+
+    @pytest.mark.parametrize("flag", ["--context-len", "--horizon", "--stride", "--k",
+                                      "--max-windows", "--patch-window", "--patch-stride",
+                                      "--parallel"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("source", ["argv", "ini"])
+    def test_counts_must_be_positive(self, tmp_path, capsys, flag, value, source):
+        """A count of zero or less, given as a flag or as its [run] key, exits 2 naming
+        the flag."""
+        csv = write_dataset_csv(tmp_path, n=400)
+        out = tmp_path / "r.json"
+        argv = ["run", "--dataset", str(csv), "--strategy", "neighs", "--out", str(out)]
+        if source == "argv":
+            argv += [f"{flag}={value}"]
+        else:
+            ini = tmp_path / "run.ini"
+            ini.write_text(f"[run]\n{flag[2:]} = {value}\n", encoding="utf-8")
+            argv += ["--config", str(ini)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2 and not out.exists()
+        assert f"argument {flag}: '{value}' is not a positive integer" in capsys.readouterr().err
+
+    def test_missing_files_exit_2(self, tmp_path, capsys):
+        """A missing dataset, replay fixture file or compare report is an error
+        naming the file, with exit 2."""
+        csv = write_dataset_csv(tmp_path)
+        missing = str(tmp_path / "missing")
+        for argv in (["run", "--dataset", missing],
+                     ["replay", "--dataset", str(csv), "--fixtures", missing],
+                     ["compare", missing, missing]):
+            out = tmp_path / "r.json"
+            assert main([*argv, "--out", str(out)]) == 2 and not out.exists()
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and missing in err
+
     def test_run_mock(self, tmp_path, capsys):
         csv = write_dataset_csv(tmp_path)
         out = tmp_path / "r.json"
