@@ -176,10 +176,13 @@ def _cmd_run(args, argv: list[str]) -> int:
     """run, replay and record alike: one run on the backend the command names or forces."""
     descriptions = _apply_config_file(args, argv)
     backend = _backend_config(args)
+    out = args.out or "report.json"
+    folder = os.path.dirname(os.path.abspath(out))
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise ConfigError(f"cannot write --out {out!r}: {folder!r} is not a writable directory")
     dataset = _load_dataset(args, descriptions)
     cfg = _run_config(args, backend)
     outcome = run(dataset, cfg)
-    out = args.out or "report.json"
     _emit(outcome.reports, out)
     write_manifest(cfg, dataset, out + ".manifest.json")
     print(f"wrote {len(outcome.reports)} reports to {out}")

@@ -109,10 +109,11 @@ class CsvSchema:
 
 def _parse_timestamp(raw: str, row: int, column: str) -> int:
     raw = raw.strip()
-    try:
-        return int(raw)
-    except ValueError:
-        pass
+    if "-" not in raw[1:] and ":" not in raw:  # every string int() takes passes this
+        try:
+            return int(raw)
+        except ValueError:
+            pass
     try:
         dt = datetime.fromisoformat(raw)
     except ValueError:

@@ -1,10 +1,9 @@
 """Nearest-neighbor retrieval of earlier context windows by Euclidean distance:
-an exhaustive scan, one array operation per series over a sliding window view."""
+an exhaustive scan over a sliding window view of each series, shared by every
+target of one search."""
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,44 +27,6 @@ class NeighborSet:
     entries: tuple[tuple[CandidateWindow, float], ...]
 
 
-@dataclass(frozen=True, eq=False)
-class Pool:
-    """Candidates by series: parts of (series_id, starts, rows); rows[i] starts at starts[i]."""
-
-    parts: tuple[tuple[str, np.ndarray, np.ndarray], ...]
-
-    def __len__(self) -> int:
-        return sum(len(starts) for _, starts, _ in self.parts)
-
-    def __iter__(self):
-        return (CandidateWindow(sid, start, tuple(row.tolist()))
-                for sid, starts, rows in self.parts for start, row in zip(starts.tolist(), rows))
-
-
-def build_pool(dataset: Dataset, target: EvalWindow,
-               arrays: Sequence[np.ndarray] | None = None) -> Pool:
-    """Every length-L window of every series that ends before the target context
-    begins; `arrays` may hold each series' values as float64, converted once."""
-    L = len(target.context)
-    parts = []
-    for j, series in enumerate(dataset.series):
-        # a window must end strictly before the target context begins
-        n = bisect_left(series.timestamps, target.context_timestamps[0]) - L + 1
-        if n > 0:
-            values = arrays[j] if arrays is not None else np.asarray(series.values, dtype=float)
-            parts.append((series.id, np.arange(n), sliding_window_view(values, L)[:n]))
-    if not parts:
-        raise EmptyPool(f"no candidate windows precede target at {target.series_id!r}"
-                        f" start {target.context_start}")
-    return Pool(tuple(parts))
-
-
-def euclidean(a: Sequence[float], b: Sequence[float]) -> float:
-    if len(a) != len(b):
-        raise LengthMismatch(f"{len(a)} vs {len(b)}")
-    return math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
-
-
 def _znorm(x: np.ndarray) -> np.ndarray:
     """Row-wise (x - mean) / std, or x - mean where std is 0."""
     x = np.ascontiguousarray(x)  # each row reduces as a 1-D call on it would
@@ -74,19 +35,48 @@ def _znorm(x: np.ndarray) -> np.ndarray:
     return np.divide(z, sd, out=z, where=sd != 0)
 
 
-def top_k(target: EvalWindow, pool: Pool, k: int = 5, znorm: bool = False) -> NeighborSet:
-    """k nearest candidates; ties broken by (series_id, start_index)."""
+def search(dataset: Dataset, targets: Sequence[EvalWindow], k: int = 5,
+           znorm: bool = False) -> list[NeighborSet | EmptyPool]:
+    """Each target's k nearest candidates, ties broken by (series_id, start_index).
+
+    A target's candidates are the length-L windows of every series that end
+    before its context begins: with timestamps shared across the dataset, the
+    first context_start - L + 1 windows of each series. Each series' window view
+    is built, and z-normalised, once per call and cut to each target's prefix.
+    A target without candidates gets an EmptyPool in its place."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not len(pool):
-        raise EmptyPool("candidate pool is empty")
+    if not targets:
+        return []
+    L = len(targets[0].context)
+    if any(len(t.context) != L for t in targets):
+        raise LengthMismatch("targets of one search must share a context length")
     norm = _znorm if znorm else np.asarray
-    t = norm(np.asarray(target.context, dtype=float))
-    dists = [np.sqrt(((norm(rows) - t) ** 2).sum(axis=1)) for _, _, rows in pool.parts]
-    m = min(k, len(pool)) - 1
-    kth = np.partition(np.concatenate(dists), m)[m]
-    # rank every candidate at or below the k-th distance, so ties stay exact
-    ranked = sorted((float(d[i]), series_id, int(starts[i]), tuple(rows[i].tolist()))
-                    for (series_id, starts, rows), d in zip(pool.parts, dists)
-                    for i in np.flatnonzero(d <= kth))
-    return NeighborSet(k=k, entries=tuple((CandidateWindow(*c), d) for d, *c in ranked[:k]))
+    cuts = [t.context_start - L + 1 for t in targets]
+    queries = [norm(np.asarray(t.context, dtype=float)) for t in targets]
+    # per target: (distance, series_id, start, series index) of every candidate at
+    # or below its series' k-th distance, a superset of the k nearest overall
+    kept: list[list] = [[] for _ in targets]
+    n_max = max(cuts)
+    if n_max > 0:
+        for j, series in enumerate(dataset.series):
+            view = norm(sliding_window_view(np.asarray(series.values, dtype=float), L)[:n_max])
+            for n, t, found in zip(cuts, queries, kept):
+                if n > 0:
+                    d = np.sqrt(((view[:n] - t) ** 2).sum(axis=1))
+                    m = min(k, n) - 1
+                    kth = np.partition(d, m)[m]
+                    found += [(float(d[i]), series.id, i, j)
+                              for i in np.flatnonzero(d <= kth).tolist()]
+            del view  # only one series' view is alive at a time
+    out: list[NeighborSet | EmptyPool] = []
+    for target, found in zip(targets, kept):
+        if not found:
+            out.append(EmptyPool(f"no candidate windows precede target at"
+                                 f" {target.series_id!r} start {target.context_start}"))
+            continue
+        found.sort()
+        out.append(NeighborSet(k=k, entries=tuple(
+            (CandidateWindow(sid, start, dataset.series[j].values[start:start + L]), d)
+            for d, sid, start, j in found[:k])))
+    return out

@@ -12,14 +12,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple, Optional, Sequence, Union
 
-import numpy as np
-
-from . import evaluation, prompting
+from . import evaluation, neighbors, prompting
 from .dataset import Dataset, EvalWindow, Series, eval_window, window_starts
 from .errors import EmptyPool, TsfError, WrongCount
 from .evaluation import RunReport, WindowResult
 from .llmgateway import BackendConfig, Gateway, LlmResponse
-from .neighbors import build_pool, top_k
+from .neighbors import NeighborSet
 from .parsing import parse_prediction
 from .prompting import TEMPLATE_VERSION, PromptBundle, Strategy
 
@@ -90,25 +88,20 @@ def _cells(cfg: RunConfig) -> list[tuple[Strategy, int]]:
 
 def _plan(dataset: Dataset, cfg: RunConfig) -> list[_Job]:
     """One job per (strategy, horizon, window), in cell order, its text rendered
-    here on the calling thread: each window's context sequence and neighbor block
-    once, and each system prompt once per (strategy, horizon, series, and the start
-    clock where the strategy states it). A window without candidates gets the
-    EmptyPool that stands in for its neighbor block."""
+    here on the calling thread: every window's neighbors in one search, each
+    window's context sequence and neighbor block once, and each system prompt once
+    per (strategy, horizon, series, and the start clock where the strategy states
+    it). A window without candidates gets the EmptyPool that stands in for its
+    neighbor block."""
     cells = _cells(cfg)
     if not cells:
         return []
-    search = any(s.uses_neighbors for s in cfg.strategies)
-    arrays = [np.asarray(s.values, dtype=float) for s in dataset.series] if search else None
+    drawn = eval_windows(dataset, cfg, max(cfg.horizons))
+    found = (neighbors.search(dataset, [w for _, w in drawn], cfg.k, cfg.znorm_neighbors)
+             if any(s.uses_neighbors for s in cfg.strategies) else [None] * len(drawn))
     windows = []
-    for series, window in eval_windows(dataset, cfg, max(cfg.horizons)):
-        block = None
-        if search:
-            try:
-                pool = build_pool(dataset, window, arrays=arrays)
-                found = top_k(window, pool, cfg.k, znorm=cfg.znorm_neighbors)
-                block = prompting.render_neighbor_block(found)
-            except EmptyPool as e:
-                block = e
+    for (series, window), ns in zip(drawn, found):
+        block = prompting.render_neighbor_block(ns) if isinstance(ns, NeighborSet) else ns
         at = {h: replace(window, horizon=h, truth=window.truth[:h]) for h in cfg.horizons}
         windows.append((series, at, prompting.render_sequence(window.context), block))
     systems: dict[tuple, str] = {}

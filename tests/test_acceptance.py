@@ -21,11 +21,11 @@ from tsf.llmgateway import (
     bundle_hash,
     save_fixtures,
 )
-from tsf.neighbors import build_pool, euclidean, top_k
+from tsf.neighbors import search
 from tsf.prompting import Strategy
 from tsf.runner import RunConfig, bundles_for_run, eval_windows, run
 
-from conftest import fresh_bundle, make_dataset
+from conftest import enumerate_candidates, euclidean, fresh_bundle, make_dataset
 from golden_util import golden_bundle, golden_path, render_bundle
 
 
@@ -56,11 +56,11 @@ def test_neighbor_oracle_50_random_datasets():
             truth=series.values[cstart + L : cstart + L + 1],
             context_timestamps=series.timestamps[cstart : cstart + L],
         )
-        pool = build_pool(ds, target)
-        assert len(pool) <= 5000
-        got = top_k(target, pool, k=5)
+        candidates = enumerate_candidates(ds, target)
+        assert len(candidates) <= 5000
+        (got,) = search(ds, [target], k=5)
         expected = sorted(
-            ((c, euclidean(c.values, target.context)) for c in pool),
+            ((c, euclidean(c.values, target.context)) for c in candidates),
             key=lambda e: (e[1], e[0].series_id, e[0].start_index),
         )[:5]
         assert [(c.series_id, c.start_index, d) for c, d in got.entries] == [

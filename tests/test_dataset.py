@@ -1,12 +1,21 @@
 import math
 import random
+from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tsf.dataset import CsvSchema, Dataset, Series, format_value, load_csv, slice_windows
+from tsf.dataset import (
+    CsvSchema,
+    Dataset,
+    Series,
+    _parse_timestamp,
+    format_value,
+    load_csv,
+    slice_windows,
+)
 from tsf.errors import (
     EmptyFile,
     MissingColumn,
@@ -139,6 +148,60 @@ class TestLoadCsv:
         assert ds2.series[0].values == s1.values
         assert ds2.series[1].values == s2.values
         assert ds2.series[0].timestamps == s1.timestamps
+
+
+def parse_timestamp_int_first(raw: str, row: int, column: str) -> int:
+    """_parse_timestamp as it was before its guard: int() tried on every stamp."""
+    raw = raw.strip()
+    try:
+        return int(raw)
+    except ValueError:
+        pass
+    try:
+        dt = datetime.fromisoformat(raw)
+    except ValueError:
+        raise NonNumericValue(row, column, raw) from None
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return int(dt.timestamp())
+
+
+def outcome(parse, raw):
+    try:
+        return parse(raw, 7, "t")
+    except Exception as e:  # compared by type and message
+        return type(e), str(e)
+
+
+OFFSETS = st.integers(-23 * 60 - 59, 23 * 60 + 59).map(lambda m: timezone(timedelta(minutes=m)))
+ISO_STAMPS = st.builds(
+    lambda dt, sep, spec, date_only: dt.date().isoformat() if date_only
+    else dt.isoformat(sep=sep, timespec=spec),
+    st.datetimes(datetime(1900, 1, 1), datetime(2200, 1, 1),
+                 timezones=st.one_of(st.none(), OFFSETS)),
+    st.sampled_from(["T", " "]),
+    st.sampled_from(["auto", "minutes", "seconds", "milliseconds", "microseconds"]),
+    st.booleans(),
+)
+INT_STAMPS = st.from_regex(r"[+-]?[0-9]+(_[0-9]+)*", fullmatch=True)
+JUNK_STAMPS = st.text(alphabet="0123456789+-_:.TZ Wx\t", max_size=30)
+
+
+class TestParseTimestamp:
+    @given(raw=st.one_of(INT_STAMPS, ISO_STAMPS, JUNK_STAMPS),
+           pad=st.sampled_from(["", " ", "\t", "\xa0"]))
+    def test_guard_equals_int_first(self, raw, pad):
+        """Trying int() only on stamps with no inner '-' and no ':' parses, or
+        rejects, every string exactly as trying it first did."""
+        raw = pad + raw + pad
+        assert outcome(_parse_timestamp, raw) == outcome(parse_timestamp_int_first, raw)
+
+    @pytest.mark.parametrize("raw, expected", [
+        ("-600", -600), ("+1_200", 1200), ("20240101", 20240101),
+        ("1970-01-01", 0), ("1970-01-01 00:10", 600), ("1970-01-01T01:00:00+01:00", 0),
+    ])
+    def test_examples(self, raw, expected):
+        assert _parse_timestamp(raw, 2, "t") == expected
 
 
 class TestDirectConstruction:

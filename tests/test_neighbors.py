@@ -1,17 +1,24 @@
+import hashlib
 import math
 import random
 
 import pytest
-
-from tsf.dataset import EvalWindow
-from tsf.errors import EmptyPool, LengthMismatch
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsf.neighbors import CandidateWindow, Pool, build_pool, euclidean, top_k
+from tsf.dataset import EvalWindow
+from tsf.errors import EmptyPool, LengthMismatch
+from tsf.llmgateway import BackendConfig, BackendKind, bundle_hash
+from tsf.neighbors import search
+from tsf.prompting import Strategy
+from tsf.runner import RunConfig, bundles_for_run
 
-from conftest import make_dataset, make_series
+from conftest import (
+    brute_force_neighbors,
+    enumerate_candidates,
+    euclidean,
+    make_dataset,
+)
 
 
 def window_at(series, start, context_len, horizon=1):
@@ -25,26 +32,19 @@ def window_at(series, start, context_len, horizon=1):
     )
 
 
-def pool_of(candidates):
-    """A Pool holding hand-built candidates, grouped by series in list order."""
-    by_series = {}
-    for c in candidates:
-        by_series.setdefault(c.series_id, []).append(c)
-    return Pool(tuple(
-        (sid, np.array([c.start_index for c in cs]), np.array([c.values for c in cs], dtype=float))
-        for sid, cs in by_series.items()
-    ))
+def nearest(ds, target, k=5, znorm=False):
+    """One target's search result."""
+    (found,) = search(ds, [target], k, znorm)
+    return found
 
 
-def brute_force_top_k(target, pool, k):
-    ranked = sorted(
-        ((c, euclidean(c.values, target.context)) for c in pool),
-        key=lambda e: (e[1], e[0].series_id, e[0].start_index),
-    )
-    return ranked[:k]
+def keys(ns):
+    return [(c.series_id, c.start_index) for c, _ in ns.entries]
 
 
 class TestEuclidean:
+    """The pure-Python distance oracle."""
+
     def test_identical(self):
         assert euclidean([1, 2, 3], [1, 2, 3]) == 0
 
@@ -64,177 +64,138 @@ class TestEuclidean:
 
 
 class TestBuildPool:
+    """The candidates one target is searched against: every whole window of
+    every series that ends before its context begins."""
+
     def test_no_past(self):
         ds = make_dataset({"a": range(20)})
-        target = window_at(ds.series[0], 0, 8)
-        with pytest.raises(EmptyPool):
-            build_pool(ds, target)
+        assert isinstance(nearest(ds, window_at(ds.series[0], 0, 8)), EmptyPool)
 
     def test_single_past_window(self):
         L = 8
         ds = make_dataset({"a": range(2 * L + 1)})
         target = window_at(ds.series[0], L, L)
-        pool = build_pool(ds, target)
-        assert [(c.series_id, c.start_index) for c in pool] == [("a", 0)]
+        assert keys(nearest(ds, target, k=100)) == [("a", 0)]
 
     def test_pool_spans_all_features(self):
         ds = make_dataset({"a": range(30), "b": range(100, 130)})
         target = window_at(ds.series[0], 20, 8)
-        pool = build_pool(ds, target)
-        assert {c.series_id for c in pool} == {"a", "b"}
+        assert {sid for sid, _ in keys(nearest(ds, target, k=100))} == {"a", "b"}
 
     def test_windows_strictly_precede_context(self):
         ds = make_dataset({"a": range(40)})
         target = window_at(ds.series[0], 25, 8)
-        for c in pool_ends(ds, target):
-            assert c <= 25 - 8
-
-
-def pool_ends(ds, target):
-    return [c.start_index for c in build_pool(ds, target)]
+        starts = sorted(start for _, start in keys(nearest(ds, target, k=100)))
+        assert starts == list(range(25 - 8 + 1))
 
 
 class TestTopK:
+    """The k nearest candidates one target gets, in (distance, series_id,
+    start_index) order."""
+
     def test_exact_copy_first(self):
         L = 8
         vals = list(range(40))
         vals[10 : 10 + L] = vals[30 : 30 + L]
-        s = make_series(vals, series_id="a")
         ds = make_dataset({"a": vals})
         target = window_at(ds.series[0], 30, L, horizon=1)
-        ns = top_k(target, build_pool(ds, target), k=3)
+        ns = nearest(ds, target, k=3)
         assert ns.entries[0][0].start_index == 10
         assert ns.entries[0][1] == 0.0
-        assert s.values[10 : 10 + L] == target.context
+        assert ns.entries[0][0].values == target.context
 
     def test_k_saturation(self):
         ds = make_dataset({"a": range(30)})
         target = window_at(ds.series[0], 20, 8)
-        pool = build_pool(ds, target)
-        ns = top_k(target, pool, k=100)
-        assert len(ns.entries) == len(pool)
+        ns = nearest(ds, target, k=100)
+        assert ns.k == 100
+        assert len(ns.entries) == len(enumerate_candidates(ds, target))
         dists = [d for _, d in ns.entries]
         assert dists == sorted(dists)
 
     def test_matches_brute_force_on_random_pool(self):
         rng = random.Random(7)
         L = 16
-        target_vals = [rng.uniform(0, 10) for _ in range(L)]
-        target = EvalWindow(
-            series_id="t",
-            context=tuple(target_vals),
-            context_start=1000,
-            horizon=1,
-            truth=(0.0,),
-            context_timestamps=tuple(600 * i for i in range(L)),
-        )
-        pool = [
-            CandidateWindow(
-                series_id=f"s{rng.randint(0, 3)}",
-                start_index=i,
-                values=tuple(rng.uniform(0, 10) for _ in range(L)),
-            )
-            for i in range(200)
-        ]
-        ns = top_k(target, pool_of(pool), k=5)
-        expected = brute_force_top_k(target, pool, 5)
-        assert [(c.series_id, c.start_index) for c, _ in ns.entries] == [
-            (c.series_id, c.start_index) for c, _ in expected
-        ]
+        ds = make_dataset({f"s{j}": [rng.uniform(0, 10) for _ in range(120)] for j in range(4)})
+        target = window_at(ds.series[2], 100, L)
+        ns = nearest(ds, target, k=5)
+        expected = sorted(
+            ((c, euclidean(c.values, target.context)) for c in enumerate_candidates(ds, target)),
+            key=lambda e: (e[1], e[0].series_id, e[0].start_index),
+        )[:5]
+        assert keys(ns) == [(c.series_id, c.start_index) for c, _ in expected]
         for (_, d1), (_, d2) in zip(ns.entries, expected):
             assert math.isclose(d1, d2, rel_tol=1e-12, abs_tol=1e-12)
 
     def test_permutation_invariant(self):
         rng = random.Random(3)
-        L = 8
-        target = window_at(make_series(range(30), series_id="a"), 20, L)
-        pool = [
-            CandidateWindow("a", i, tuple(rng.uniform(0, 2) for _ in range(L)))
-            for i in range(50)
-        ]
-        shuffled = pool[:]
-        rng.shuffle(shuffled)
-        a = top_k(target, pool_of(pool), k=5)
-        b = top_k(target, pool_of(shuffled), k=5)
-        assert [(c.series_id, c.start_index) for c, _ in a.entries] == [
-            (c.series_id, c.start_index) for c, _ in b.entries
-        ]
+        cols = {sid: [rng.uniform(0, 2) for _ in range(60)] for sid in "abcd"}
+        ds = make_dataset(cols)
+        shuffled = make_dataset({sid: cols[sid] for sid in "cadb"})
+        targets = [window_at(s, 40, 8) for s in ds.series]
+        assert search(ds, targets, 5) == search(shuffled, targets, 5)
 
     def test_far_candidate_does_not_change_result(self):
         rng = random.Random(11)
-        L = 8
-        target = window_at(make_series(range(30), series_id="a"), 20, L)
-        pool = [
-            CandidateWindow("a", i, tuple(rng.uniform(0, 2) for _ in range(L)))
-            for i in range(20)
-        ]
-        before = top_k(target, pool_of(pool), k=5)
-        far = CandidateWindow("z", 0, tuple(1e6 for _ in range(L)))
-        after = top_k(target, pool_of(pool + [far]), k=5)
+        cols = {"a": [rng.uniform(0, 2) for _ in range(30)]}
+        target = window_at(make_dataset(cols).series[0], 20, 8)
+        before = nearest(make_dataset(cols), target)
+        after = nearest(make_dataset({**cols, "z": [1e6] * 30}), target)
         assert before.entries == after.entries
 
     def test_tie_break_lexicographic(self):
         L = 4
-        target = window_at(make_series(range(30), series_id="m"), 20, L)
-        same = tuple(float(v) for v in target.context)
-        pool = [
-            CandidateWindow("b", 5, same),
-            CandidateWindow("a", 9, same),
-            CandidateWindow("a", 2, same),
-        ]
-        ns = top_k(target, pool_of(pool), k=3)
-        assert [(c.series_id, c.start_index) for c, _ in ns.entries] == [
-            ("a", 2),
-            ("a", 9),
-            ("b", 5),
-        ]
+        rng = random.Random(5)
+        cols = {sid: [rng.uniform(0, 9) for _ in range(30)] for sid in ("m", "b", "a")}
+        context = cols["m"][20 : 20 + L]
+        for sid, where in (("b", 5), ("a", 9), ("a", 2)):
+            cols[sid][where : where + L] = context
+        ds = make_dataset(cols)
+        ns = nearest(ds, window_at(ds.series[0], 20, L), k=3)
+        assert keys(ns) == [("a", 2), ("a", 9), ("b", 5)]
+        assert [d for _, d in ns.entries] == [0.0] * 3
 
     def test_empty_pool(self):
-        target = window_at(make_series(range(30), series_id="a"), 20, 8)
-        with pytest.raises(EmptyPool):
-            top_k(target, [], k=5)
+        """The last start without a whole earlier window gets an EmptyPool; the
+        next start has one candidate per series."""
+        L = 8
+        ds = make_dataset({"a": range(30), "b": range(30)})
+        targets = [window_at(ds.series[0], L - 1, L), window_at(ds.series[1], L, L)]
+        before, first = search(ds, targets, 5)
+        assert isinstance(before, EmptyPool)
+        assert keys(first) == [("a", 0), ("b", 0)]
 
-
-def enumerate_candidates(ds, target):
-    """Every length-L window, of every series, that ends before the target
-    context begins, found by checking each start in turn."""
-    L = len(target.context)
-    return [
-        CandidateWindow(s.id, start, s.values[start : start + L])
-        for s in ds.series
-        for start in range(len(s) - L + 1)
-        if s.timestamps[start + L - 1] < target.context_timestamps[0]
-    ]
-
-
-def reference_distance(a, b, znorm):
-    """One candidate's distance as a 1-D computation: z-normalise each side
-    ((x - mean) / std, or x - mean when std is 0), then sqrt of the summed
-    squared differences."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if znorm:
-        a, b = [x - x.mean() if x.std() == 0 else (x - x.mean()) / x.std() for x in (a, b)]
-    return float(np.sqrt(((a - b) ** 2).sum()))
+    def test_rejects_bad_arguments(self):
+        ds = make_dataset({"a": range(30)})
+        targets = [window_at(ds.series[0], 20, 8), window_at(ds.series[0], 20, 6)]
+        assert search(ds, [], 5) == []
+        with pytest.raises(ValueError):
+            search(ds, targets[:1], 0)
+        with pytest.raises(LengthMismatch):
+            search(ds, targets, 5)
 
 
 @st.composite
-def neighbor_cases(draw, values):
-    """(dataset, target): 1-4 series whose dataset order is a shuffle of
-    their ids, and a target whose context is copied into up to three earlier
-    windows, so that distances tie exactly."""
-    ids = draw(st.permutations([f"s{j}" for j in range(draw(st.integers(1, 4)))]))
+def search_cases(draw, values):
+    """(dataset, targets): 1-5 series whose dataset order is a shuffle of their
+    ids, and 1-6 targets with differing context starts, 0 and others too early
+    to have candidates among them. Each target's context is copied into up to
+    three earlier windows of any series, so that distances tie exactly within
+    and across series."""
+    ids = draw(st.permutations([f"s{j}" for j in range(draw(st.integers(1, 5)))]))
     length = draw(st.integers(8, 60))
     L = draw(st.integers(2, min(12, length - 2)))
     cols = {sid: draw(st.lists(values, min_size=length, max_size=length)) for sid in ids}
-    target_id = draw(st.sampled_from(ids))
-    cstart = draw(st.integers(0, length - L - 1))
-    context = cols[target_id][cstart : cstart + L]
-    for _ in range(draw(st.integers(0, 3))):
-        if cstart >= L:
-            where = draw(st.integers(0, cstart - L))
-            cols[draw(st.sampled_from(ids))][where : where + L] = context
+    picks = draw(st.lists(st.tuples(st.sampled_from(ids), st.integers(0, length - L - 1)),
+                          min_size=1, max_size=6))
+    for sid, cstart in picks:
+        context = cols[sid][cstart : cstart + L]
+        for _ in range(draw(st.integers(0, 3))):
+            if cstart >= L:
+                where = draw(st.integers(0, cstart - L))
+                cols[draw(st.sampled_from(ids))][where : where + L] = context
     ds = make_dataset(cols)
-    return ds, window_at(ds.series[ids.index(target_id)], cstart, L)
+    return ds, [window_at(ds.series[ids.index(sid)], cstart, L) for sid, cstart in picks]
 
 
 FLOATS = st.floats(-1e3, 1e3, allow_nan=False)
@@ -244,39 +205,71 @@ QUARTERS = st.integers(-12, 12).map(lambda v: v / 4)  # exact sums: many ties
 class TestBruteForceOracle:
     @settings(max_examples=200, deadline=None)
     @given(
-        case=st.one_of(neighbor_cases(FLOATS), neighbor_cases(QUARTERS)),
+        case=st.one_of(search_cases(FLOATS), search_cases(QUARTERS)),
         k=st.integers(1, 8),
         znorm=st.booleans(),
     )
     def test_top_k_equals_sorted_brute_force(self, case, k, znorm):
-        ds, target = case
-        candidates = enumerate_candidates(ds, target)
-        if not candidates:
-            with pytest.raises(EmptyPool):
-                build_pool(ds, target)
-            return
-        pool = build_pool(ds, target)
-        assert len(pool) == len(candidates)
-        assert list(pool) == candidates
-        expected = sorted(
-            ((reference_distance(c.values, target.context, znorm), c.series_id, c.start_index, c.values)
-             for c in candidates),
-            key=lambda e: e[:3],
-        )[:k]
-        got = top_k(target, pool, k=k, znorm=znorm)
-        assert [(d, c.series_id, c.start_index, c.values) for c, d in got.entries] == expected
+        """One search over many targets equals, per target, the sorted brute force
+        over every candidate, distances bit for bit."""
+        ds, targets = case
+        for target, got in zip(targets, search(ds, targets, k, znorm), strict=True):
+            try:
+                expected = brute_force_neighbors(ds, target, k, znorm)
+            except EmptyPool:
+                assert isinstance(got, EmptyPool)
+                continue
+            assert got == expected
 
     @settings(max_examples=100, deadline=None)
-    @given(case=neighbor_cases(QUARTERS), k=st.integers(1, 8))
+    @given(case=search_cases(QUARTERS), k=st.integers(1, 8))
     def test_plain_distances_equal_euclidean(self, case, k):
         """On quarter-step values every sum is exact, so the pure-Python
         euclidean oracle is bit-identical whatever order it adds in."""
-        ds, target = case
-        candidates = enumerate_candidates(ds, target)
-        if not candidates:
-            return
-        got = top_k(target, build_pool(ds, target), k=k)
-        assert [(c.series_id, c.start_index, d) for c, d in got.entries] == [
-            (c.series_id, c.start_index, d) for c, d in brute_force_top_k(target, candidates, k)
-        ]
+        ds, targets = case
+        for target, got in zip(targets, search(ds, targets, k)):
+            ranked = sorted(
+                ((c.series_id, c.start_index, euclidean(c.values, target.context))
+                 for c in enumerate_candidates(ds, target)),
+                key=lambda e: (e[2], e[0], e[1]),
+            )[:k]
+            if not ranked:
+                assert isinstance(got, EmptyPool)
+                continue
+            assert [(c.series_id, c.start_index, d) for c, d in got.entries] == ranked
 
+
+def pinned_dataset():
+    """Four quarter-step series in shuffled id order. One target context is
+    copied into earlier windows of three series, and constant stretches (which
+    all z-normalise to zeros) sit in two, so neighbor distances tie within and
+    across series, with z-normalisation off and on."""
+    rng = random.Random(2024)
+    cols = {sid: [rng.randint(-6, 6) / 4 for _ in range(360)] for sid in "cadb"}
+    context = cols["a"][203:215]
+    for sid, where in (("b", 40), ("d", 40), ("c", 100), ("a", 63)):
+        cols[sid][where : where + 12] = context
+    cols["c"][10:22] = [2.5] * 12
+    cols["d"][60:72] = [-1.0] * 12
+    return make_dataset(cols)
+
+
+class TestPinnedNeighborPrompts:
+    """Every neighbor prompt of a run hashes as it did before `search` replaced
+    the per-window scan. The digests were computed by this test's code at
+    commit 6dae5fb, the last whose runs searched with neighbors.build_pool and
+    neighbors.top_k, one pair per window."""
+
+    @pytest.mark.parametrize("znorm, digest", [
+        (False, "74035b7ffdfa522f68dbb2290f1b1763eb5b19528910efe7b94a84041d270064"),
+        (True, "8096ba7c2262a3db0a02245695c4cfcf6452ae0ac47e4d27123d9e907499ce92"),
+    ], ids=["plain", "znorm"])
+    def test_bundle_hashes_unchanged(self, znorm, digest):
+        cfg = RunConfig(strategies=(Strategy.NEIGHS, Strategy.PATCH_INSTRUCT_NEIGHS),
+                        backend=BackendConfig(kind=BackendKind.MOCK_PERSISTENCE),
+                        horizons=(1, 6), context_len=12, eval_stride=7, max_windows=100,
+                        k=5, znorm_neighbors=znorm)
+        bundles = bundles_for_run(pinned_dataset(), cfg)
+        assert len(bundles) == 2 * 2 * 4 * (49 - 2)  # starts 0 and 7 have no candidates
+        joined = "\n".join(bundle_hash(b) for b in bundles)
+        assert hashlib.sha256(joined.encode()).hexdigest() == digest

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import tsf
 import tsf.llmgateway as gw
+import tsf.neighbors as neighbors_mod
 import tsf.prompting as prompting_mod
 import tsf.runner as runner_mod
 from tsf.cli import main
@@ -21,7 +22,6 @@ from tsf.dataset import CsvSchema, load_csv, slice_windows
 from tsf.errors import EmptyPool, SeriesTooShort
 from tsf.evaluation import compare_reports, render_comparison_markdown, reports_from_json
 from tsf.llmgateway import BackendConfig, BackendKind, Gateway, bundle_hash, save_fixtures
-from tsf.neighbors import build_pool, top_k
 from tsf.prompting import Strategy
 from tsf.runner import (
     RunConfig,
@@ -30,7 +30,7 @@ from tsf.runner import (
     run,
 )
 
-from conftest import fresh_bundle, make_dataset
+from conftest import brute_force_neighbors, fresh_bundle, make_dataset
 from test_gateway import FakeResponse, ok_payload
 
 MOCK_P = BackendConfig(kind=BackendKind.MOCK_PERSISTENCE)
@@ -268,33 +268,40 @@ NEIGHBOR_DS = make_dataset({
 
 
 class TestNeighborSearch:
-    def test_top_k_once_per_window(self, monkeypatch):
+    def test_one_search_per_plan(self, monkeypatch):
+        """run and bundles_for_run each search once, over every window of the
+        plan, each window once."""
         calls = []
-        real_top_k = runner_mod.top_k
+        real_search = neighbors_mod.search
 
-        def counting_top_k(target, pool, k=5, znorm=False):
-            calls.append((target.series_id, target.context_start))
-            return real_top_k(target, pool, k, znorm=znorm)
+        def counting_search(dataset, targets, k=5, znorm=False):
+            calls.append([(t.series_id, t.context_start) for t in targets])
+            return real_search(dataset, targets, k, znorm)
 
-        monkeypatch.setattr(runner_mod, "top_k", counting_top_k)
+        monkeypatch.setattr(neighbors_mod, "search", counting_search)
         cfg = small_config(
             [Strategy.NEIGHS, Strategy.PATCH_INSTRUCT_NEIGHS], horizons=(1, 2, 3),
             eval_stride=8, max_windows=6,
         )
-        # a window has candidates once a whole context fits before it
-        searched = {
+        windows = sorted({
             (w.series_id, w.context_start)
             for h in cfg.horizons
             for _, w in eval_windows(NEIGHBOR_DS, cfg, h)
-            if w.context_start >= cfg.context_len
-        }
+        })
         outcome = run(NEIGHBOR_DS, cfg)
         assert outcome.reports
-        assert sorted(calls) == sorted(searched)
+        assert [sorted(c) for c in calls] == [windows]
         calls.clear()
         bundles = bundles_for_run(NEIGHBOR_DS, cfg)
-        assert sorted(calls) == sorted(searched)
-        assert len(bundles) > len(searched) > 1
+        assert [sorted(c) for c in calls] == [windows]
+        # a window has candidates once a whole context fits before it
+        searched = [w for w in windows if w[1] >= cfg.context_len]
+        assert len(bundles) == len(searched) * len(cfg.strategies) * len(cfg.horizons)
+        assert len(windows) > len(searched) > 1
+
+    def test_no_search_without_neighbor_strategies(self, monkeypatch):
+        monkeypatch.setattr(neighbors_mod, "search", None)  # a call would raise
+        assert bundles_for_run(NEIGHBOR_DS, small_config([Strategy.ZEROSHOT]))
 
     @pytest.mark.parametrize("znorm", [False, True])
     def test_shared_search_equals_fresh_search(self, znorm, monkeypatch):
@@ -351,11 +358,11 @@ class TestSharedPromptText:
         blocks = entries = 0
         for w in windows.values():
             try:
-                pool = build_pool(ds, w)
+                found = brute_force_neighbors(ds, w, cfg.k, cfg.znorm_neighbors)
             except EmptyPool:
                 continue
             blocks += 1
-            entries += len(top_k(w, pool, cfg.k, znorm=cfg.znorm_neighbors).entries)
+            entries += len(found.entries)
         assert blocks > 1 and len(windows) > blocks
         systems = {(s, h, w.series_id,
                     w.context_timestamps[0] % 86400 if s is Strategy.META_TOKENS_PI else None)
@@ -586,6 +593,21 @@ class TestCli:
             assert main([*argv, "--out", str(out)]) == 2 and not out.exists()
             err = capsys.readouterr().err
             assert err.startswith("error: ") and missing in err
+
+    @pytest.mark.parametrize("command", ["run", "replay"])
+    def test_unwritable_out_exits_2_before_dispatch(self, tmp_path, capsys, monkeypatch,
+                                                    command):
+        """An --out whose directory does not exist fails before the run: no
+        window is dispatched and nothing is written."""
+        sent = dispatched_bundles(monkeypatch)
+        csv = write_dataset_csv(tmp_path)
+        fx = tmp_path / "fx.jsonl"
+        fx.write_text("", encoding="utf-8")
+        out = tmp_path / "nodir" / "r.json"
+        rc = main([command, "--dataset", str(csv), "--strategy", "zeroshot", "--horizon", "1",
+                   "--max-windows", "2", "--fixtures", str(fx), "--out", str(out)])
+        assert rc == 2 and sent == [] and not out.parent.exists()
+        assert "nodir" in capsys.readouterr().err
 
     def test_run_mock(self, tmp_path, capsys):
         csv = write_dataset_csv(tmp_path)
