@@ -6,9 +6,12 @@ import csv
 import functools
 import math
 import operator
+import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+
+import numpy as np
 
 from .errors import (
     EmptyFile,
@@ -42,6 +45,10 @@ class Series:
         for v in self.values:
             if not math.isfinite(v):
                 raise NonFiniteValue(f"series {self.id!r} contains a non-finite value")
+        if self.interval_seconds <= 0:
+            raise NonUniformSampling(
+                f"series {self.id!r}: interval of {self.interval_seconds}s is not positive"
+            )
         _check_sampling(self.timestamps, self.interval_seconds, f"series {self.id!r}: ")
 
     def __len__(self) -> int:
@@ -144,36 +151,40 @@ def _checked_values(row: list[str], i: int, columns: list[str], idx: list[int]) 
     return vals
 
 
-def load_csv(path, schema: CsvSchema, name: str | None = None) -> Dataset:
-    """Load a CSV file into a Dataset, one Series per value column.
+def _columns(f, path, schema: CsvSchema) -> tuple[list[str], int, list[int]]:
+    """Read the header row of open file f: the value column names, the
+    timestamp column's index and the value columns' indices."""
+    try:
+        header = next(csv.reader(f))
+    except StopIteration:
+        raise EmptyFile(f"{path}: no header row") from None
+    header = [h.strip() for h in header]
+    if schema.timestamp_column not in header:
+        raise MissingColumn(f"timestamp column {schema.timestamp_column!r} not in header")
+    value_cols = (
+        list(schema.value_columns)
+        if schema.value_columns is not None
+        else [c for c in header if c != schema.timestamp_column]
+    )
+    if not value_cols:
+        raise MissingColumn("schema names no value columns")
+    for c in value_cols:
+        if c not in header:
+            raise MissingColumn(f"value column {c!r} not in header")
+    return value_cols, header.index(schema.timestamp_column), [header.index(c) for c in value_cols]
 
-    Rows are sorted by timestamp; sampling must be uniform.
-    """
+
+def _load_rows(path, schema: CsvSchema):
+    """load_csv cell by cell: every row through csv, every stamp through
+    _parse_timestamp and every value through float(), so each error names
+    its row and column. Returns (value columns, timestamps, interval, one
+    values tuple per column, built lazily)."""
     with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFile(f"{path}: no header row") from None
-        header = [h.strip() for h in header]
-        if schema.timestamp_column not in header:
-            raise MissingColumn(f"timestamp column {schema.timestamp_column!r} not in header")
-        value_cols = (
-            list(schema.value_columns)
-            if schema.value_columns is not None
-            else [c for c in header if c != schema.timestamp_column]
-        )
-        if not value_cols:
-            raise MissingColumn("schema names no value columns")
-        for c in value_cols:
-            if c not in header:
-                raise MissingColumn(f"value column {c!r} not in header")
-        ts_idx = header.index(schema.timestamp_column)
-        idx = [header.index(c) for c in value_cols]
+        value_cols, ts_idx, idx = _columns(f, path, schema)
         pick = operator.itemgetter(*idx) if len(idx) > 1 else lambda row: (row[idx[0]],)
 
         rows = []
-        for i, row in enumerate(reader, start=2):
+        for i, row in enumerate(csv.reader(f), start=2):
             if not any(map(str.strip, row)):
                 continue
             ts = _parse_timestamp(_cell(row, ts_idx), i, schema.timestamp_column)
@@ -198,7 +209,98 @@ def load_csv(path, schema: CsvSchema, name: str | None = None) -> Dataset:
         interval = 1
     value_rows = list(map(operator.itemgetter(1), rows))
     del rows  # frees the row pairs before the columns are built, keeping peak memory down
+    columns = (tuple(map(operator.itemgetter(j), value_rows)) for j in range(len(idx)))
+    return value_cols, timestamps, interval, columns
 
+
+_CHUNK_CHARS = 1 << 20  # about 7,000 rows of a 21-column table
+_EPOCH = r"-?[0-9]{1,18}"  # int() reads these exactly, and int64 holds them
+# the only stamps numpy and datetime.fromisoformat both read, and read alike:
+# no offset or Z (numpy warns), no fraction (numpy truncates), no year 0
+_ISO = r"(?!0000)[0-9]{4}-[0-9]{2}-[0-9]{2}[T ][0-9]{2}:[0-9]{2}:[0-9]{2}"
+_EPOCH_STAMPS = re.compile(rf"{_EPOCH}(?:,{_EPOCH})*")
+_ISO_STAMPS = re.compile(rf"{_ISO}(?:,{_ISO})*")
+
+
+def _chunk_stamps(stamps: list[str]):
+    """Epoch seconds of one chunk's stamps as int64, or None unless every
+    stamp is an epoch int, or every stamp an ISO datetime that numpy parses
+    and prints back unchanged."""
+    joined = ",".join(stamps)  # a stamp holds no comma
+    if _EPOCH_STAMPS.fullmatch(joined):
+        return np.array(stamps, dtype=np.int64)
+    if not _ISO_STAMPS.fullmatch(joined):
+        return None
+    parsed = np.array(stamps, dtype="datetime64[s]")
+    if ",".join(np.datetime_as_string(parsed, unit="s").tolist()) != joined.replace(" ", "T"):
+        return None
+    return parsed.astype(np.int64)
+
+
+def _parse_chunk(text: str, ts_idx: int, idx: list[int]):
+    """(stamps, values) of a chunk of whole lines, or None on any doubt: a
+    quote or carriage return (csv would split the lines otherwise), a line
+    longer than csv's field limit, a blank, short or non-numeric row, a stamp
+    numpy might read otherwise than _parse_timestamp, or a non-finite value."""
+    if '"' in text or "\r" in text:
+        return None
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the text after the last newline
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    try:
+        stamps = _chunk_stamps([line.split(",", ts_idx + 1)[ts_idx] for line in lines])
+        if stamps is None:
+            return None
+        values = np.loadtxt(
+            lines, delimiter=",", comments=None, usecols=idx, dtype=float, ndmin=2
+        )
+    except (ValueError, IndexError, OverflowError):
+        return None
+    if len(values) != len(lines) or not np.isfinite(values).all():  # loadtxt skips blank lines
+        return None
+    return stamps, values
+
+
+def _load_chunks(path, schema: CsvSchema):
+    """load_csv vectorised over chunks of lines: _load_rows's result, or None
+    when a chunk is in doubt or the stamps are not already increasing and
+    uniform, so that _load_rows reads the file and raises any error."""
+    stamp_chunks, value_chunks = [], []
+    with open(path, newline="", encoding="utf-8") as f:
+        value_cols, ts_idx, idx = _columns(f, path, schema)
+        try:
+            while text := f.read(_CHUNK_CHARS):
+                parsed = _parse_chunk(text + f.readline(), ts_idx, idx)
+                if parsed is None:
+                    return None
+                stamp_chunks.append(parsed[0])
+                value_chunks.append(parsed[1])
+        except UnicodeDecodeError:  # its byte position depends on how the file is read
+            return None
+    if not stamp_chunks:
+        return None
+    ts = np.concatenate(stamp_chunks)
+    gaps = np.diff(ts)
+    interval = int(gaps[0]) if len(gaps) else 1
+    if interval <= 0 or (gaps != interval).any():
+        return None
+    timestamps = tuple(ts.tolist())
+    values = np.concatenate(value_chunks)
+    columns = (tuple(values[:, j].tolist()) for j in range(len(idx)))
+    return value_cols, timestamps, interval, columns
+
+
+def load_csv(path, schema: CsvSchema, name: str | None = None) -> Dataset:
+    """Load a CSV file into a Dataset, one Series per value column.
+
+    Rows are sorted by timestamp; sampling must be uniform. Chunks of lines
+    parse with numpy; a file with any doubt parses again cell by cell, so
+    each error names its row and column.
+    """
+    loaded = _load_chunks(path, schema) or _load_rows(path, schema)
+    value_cols, timestamps, interval, columns = loaded
     dataset_name = name if name is not None else str(path)
     series = tuple(
         _prechecked_series(
@@ -206,9 +308,9 @@ def load_csv(path, schema: CsvSchema, name: str | None = None) -> Dataset:
             description=schema.descriptions.get(c, c),
             interval_seconds=interval,
             timestamps=timestamps,
-            values=tuple(map(operator.itemgetter(j), value_rows)),
+            values=values,
         )
-        for j, c in enumerate(value_cols)
+        for c, values in zip(value_cols, columns)
     )
     return Dataset(name=dataset_name, series=series)
 

@@ -15,16 +15,20 @@ def _bracket_groups(text: str) -> list[str]:
     groups = []
     depth = 0
     start = -1
-    for i, ch in enumerate(text):
-        if ch == "[":
+    opening = text.find("[")
+    closing = text.find("]")
+    while closing >= 0 and (depth or opening >= 0):  # else no group can close
+        if 0 <= opening < closing:
             if depth == 0:
-                start = i
+                start = opening
             depth += 1
-        elif ch == "]":
+            opening = text.find("[", opening + 1)
+        else:
             if depth > 0:
                 depth -= 1
                 if depth == 0:
-                    groups.append(text[start : i + 1])
+                    groups.append(text[start : closing + 1])
+            closing = text.find("]", closing + 1)
     return groups
 
 

@@ -1,12 +1,16 @@
+import csv
 import math
 import random
+import warnings
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from tsf import dataset
 from tsf.dataset import (
     CsvSchema,
     Dataset,
@@ -150,6 +154,222 @@ class TestLoadCsv:
         assert ds2.series[0].timestamps == s1.timestamps
 
 
+def per_cell(path, schema=SCHEMA):
+    """load_csv with its vectorised path switched off: every row cell by cell."""
+    with mock.patch.object(dataset, "_load_chunks", return_value=None):
+        return load_csv(path, schema)
+
+
+def snapshot(ds):
+    """Everything a Dataset holds, with types, and values bit for bit."""
+    return ds.name, [
+        (s.id, s.description, s.interval_seconds, type(s.interval_seconds), s.timestamps,
+         {type(t) for t in s.timestamps}, [v.hex() for v in s.values])
+        for s in ds.series
+    ]
+
+
+def load_outcome(load, path, schema):
+    try:
+        return snapshot(load(path, schema))
+    except Exception as e:  # compared by type and message
+        return type(e), str(e)
+
+
+def epoch(ts):
+    return str(ts)
+
+
+def iso(sep, fmt="%Y-%m-%d{sep}%H:%M:%S", prefix="", suffix=""):
+    def stamp(ts):
+        return prefix + datetime.fromtimestamp(ts, timezone.utc).strftime(fmt.format(sep=sep)) + suffix
+    return stamp
+
+
+CLEAN_STYLES = [epoch, iso("T"), iso(" ")]
+# stamp styles the vectorised path must leave to _parse_timestamp, applied to a whole column
+ODD_STYLES = [
+    iso("T", "%Y-%m-%d"), iso("T", "%Y-%m-%d{sep}%H:%M"), iso(" ", suffix=".5"),
+    iso("T", suffix=".000"), iso("T", suffix="+00:00"), iso(" ", suffix="+01:00"),
+    iso("T", suffix="Z"), iso("T", "0000-%m-%d{sep}%H:%M:%S"), iso("T", "%Y%m%d"),
+    iso("T", "%Y%m%d{sep}%H%M%S"), iso(" ", prefix=" "), iso("T", suffix="\xa0"),
+    lambda ts: f"+{ts}", lambda ts: f"{ts:_}", lambda ts: f" {ts}",
+]
+ODD_STAMPS = st.sampled_from([
+    "1970-01-01", "1970-01-01T00:10", "1970-01-01 00:00:00.5", "1970-01-01T00:00:00.000",
+    "1970-01-01T00:00:00+00:00", "1970-01-01 01:00:00+01:00", "1970-01-01T00:00:00Z",
+    "1970-02-30T00:00:00", "1970-01-01T24:00:00", "1970-01-01T23:59:60", "1970-13-01 00:00:00",
+    "0000-01-01T00:00:00", "10000-01-01T00:00:00", "20200101", "19700101", "+600", "1_200",
+    " 600", "600 ", "\xa0600", "١٢٠٠", "-600", "-0", "007", "9" * 19, "-" + "9" * 18, "", "x",
+    " 1970-01-01T00:00:00", "1970-01-01T00:00:00 ", "1970-01-01x00:00:00",
+])
+ODD_CELLS = st.sampled_from([
+    "1_000", "١", "١.5", "inf", "-inf", "nan", "NaN", "infinity", "1e400", "-1e400", "1e-400",
+    "", " ", " 1.5 ", "\xa02", "3\u2003", "4\x1c", "0x10", "#1", "1#", "-0", "+.5", "5.",
+    "1e5", "1d5", "nan(1)", "\x001", "\v7", "8\f", '"1,2"', '"3",4',
+])
+LINE_ENDS = st.sampled_from(["\n"] * 6 + ["\r\n", "\r"])
+
+
+@st.composite
+def csv_files(draw, odd=True):
+    """(text, schema) of a CSV of uniformly stamped rows of numbers, in which
+    (when odd) the stamps may be of a style only datetime reads, and a few
+    odd stamps, cells and lines may be planted. The schema may leave some
+    columns unread."""
+    n_values = draw(st.integers(1, 3))
+    header = [f"v{j}" for j in range(n_values)]
+    ts_col = draw(st.integers(0, n_values))
+    header.insert(ts_col, "t")
+    read = draw(st.one_of(st.none(), st.permutations(header[:ts_col] + header[ts_col + 1:])
+                          .flatmap(lambda cols: st.integers(1, len(cols)).map(
+                              lambda k: tuple(cols[:k])))))
+    interval = draw(st.sampled_from([1, 600, 3600, 86400]))
+    start = draw(st.integers(-10**9, 4 * 10**9))
+    fmt = draw(st.sampled_from(CLEAN_STYLES * 5 + ODD_STYLES if odd else CLEAN_STYLES))
+    cell = st.one_of(
+        st.integers(-10**6, 10**6).map(lambda c: f"{c / 100:.2f}"),
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.integers(-10**20, 10**20).map(str),
+    )
+    rows = []
+    for i in range(draw(st.integers(0 if odd else 1, 25))):
+        row = [draw(cell) for _ in range(n_values)]
+        row.insert(ts_col, fmt(start + i * interval))
+        rows.append(row)
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3])) if odd else 0):
+        i = draw(st.integers(0, max(len(rows) - 1, 0)))
+        kind = draw(st.sampled_from([
+            "stamp", "cell", "blank", "commas", "short", "long", "quote", "hash",
+            "crlf", "swap", "duplicate",
+        ]))
+        if not rows and kind not in ("blank", "commas"):
+            continue
+        if kind in ("stamp", "cell", "quote", "hash"):
+            row = list(rows[i])
+            j = ts_col if kind == "stamp" else draw(st.sampled_from(
+                [j for j in range(len(row)) if j != ts_col]))
+            if kind == "stamp":
+                row[j] = draw(ODD_STAMPS)
+            elif kind == "cell":
+                row[j] = draw(ODD_CELLS)
+            elif kind == "quote":  # a quoted comma moves csv's later cells one place left
+                row[j] = draw(st.sampled_from(['"{}"', '"{},{}"'])).format(row[j], draw(cell))
+            else:
+                row[j] = row[j] + "#" + draw(st.sampled_from(["", "1", "x"]))
+            lines[i] = ",".join(row)
+        elif kind == "blank":
+            lines.insert(i, draw(st.sampled_from(["", " ", "\t"])))
+        elif kind == "commas":
+            lines.insert(i, "," * draw(st.integers(1, 4)))
+        elif kind == "short":
+            lines[i] = lines[i].rsplit(",", 1)[0] if "," in lines[i] else ""
+        elif kind == "long":
+            lines[i] += "," + draw(st.sampled_from(["1", "", "x"]))
+        elif kind == "crlf":
+            lines[i] += "\r"
+        elif kind == "swap":
+            k = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[k] = lines[k], lines[i]
+        else:
+            lines.insert(i, lines[i])
+    end = draw(LINE_ENDS) if odd else "\n"
+    tail = draw(st.sampled_from([end, end, "", end + end]) if odd else st.sampled_from([end, ""]))
+    text = ",".join(header) + end + end.join(lines) + (tail if lines else "")
+    return text, CsvSchema(timestamp_column="t", value_columns=read)
+
+
+class TestChunkedLoad:
+    """load_csv's vectorised path gives per_cell's Dataset or error exactly."""
+
+    @settings(max_examples=500, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(file=csv_files(), chunk=st.integers(1, 300))
+    def test_equals_per_cell(self, tmp_path, file, chunk):
+        text, schema = file
+        p = tmp_path / "data.csv"
+        with open(p, "w", encoding="utf-8", newline="") as f:
+            f.write(text)
+        with mock.patch.object(dataset, "_CHUNK_CHARS", chunk):
+            fast = load_outcome(load_csv, p, schema)
+        assert fast == load_outcome(per_cell, p, schema)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(file=csv_files(odd=False), chunk=st.integers(1, 300))
+    def test_clean_files_equal_per_cell(self, tmp_path, file, chunk):
+        """Files with nothing odd in them load without the per-cell path."""
+        text, schema = file
+        p = tmp_path / "data.csv"
+        p.write_text(text, encoding="utf-8")
+        with mock.patch.object(dataset, "_CHUNK_CHARS", chunk):
+            fast = dataset._load_chunks(p, schema)
+            ds = load_csv(p, schema)
+        assert fast is not None
+        assert snapshot(ds) == snapshot(per_cell(p, schema))
+
+    @pytest.mark.parametrize("fmt", [epoch, iso("T"), iso(" ")], ids=["epoch", "T", "space"])
+    @pytest.mark.parametrize("start", [-36_000, 1_577_836_800])
+    def test_clean_files_take_vectorised_path(self, tmp_path, fmt, start):
+        rows = [f"{fmt(start + 600 * i)},{i / 4},{-i}" for i in range(2_000)]
+        p = write_csv(tmp_path, "t,a,b\n" + "\n".join(rows) + "\n")
+        with mock.patch.object(dataset, "_CHUNK_CHARS", 4_096):  # about 15 chunks
+            assert dataset._load_chunks(p, SCHEMA) is not None
+            with mock.patch.object(dataset, "_load_rows", side_effect=AssertionError):
+                ds = load_csv(p, SCHEMA)
+        assert snapshot(ds) == snapshot(per_cell(p))
+        assert ds.series[0].timestamps[0] == start
+        assert ds.series[1].timestamps is ds.series[0].timestamps
+
+    @pytest.mark.parametrize("text, expected", [
+        ('t,u,v,w\n0,"1,2",3,4\n600,5,6,7\n', (4.0, 7.0)),  # split at commas, w reads 3
+        ('t,u,v,w\n0,1,2,3\n600,"4,5",6,7\n', (3.0, 7.0)),
+    ])
+    def test_quoted_comma_is_one_cell(self, tmp_path, text, expected):
+        p = write_csv(tmp_path, text)
+        schema = CsvSchema(timestamp_column="t", value_columns=("w",))
+        ds = load_csv(p, schema)
+        assert ds.series[0].values == expected
+        assert snapshot(ds) == snapshot(per_cell(p, schema))
+
+    def test_bad_cell_past_second_chunk_names_its_row(self, tmp_path):
+        row = ",".join(["1.25"] * 20)
+        n = 3 * dataset._CHUNK_CHARS // len(row) + 10  # past the second chunk
+        rows = [f"{600 * i},{row}" for i in range(n)]
+        bad = n - 5
+        rows[bad] = f"{600 * bad},{row[:-4]}1.2x"
+        cols = [f"f{j}" for j in range(20)]
+        p = write_csv(tmp_path, "t," + ",".join(cols) + "\n" + "\n".join(rows) + "\n")
+        with pytest.raises(NonNumericValue) as exc:
+            load_csv(p, SCHEMA)
+        assert (exc.value.row, exc.value.column, exc.value.raw) == (bad + 2, "f19", "1.2x")
+
+    def test_invalid_utf8_raises_as_per_cell(self, tmp_path):
+        """The decoder names a byte position that depends on how much of the
+        file was read at once, so a file that does not decode is read again."""
+        text = "t,v\n" + "".join(f"{600 * i},{i}.25\n" for i in range(5_000))
+        raw = text.encode()
+        p = tmp_path / "data.csv"
+        p.write_bytes(raw[:-100] + b"\xff" + raw[-99:])
+        fast = load_outcome(load_csv, p, SCHEMA)
+        assert fast[0] is UnicodeDecodeError
+        assert fast == load_outcome(per_cell, p, SCHEMA)
+
+    def test_cell_over_csv_field_limit_raises_as_per_cell(self, tmp_path):
+        p = write_csv(tmp_path, "t,v\n0," + "0" * csv.field_size_limit() + "1\n600,2\n")
+        fast = load_outcome(load_csv, p, SCHEMA)
+        assert fast[0] is csv.Error
+        assert fast == load_outcome(per_cell, p, SCHEMA)
+
+    def test_offset_stamps_warn_nothing(self, tmp_path):
+        p = write_csv(tmp_path, "t,v\n1970-01-01T01:00:00+01:00,1\n1970-01-01T00:10:00+00:00,2\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = load_csv(p, SCHEMA)
+        assert ds.series[0].timestamps == (0, 600)
+
+
 def parse_timestamp_int_first(raw: str, row: int, column: str) -> int:
     """_parse_timestamp as it was before its guard: int() tried on every stamp."""
     raw = raw.strip()
@@ -214,6 +434,14 @@ class TestDirectConstruction:
     def test_series_uneven_gaps(self, timestamps):
         with pytest.raises(NonUniformSampling):
             Series("s", "s", 600, timestamps, (1.0, 2.0, 3.0))
+
+    @pytest.mark.parametrize("interval, timestamps", [
+        (-600, (0, -600, -1200)), (0, (0, 0, 0)), (0, (5,)), (-1, (3,)),
+    ])
+    def test_series_interval_not_positive(self, interval, timestamps):
+        values = (1.0,) * len(timestamps)
+        with pytest.raises(NonUniformSampling, match="not positive"):
+            Series("a", "a", interval, timestamps, values)
 
     def test_dataset_mismatched_timestamps(self):
         a = make_series([1, 2, 3], series_id="a")

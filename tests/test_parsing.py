@@ -1,7 +1,12 @@
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from tsf import parsing
 from tsf.errors import NoListFound, NonNumericElement, WrongCount
-from tsf.parsing import parse_prediction
+from tsf.parsing import _bracket_groups, parse_prediction
 
 # The rows the other patch templates' output formats ask the model to echo
 # before "Prediction:"; like the "Patches:" echo, none is taken as the forecast.
@@ -72,3 +77,54 @@ class TestParsePrediction:
     def test_deterministic(self):
         text = "Prediction:\n[9.1, 9.2]"
         assert parse_prediction(text, 2) == parse_prediction(text, 2)
+
+
+def bracket_groups_by_char(text: str) -> list[str]:
+    """_bracket_groups as a character-by-character scan, the reference."""
+    groups = []
+    depth = 0
+    start = -1
+    for i, ch in enumerate(text):
+        if ch == "[":
+            if depth == 0:
+                start = i
+            depth += 1
+        elif ch == "]":
+            if depth > 0:
+                depth -= 1
+                if depth == 0:
+                    groups.append(text[start : i + 1])
+    return groups
+
+
+BRACKETED = st.text(alphabet="[]1,. -ax\n", max_size=60)
+ANSWERS = st.lists(
+    st.one_of(BRACKETED, st.sampled_from(["Prediction:", "[1, 2]", "[[1], [2]]", "]", "["]),
+              st.lists(st.floats(allow_nan=False), max_size=4).map(str)),
+    max_size=8,
+).map("".join)
+
+
+class TestBracketGroups:
+    @pytest.mark.parametrize("text", [
+        "", "no brackets at all", "[1, 2]", "[[1, 2], [3]] and [4]", "[[1, 2]", "[1]]]",
+        "]][1][", "]", "[", "a [b [c] d] e [f", "[[[]]]][[]", "Prediction: ] [1, 2] [",
+    ])
+    def test_examples(self, text):
+        assert _bracket_groups(text) == bracket_groups_by_char(text)
+
+    @given(text=st.one_of(BRACKETED, ANSWERS, st.text(max_size=40)))
+    def test_equals_char_scan(self, text):
+        assert _bracket_groups(text) == bracket_groups_by_char(text)
+
+    @given(text=ANSWERS, h=st.integers(1, 4), lenient=st.booleans())
+    def test_parse_prediction_unchanged(self, text, h, lenient):
+        def outcome():
+            try:
+                return parse_prediction(text, h, lenient)
+            except Exception as e:  # compared by type and message
+                return type(e), str(e)
+
+        fast = outcome()
+        with mock.patch.object(parsing, "_bracket_groups", bracket_groups_by_char):
+            assert outcome() == fast
