@@ -23,47 +23,53 @@ from .errors import (
 )
 
 
-def _check_sampling(timestamps: tuple[int, ...], interval: int, where: str) -> None:
-    for a, b in zip(timestamps, timestamps[1:]):
-        if b - a != interval:
-            raise NonUniformSampling(f"{where}gap of {b - a}s where {interval}s expected")
+def _frozen(x, dtype) -> np.ndarray:
+    """x as a read-only array of dtype, cast safely (no float or out-of-range stamp
+    becomes an int): x itself when neither it nor the array it views is writeable."""
+    if (isinstance(x, np.ndarray) and x.dtype == dtype and not x.flags.writeable
+            and not (isinstance(x.base, np.ndarray) and x.base.flags.writeable)):
+        return x
+    a = np.array(x).astype(dtype, casting="safe", copy=False)
+    a.flags.writeable = False
+    return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Series:
-    """One named, uniformly sampled sequence of timestamped real values."""
+    """One named, uniformly sampled sequence of timestamped real values, held as
+    read-only int64 epoch seconds and float64 values. Other inputs are copied,
+    so a caller's list or writable array may change without changing it."""
 
     id: str
     description: str
     interval_seconds: int
-    timestamps: tuple[int, ...]
-    values: tuple[float, ...]
+    timestamps: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        if len(self.timestamps) != len(self.values) or not self.values:
+        if len(self.timestamps) != len(self.values) or not len(self.values):
             raise ValueError("timestamps and values must be equal-length and non-empty")
-        for v in self.values:
-            if not math.isfinite(v):
-                raise NonFiniteValue(f"series {self.id!r} contains a non-finite value")
+        for name, dtype in (("timestamps", np.int64), ("values", np.float64)):
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+        if not np.isfinite(self.values).all():
+            raise NonFiniteValue(f"series {self.id!r} contains a non-finite value")
         if self.interval_seconds <= 0:
             raise NonUniformSampling(
                 f"series {self.id!r}: interval of {self.interval_seconds}s is not positive"
             )
-        _check_sampling(self.timestamps, self.interval_seconds, f"series {self.id!r}: ")
+        lo, hi = self.timestamps[:-1], self.timestamps[1:]
+        # int64 gaps wrap; where the stamps rise, their uint64 view is exact
+        wrong = ((hi - lo).view(np.uint64) != self.interval_seconds) | (hi <= lo)
+        if np.count_nonzero(wrong):
+            i = int(wrong.argmax())
+            raise NonUniformSampling(f"series {self.id!r}: gap of {int(hi[i]) - int(lo[i])}s"
+                                     f" where {self.interval_seconds}s expected")
 
     def __len__(self) -> int:
         return len(self.values)
 
 
-def _prechecked_series(**fields) -> Series:
-    """A Series whose values and timestamps load_csv has already checked, cell
-    by cell and gap by gap; it skips the same checks in Series.__post_init__."""
-    series = object.__new__(Series)
-    series.__dict__.update(fields)  # frozen: no __setattr__
-    return series
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     name: str
     series: tuple[Series, ...]
@@ -74,7 +80,8 @@ class Dataset:
         first = self.series[0]
         for s in self.series[1:]:
             if s.interval_seconds != first.interval_seconds or (
-                s.timestamps is not first.timestamps and s.timestamps != first.timestamps
+                s.timestamps is not first.timestamps
+                and not np.array_equal(s.timestamps, first.timestamps)
             ):
                 raise ValueError("all series in a dataset must share timestamps")
 
@@ -92,13 +99,11 @@ class EvalWindow:
     context_start: int
     horizon: int
     truth: tuple[float, ...]
-    context_timestamps: tuple[int, ...]
+    start_timestamp: int  # of context[0], in epoch seconds
 
     def __post_init__(self):
         if len(self.truth) != self.horizon:
             raise ValueError("truth length must equal horizon")
-        if len(self.context_timestamps) != len(self.context):
-            raise ValueError("context_timestamps length must equal context length")
 
 
 @dataclass(frozen=True)
@@ -118,9 +123,13 @@ def _parse_timestamp(raw: str, row: int, column: str) -> int:
     raw = raw.strip()
     if "-" not in raw[1:] and ":" not in raw:  # every string int() takes passes this
         try:
-            return int(raw)
+            ts = int(raw)
         except ValueError:
             pass
+        else:
+            if -1 << 63 <= ts < 1 << 63:  # int64, as a Series holds stamps
+                return ts
+            raise NonNumericValue(row, column, raw)
     try:
         dt = datetime.fromisoformat(raw)
     except ValueError:
@@ -177,40 +186,24 @@ def _columns(f, path, schema: CsvSchema) -> tuple[list[str], int, list[int]]:
 def _load_rows(path, schema: CsvSchema):
     """load_csv cell by cell: every row through csv, every stamp through
     _parse_timestamp and every value through float(), so each error names
-    its row and column. Returns (value columns, timestamps, interval, one
-    values tuple per column, built lazily)."""
+    its row and column. Returns what _load_chunks does."""
     with open(path, newline="", encoding="utf-8") as f:
         value_cols, ts_idx, idx = _columns(f, path, schema)
         pick = operator.itemgetter(*idx) if len(idx) > 1 else lambda row: (row[idx[0]],)
 
-        rows = []
+        stamps, rows = [], []
         for i, row in enumerate(csv.reader(f), start=2):
             if not any(map(str.strip, row)):
                 continue
-            ts = _parse_timestamp(_cell(row, ts_idx), i, schema.timestamp_column)
+            stamps.append(_parse_timestamp(_cell(row, ts_idx), i, schema.timestamp_column))
             try:
                 vals = list(map(float, pick(row)))
             except (ValueError, IndexError):  # a bad or missing cell
                 vals = None
             if vals is None or not all(map(math.isfinite, vals)):
                 vals = _checked_values(row, i, value_cols, idx)  # names a bad cell
-            rows.append((ts, vals))
-
-    if not rows:
-        raise EmptyFile(f"{path}: no data rows")
-    rows.sort(key=operator.itemgetter(0))
-    timestamps = tuple(map(operator.itemgetter(0), rows))
-    if len(timestamps) > 1:
-        interval = timestamps[1] - timestamps[0]
-        if interval <= 0:
-            raise NonUniformSampling("duplicate or non-increasing timestamps")
-        _check_sampling(timestamps, interval, "")
-    else:
-        interval = 1
-    value_rows = list(map(operator.itemgetter(1), rows))
-    del rows  # frees the row pairs before the columns are built, keeping peak memory down
-    columns = (tuple(map(operator.itemgetter(j), value_rows)) for j in range(len(idx)))
-    return value_cols, timestamps, interval, columns
+            rows.append(vals)
+    return value_cols, np.array(stamps, dtype=np.int64), np.array(rows, dtype=float)
 
 
 _CHUNK_CHARS = 1 << 20  # about 7,000 rows of a 21-column table
@@ -238,15 +231,21 @@ def _chunk_stamps(stamps: list[str]):
 
 
 def _parse_chunk(text: str, ts_idx: int, idx: list[int]):
-    """(stamps, values) of a chunk of whole lines, or None on any doubt: a
-    quote or carriage return (csv would split the lines otherwise), a line
-    longer than csv's field limit, a blank, short or non-numeric row, a stamp
-    numpy might read otherwise than _parse_timestamp, or a non-finite value."""
+    """(stamps, values) of a chunk of whole lines ending in LF or CRLF, less
+    the lines whose cells are all blank (as in _load_rows), or None on any
+    doubt: a quote or a lone carriage return (csv would split the lines
+    otherwise), a line longer than csv's field limit, a short or non-numeric
+    row, a stamp numpy might read otherwise than _parse_timestamp, or a
+    non-finite value."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
     if '"' in text or "\r" in text:
         return None
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()  # the text after the last newline
+    # an ASCII line's whitespace is " \t\v\f\x1c\x1d\x1e\x1f": the cheap test first
+    lines = [line for line in text.split("\n") if line.strip(" ,\t\v\f\x1c\x1d\x1e\x1f")
+             and (line.isascii() or line.replace(",", "").strip())]
+    if not lines:
+        return np.empty(0, np.int64), np.empty((0, len(idx)))
     if max(map(len, lines)) > csv.field_size_limit():
         return None
     try:
@@ -258,15 +257,15 @@ def _parse_chunk(text: str, ts_idx: int, idx: list[int]):
         )
     except (ValueError, IndexError, OverflowError):
         return None
-    if len(values) != len(lines) or not np.isfinite(values).all():  # loadtxt skips blank lines
+    if len(values) != len(lines) or not np.isfinite(values).all():
         return None
     return stamps, values
 
 
 def _load_chunks(path, schema: CsvSchema):
-    """load_csv vectorised over chunks of lines: _load_rows's result, or None
-    when a chunk is in doubt or the stamps are not already increasing and
-    uniform, so that _load_rows reads the file and raises any error."""
+    """load_csv vectorised over chunks of lines: (value columns, int64 stamps
+    in file order, float64 values with one row per stamp), or None when a chunk
+    is in doubt, so that _load_rows reads the file and raises any error."""
     stamp_chunks, value_chunks = [], []
     with open(path, newline="", encoding="utf-8") as f:
         value_cols, ts_idx, idx = _columns(f, path, schema)
@@ -281,38 +280,35 @@ def _load_chunks(path, schema: CsvSchema):
             return None
     if not stamp_chunks:
         return None
-    ts = np.concatenate(stamp_chunks)
-    gaps = np.diff(ts)
-    interval = int(gaps[0]) if len(gaps) else 1
-    if interval <= 0 or (gaps != interval).any():
-        return None
-    timestamps = tuple(ts.tolist())
-    values = np.concatenate(value_chunks)
-    columns = (tuple(values[:, j].tolist()) for j in range(len(idx)))
-    return value_cols, timestamps, interval, columns
+    return value_cols, np.concatenate(stamp_chunks), np.concatenate(value_chunks)
 
 
 def load_csv(path, schema: CsvSchema, name: str | None = None) -> Dataset:
-    """Load a CSV file into a Dataset, one Series per value column.
+    """Load a CSV file into a Dataset, one Series per value column, all sharing
+    one read-only timestamps array.
 
-    Rows are sorted by timestamp; sampling must be uniform. Chunks of lines
-    parse with numpy; a file with any doubt parses again cell by cell, so
-    each error names its row and column.
+    Chunks of lines parse with numpy; a file with any doubt parses again cell
+    by cell, so each error names its row and column. Rows are then sorted by
+    timestamp (stably, and only when they are out of order); sampling must be
+    uniform.
     """
-    loaded = _load_chunks(path, schema) or _load_rows(path, schema)
-    value_cols, timestamps, interval, columns = loaded
-    dataset_name = name if name is not None else str(path)
-    series = tuple(
-        _prechecked_series(
-            id=c,
-            description=schema.descriptions.get(c, c),
-            interval_seconds=interval,
-            timestamps=timestamps,
-            values=values,
-        )
-        for c, values in zip(value_cols, columns)
+    value_cols, stamps, values = _load_chunks(path, schema) or _load_rows(path, schema)
+    if not len(stamps):
+        raise EmptyFile(f"{path}: no data rows")
+    if (stamps[1:] < stamps[:-1]).any():
+        order = np.argsort(stamps, kind="stable")
+        stamps, values = stamps[order], values[order]
+    interval = int(stamps[1]) - int(stamps[0]) if len(stamps) > 1 else 1
+    if interval <= 0:
+        raise NonUniformSampling("duplicate or non-increasing timestamps")
+    stamps.flags.writeable = False
+    columns = np.ascontiguousarray(values.T)  # one row per series
+    columns.flags.writeable = False
+    return Dataset(
+        name=name if name is not None else str(path),
+        series=tuple(Series(c, schema.descriptions.get(c, c), interval, stamps, column)
+                     for c, column in zip(value_cols, columns)),
     )
-    return Dataset(name=dataset_name, series=series)
 
 
 def window_starts(series: Series, context_len: int, horizon: int, stride: int) -> range:
@@ -332,11 +328,11 @@ def eval_window(series: Series, start: int, context_len: int, horizon: int) -> E
     end = start + context_len
     return EvalWindow(
         series_id=series.id,
-        context=series.values[start:end],
+        context=tuple(series.values[start:end].tolist()),
         context_start=start,
         horizon=horizon,
-        truth=series.values[end : end + horizon],
-        context_timestamps=series.timestamps[start:end],
+        truth=tuple(series.values[end : end + horizon].tolist()),
+        start_timestamp=int(series.timestamps[start]),
     )
 
 

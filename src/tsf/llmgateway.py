@@ -149,13 +149,11 @@ def _http_complete(bundle: PromptBundle, cfg: BackendConfig) -> LlmResponse:
     headers = {"Authorization": f"Bearer {api_key}"}
     attempts = max(1, cfg.max_retries)
     backoff = 1.0
-    last_err: Exception | None = None
     for attempt in range(attempts):
         start = time.perf_counter()
         try:
             resp = requests.post(url, json=body, headers=headers, timeout=cfg.timeout_seconds)
         except requests.RequestException as e:  # timeouts included
-            last_err = e
             if attempt + 1 < attempts:
                 _sleep(backoff)
                 backoff *= 2
@@ -180,7 +178,6 @@ def _http_complete(bundle: PromptBundle, cfg: BackendConfig) -> LlmResponse:
                 token_source=TokenSource.REPORTED,
             )
         return _estimated_response(text, bundle, latency)
-    raise TransportError(str(last_err))
 
 
 class Gateway:

@@ -60,7 +60,7 @@ def search(dataset: Dataset, targets: Sequence[EvalWindow], k: int = 5,
     n_max = max(cuts)
     if n_max > 0:
         for j, series in enumerate(dataset.series):
-            view = norm(sliding_window_view(np.asarray(series.values, dtype=float), L)[:n_max])
+            view = norm(sliding_window_view(series.values, L)[:n_max])
             for n, t, found in zip(cuts, queries, kept):
                 if n > 0:
                     d = np.sqrt(((view[:n] - t) ** 2).sum(axis=1))
@@ -77,6 +77,7 @@ def search(dataset: Dataset, targets: Sequence[EvalWindow], k: int = 5,
             continue
         found.sort()
         out.append(NeighborSet(k=k, entries=tuple(
-            (CandidateWindow(sid, start, dataset.series[j].values[start:start + L]), d)
+            (CandidateWindow(sid, start,
+                             tuple(dataset.series[j].values[start:start + L].tolist())), d)
             for d, sid, start, j in found[:k])))
     return out

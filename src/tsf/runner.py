@@ -109,7 +109,7 @@ def _plan(dataset: Dataset, cfg: RunConfig) -> list[_Job]:
     for strategy, horizon in cells:
         for series, at, sequence, block in windows:
             window = at[horizon]
-            start = window.context_timestamps[0]
+            start = window.start_timestamp
             key = (strategy, horizon, series.id, start % 86400 if strategy.states_clock else None)
             if key not in systems:
                 systems[key] = prompting.system_prompt(

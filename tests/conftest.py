@@ -43,10 +43,10 @@ def enumerate_candidates(ds, target):
     context begins, found by checking each start in turn."""
     L = len(target.context)
     return [
-        CandidateWindow(s.id, start, s.values[start : start + L])
+        CandidateWindow(s.id, start, tuple(s.values[start : start + L].tolist()))
         for s in ds.series
         for start in range(len(s) - L + 1)
-        if s.timestamps[start + L - 1] < target.context_timestamps[0]
+        if s.timestamps[start + L - 1] < target.start_timestamp
     ]
 
 

@@ -35,7 +35,7 @@ def golden_window() -> EvalWindow:
         context_start=0,
         horizon=HORIZON,
         truth=tuple(_value(i) for i in range(CONTEXT_LEN, CONTEXT_LEN + HORIZON)),
-        context_timestamps=tuple(600 * i for i in range(CONTEXT_LEN)),
+        start_timestamp=0,
     )
 
 
@@ -62,7 +62,7 @@ def compose(strategy: Strategy, window: EvalWindow, description: str, interval_s
     return PromptBundle(
         system=system_prompt(strategy, description, interval_seconds, window.horizon,
                              len(window.context), patch_window, patch_stride, k,
-                             window.context_timestamps[0]),
+                             window.start_timestamp),
         user=user_prompt(render_sequence(window.context), window.horizon, block),
         strategy=strategy,
         window_id=f"{window.series_id}:{window.context_start}",

@@ -50,11 +50,11 @@ def test_neighbor_oracle_50_random_datasets():
         cstart = rng.randint(L, length - L - 1)
         target = EvalWindow(
             series_id=series.id,
-            context=series.values[cstart : cstart + L],
+            context=tuple(series.values[cstart : cstart + L].tolist()),
             context_start=cstart,
             horizon=1,
-            truth=series.values[cstart + L : cstart + L + 1],
-            context_timestamps=series.timestamps[cstart : cstart + L],
+            truth=tuple(series.values[cstart + L : cstart + L + 1].tolist()),
+            start_timestamp=int(series.timestamps[cstart]),
         )
         candidates = enumerate_candidates(ds, target)
         assert len(candidates) <= 5000

@@ -6,6 +6,7 @@ from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -46,8 +47,8 @@ class TestLoadCsv:
         ds = load_csv(p, SCHEMA)
         s = ds.series[0]
         assert s.interval_seconds == 600
-        assert s.values == (1.0, 2.0, 3.0)
-        assert s.timestamps == (0, 600, 1200)
+        assert tuple(s.values.tolist()) == (1.0, 2.0, 3.0)
+        assert tuple(s.timestamps.tolist()) == (0, 600, 1200)
 
     def test_nonuniform_sampling(self, tmp_path):
         p = write_csv(tmp_path, "t,v\n0,1\n600,2\n1300,3\n")
@@ -102,7 +103,7 @@ class TestLoadCsv:
         # float() alone rejects the trailing \x1c that str.strip() removes
         p = write_csv(tmp_path, "t,v,w\n0, 1 ,\t2\x1c\n600,\xa03,4\u2003\n")
         ds = load_csv(p, SCHEMA)
-        assert [s.values for s in ds.series] == [(1.0, 3.0), (2.0, 4.0)]
+        assert [tuple(s.values.tolist()) for s in ds.series] == [(1.0, 3.0), (2.0, 4.0)]
 
     def test_duplicate_timestamp(self, tmp_path):
         p = write_csv(tmp_path, "t,v\n0,1\n0,2\n600,3\n")
@@ -114,8 +115,13 @@ class TestLoadCsv:
         ds = load_csv(p, SCHEMA)
         for s in ds.series:
             rebuilt = Series(s.id, s.description, s.interval_seconds, s.timestamps, s.values)
-            assert rebuilt == s
-        assert Dataset(ds.name, ds.series) == ds
+            assert fields(rebuilt) == fields(s)
+        rebuilt = Dataset(ds.name, ds.series)
+        assert (rebuilt.name, rebuilt.series) == (ds.name, ds.series)
+
+    def test_interval_wider_than_int64(self, tmp_path):
+        p = write_csv(tmp_path, f"t,v\n{-2**63},1\n{2**63 - 1},2\n")
+        assert load_csv(p, SCHEMA).series[0].interval_seconds == 2**64 - 1
 
     def test_empty_file(self, tmp_path):
         p = write_csv(tmp_path, "")
@@ -133,12 +139,12 @@ class TestLoadCsv:
             "t,v\n1970-01-01T00:00:00,1\n1970-01-01T00:10:00,2\n1970-01-01T00:20:00,3\n",
         )
         ds = load_csv(p, SCHEMA)
-        assert ds.series[0].timestamps == (0, 600, 1200)
+        assert tuple(ds.series[0].timestamps.tolist()) == (0, 600, 1200)
 
     def test_rows_sorted_by_timestamp(self, tmp_path):
         p = write_csv(tmp_path, "t,v\n1200,3\n0,1\n600,2\n")
         ds = load_csv(p, SCHEMA)
-        assert ds.series[0].values == (1.0, 2.0, 3.0)
+        assert tuple(ds.series[0].values.tolist()) == (1.0, 2.0, 3.0)
 
     def test_round_trip(self, tmp_path):
         p = write_csv(tmp_path, "t,v,w\n0,1.5,2\n600,2.25,4\n1200,3,6\n")
@@ -149,9 +155,9 @@ class TestLoadCsv:
             lines.append(f"{ts},{format_value(s1.values[i])},{format_value(s2.values[i])}")
         p2 = write_csv(tmp_path, "\n".join(lines) + "\n", name="rt.csv")
         ds2 = load_csv(p2, SCHEMA)
-        assert ds2.series[0].values == s1.values
-        assert ds2.series[1].values == s2.values
-        assert ds2.series[0].timestamps == s1.timestamps
+        assert ds2.series[0].values.tolist() == s1.values.tolist()
+        assert ds2.series[1].values.tolist() == s2.values.tolist()
+        assert ds2.series[0].timestamps.tolist() == s1.timestamps.tolist()
 
 
 def per_cell(path, schema=SCHEMA):
@@ -160,11 +166,17 @@ def per_cell(path, schema=SCHEMA):
         return load_csv(path, schema)
 
 
+def fields(s):
+    """A Series' fields, its arrays as tuples."""
+    return (s.id, s.description, s.interval_seconds, tuple(s.timestamps.tolist()),
+            tuple(s.values.tolist()))
+
+
 def snapshot(ds):
     """Everything a Dataset holds, with types, and values bit for bit."""
     return ds.name, [
-        (s.id, s.description, s.interval_seconds, type(s.interval_seconds), s.timestamps,
-         {type(t) for t in s.timestamps}, [v.hex() for v in s.values])
+        (s.id, s.description, s.interval_seconds, type(s.interval_seconds),
+         tuple(s.timestamps.tolist()), s.timestamps.dtype, [v.hex() for v in s.values.tolist()])
         for s in ds.series
     ]
 
@@ -312,15 +324,27 @@ class TestChunkedLoad:
     @pytest.mark.parametrize("fmt", [epoch, iso("T"), iso(" ")], ids=["epoch", "T", "space"])
     @pytest.mark.parametrize("start", [-36_000, 1_577_836_800])
     def test_clean_files_take_vectorised_path(self, tmp_path, fmt, start):
+        """LF and CRLF line ends, blank lines (a trailing one too, and a whole
+        chunk of them) and rows out of order all parse with numpy."""
         rows = [f"{fmt(start + 600 * i)},{i / 4},{-i}" for i in range(2_000)]
-        p = write_csv(tmp_path, "t,a,b\n" + "\n".join(rows) + "\n")
-        with mock.patch.object(dataset, "_CHUNK_CHARS", 4_096):  # about 15 chunks
-            assert dataset._load_chunks(p, SCHEMA) is not None
-            with mock.patch.object(dataset, "_load_rows", side_effect=AssertionError):
-                ds = load_csv(p, SCHEMA)
-        assert snapshot(ds) == snapshot(per_cell(p))
-        assert ds.series[0].timestamps[0] == start
-        assert ds.series[1].timestamps is ds.series[0].timestamps
+        blank = list(rows)
+        for i, line in [(1_500, ""), (700, " ,\t"), (3, ","), (0, "\xa0"), (2_004, "")]:
+            blank.insert(i, line)
+        blank_chunk = rows[:1_000] + [""] * 10_000 + rows[1_000:]  # a chunk of blank lines only
+        swapped = list(rows)
+        swapped[10], swapped[1_990] = swapped[1_990], swapped[10]
+        variants = [(rows, "\n"), (rows, "\r\n"), (blank, "\n"), (blank, "\r\n"),
+                    (blank_chunk, "\n"), (swapped, "\n")]
+        for lines, end in variants:
+            p = tmp_path / "data.csv"
+            p.write_text(end.join(["t,a,b", *lines]) + end, encoding="utf-8", newline="")
+            with mock.patch.object(dataset, "_CHUNK_CHARS", 4_096):  # about 15 chunks
+                assert dataset._load_chunks(p, SCHEMA) is not None
+                with mock.patch.object(dataset, "_load_rows", side_effect=AssertionError):
+                    ds = load_csv(p, SCHEMA)
+            assert snapshot(ds) == snapshot(per_cell(p))
+            assert ds.series[0].timestamps[0] == start
+            assert ds.series[1].timestamps is ds.series[0].timestamps
 
     @pytest.mark.parametrize("text, expected", [
         ('t,u,v,w\n0,"1,2",3,4\n600,5,6,7\n', (4.0, 7.0)),  # split at commas, w reads 3
@@ -330,7 +354,7 @@ class TestChunkedLoad:
         p = write_csv(tmp_path, text)
         schema = CsvSchema(timestamp_column="t", value_columns=("w",))
         ds = load_csv(p, schema)
-        assert ds.series[0].values == expected
+        assert tuple(ds.series[0].values.tolist()) == expected
         assert snapshot(ds) == snapshot(per_cell(p, schema))
 
     def test_bad_cell_past_second_chunk_names_its_row(self, tmp_path):
@@ -362,21 +386,41 @@ class TestChunkedLoad:
         assert fast[0] is csv.Error
         assert fast == load_outcome(per_cell, p, SCHEMA)
 
+    @pytest.mark.parametrize("text, row, raw", [
+        ("t,v\n0,1\n9223372036854775808,2\n", 3, "9223372036854775808"),
+        ("t,v\n-9223372036854775809,1\n", 2, "-9223372036854775809"),
+    ])
+    def test_stamp_outside_int64_names_its_cell(self, tmp_path, text, row, raw):
+        p = write_csv(tmp_path, text)
+        with pytest.raises(NonNumericValue) as exc:
+            load_csv(p, SCHEMA)
+        assert (exc.value.row, exc.value.column, exc.value.raw) == (row, "t", raw)
+
+    @pytest.mark.parametrize("stamp", [-2**63, 2**63 - 1])
+    def test_stamps_at_int64_bounds_load(self, tmp_path, stamp):
+        p = write_csv(tmp_path, f"t,v\n{stamp},1\n")
+        assert load_csv(p, SCHEMA).series[0].timestamps.tolist() == [stamp]
+
     def test_offset_stamps_warn_nothing(self, tmp_path):
         p = write_csv(tmp_path, "t,v\n1970-01-01T01:00:00+01:00,1\n1970-01-01T00:10:00+00:00,2\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ds = load_csv(p, SCHEMA)
-        assert ds.series[0].timestamps == (0, 600)
+        assert tuple(ds.series[0].timestamps.tolist()) == (0, 600)
 
 
 def parse_timestamp_int_first(raw: str, row: int, column: str) -> int:
-    """_parse_timestamp as it was before its guard: int() tried on every stamp."""
+    """_parse_timestamp as it was before its guard: int() tried on every stamp
+    (and an int outside int64 rejected)."""
     raw = raw.strip()
     try:
-        return int(raw)
+        ts = int(raw)
     except ValueError:
         pass
+    else:
+        if not -2**63 <= ts <= 2**63 - 1:
+            raise NonNumericValue(row, column, raw)
+        return ts
     try:
         dt = datetime.fromisoformat(raw)
     except ValueError:
@@ -430,7 +474,10 @@ class TestDirectConstruction:
         with pytest.raises(NonFiniteValue):
             Series("s", "s", 600, (0, 600, 1200), (1.0, bad, 3.0))
 
-    @pytest.mark.parametrize("timestamps", [(0, 600, 1300), (0, 600, 600), (0, 1200, 1800)])
+    @pytest.mark.parametrize("timestamps", [
+        (0, 600, 1300), (0, 600, 600), (0, 1200, 1800),
+        (2**63 - 601, 2**63 - 1, 599 - 2**63),  # the last int64 gap wraps to 600
+    ])
     def test_series_uneven_gaps(self, timestamps):
         with pytest.raises(NonUniformSampling):
             Series("s", "s", 600, timestamps, (1.0, 2.0, 3.0))
@@ -456,6 +503,44 @@ class TestDirectConstruction:
             Dataset("d", (a, b))
 
 
+class TestSeriesArrays:
+    def test_read_only(self):
+        s = make_series([1.0, 2.0])
+        with pytest.raises(ValueError):
+            s.values[0] = 1
+        with pytest.raises(ValueError):
+            s.timestamps[0] = 1
+        assert (s.timestamps.dtype, s.values.dtype) == (np.int64, np.float64)
+
+    @pytest.mark.parametrize("wrap", [list, np.array], ids=["list", "array"])
+    def test_caller_input_is_copied(self, wrap):
+        timestamps, values = wrap([0, 600, 1200]), wrap([1.0, 2.0, 3.0])
+        s = Series("s", "s", 600, timestamps, values)
+        timestamps[1], values[1] = 700, 9.0
+        assert (s.timestamps.tolist(), s.values.tolist()) == ([0, 600, 1200], [1.0, 2.0, 3.0])
+
+    def test_read_only_view_of_writable_array_is_copied(self):
+        values = np.array([1.0, 2.0])
+        view = values[:]
+        view.flags.writeable = False
+        s = Series("s", "s", 600, (0, 600), view)
+        values[0] = 9.0
+        assert s.values.tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("timestamps", [(0, 2**63), (0, 600.0), (-2**63 - 1, 0)])
+    def test_stamps_that_are_not_int64_raise(self, timestamps):
+        with pytest.raises(TypeError):
+            Series("s", "s", 600, timestamps, (1.0, 2.0))
+
+    @pytest.mark.parametrize("per_cell_path", [False, True], ids=["vectorised", "per-cell"])
+    def test_loaded_series_share_one_timestamps_array(self, tmp_path, per_cell_path):
+        p = write_csv(tmp_path, "t,u,v,w\n600,1,2,3\n0,4,5,6\n1200,7,8,9\n")
+        ds = per_cell(p) if per_cell_path else load_csv(p, SCHEMA)
+        assert all(s.timestamps is ds.series[0].timestamps for s in ds.series)
+        assert ds.series[0].timestamps.tolist() == [0, 600, 1200]
+        assert [s.values.tolist() for s in ds.series] == [[4, 1, 7], [5, 2, 8], [6, 3, 9]]
+
+
 class TestSliceWindows:
     def test_two_windows(self):
         s = make_series(range(100))
@@ -475,9 +560,10 @@ class TestSliceWindows:
         s = make_series([((i * 13) % 7) / 3 for i in range(120)])
         for w in slice_windows(s, 96, 4, stride=5):
             lo = w.context_start
-            assert w.context == s.values[lo : lo + 96]
-            assert w.truth == s.values[lo + 96 : lo + 100]
-            assert w.context_timestamps == s.timestamps[lo : lo + 96]
+            assert w.context == tuple(s.values[lo : lo + 96].tolist())
+            assert w.truth == tuple(s.values[lo + 96 : lo + 100].tolist())
+            assert w.start_timestamp == s.timestamps[lo]
+            assert type(w.start_timestamp) is int
 
 
 def oracle_round_half_even(x: float, max_decimals: int) -> Fraction:

@@ -37,7 +37,7 @@ def bundle_for(context, horizon, truth=None, strategy=Strategy.ZEROSHOT, neighbo
         context_start=0,
         horizon=horizon,
         truth=tuple(truth or [0.0] * horizon),
-        context_timestamps=tuple(600 * i for i in range(len(context))),
+        start_timestamp=0,
     )
     return compose(strategy, w, "a test series", 600, neighbor_set=neighbor_set)
 

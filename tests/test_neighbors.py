@@ -24,11 +24,11 @@ from conftest import (
 def window_at(series, start, context_len, horizon=1):
     return EvalWindow(
         series_id=series.id,
-        context=series.values[start : start + context_len],
+        context=tuple(series.values[start : start + context_len].tolist()),
         context_start=start,
         horizon=horizon,
-        truth=series.values[start + context_len : start + context_len + horizon],
-        context_timestamps=series.timestamps[start : start + context_len],
+        truth=tuple(series.values[start + context_len : start + context_len + horizon].tolist()),
+        start_timestamp=int(series.timestamps[start]),
     )
 
 

@@ -41,7 +41,7 @@ def tiny_window(context, horizon=1, truth=None, start_ts=0):
         context_start=0,
         horizon=horizon,
         truth=tuple(truth or [0.0] * horizon),
-        context_timestamps=tuple(start_ts + 600 * i for i in range(len(context))),
+        start_timestamp=start_ts,
     )
 
 

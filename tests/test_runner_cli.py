@@ -365,7 +365,7 @@ class TestSharedPromptText:
             entries += len(found.entries)
         assert blocks > 1 and len(windows) > blocks
         systems = {(s, h, w.series_id,
-                    w.context_timestamps[0] % 86400 if s is Strategy.META_TOKENS_PI else None)
+                    w.start_timestamp % 86400 if s is Strategy.META_TOKENS_PI else None)
                    for s in cfg.strategies for h in cfg.horizons for w in windows.values()}
         assert len(systems) > len(cfg.strategies) * len(cfg.horizons) * len(ds.series)
         return Counter(sequence=len(windows) + entries, neighbor_block=blocks,
