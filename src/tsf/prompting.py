@@ -74,7 +74,7 @@ def load_template(strategy: Strategy) -> str:
 
 
 def render_sequence(values) -> str:
-    return "<" + ", ".join(format_value(v) for v in values) + ">"
+    return "<" + ", ".join(map(format_value, values)) + ">"
 
 
 def output_example(horizon: int) -> str:

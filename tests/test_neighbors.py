@@ -1,11 +1,14 @@
 import hashlib
 import math
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsf import neighbors
 from tsf.dataset import EvalWindow
 from tsf.errors import EmptyPool, LengthMismatch
 from tsf.llmgateway import BackendConfig, BackendKind, bundle_hash
@@ -18,6 +21,7 @@ from conftest import (
     enumerate_candidates,
     euclidean,
     make_dataset,
+    reference_distance,
 )
 
 
@@ -237,6 +241,180 @@ class TestBruteForceOracle:
                 assert isinstance(got, EmptyPool)
                 continue
             assert [(c.series_id, c.start_index, d) for c, d in got.entries] == ranked
+
+
+# (base, step): cells are base + step * (a quarter-step number in [-3, 3])
+REGIMES = {
+    "unit": (0.0, 1.0),
+    "expanded form overflows": (1e160, 1e152),  # |q|^2 is inf; exact sums stay finite
+    "negative, overflows": (-1e160, 1e152),
+    "offset": (1e9, 1e-6),  # |q|^2 - 2 q.v cancels to far below the distances
+    "underflow": (0.0, 1e-160),  # squares are subnormal or zero
+}
+
+
+def nudged(x, ulps):
+    """x moved by ulps units in the last place."""
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, math.copysign(math.inf, ulps)))
+    return x
+
+
+@st.composite
+def filter_cases(draw, regime, max_length=60):
+    """(dataset, targets) whose distances stress the filter's bounds. On top of
+    search_cases' shape: cells from one of REGIMES; columns that repeat one short
+    pattern (hundreds of exact ties within and across series); constant
+    stretches (all-zero rows under z-normalisation); and copies of a target's
+    context with one cell a few ulps off (distances that tie or differ by an
+    ulp)."""
+    base, step = REGIMES[regime]
+    ids = draw(st.permutations([f"s{j}" for j in range(draw(st.integers(1, 5)))]))
+    length = draw(st.integers(8, max_length))
+    L = draw(st.integers(2, min(12, length - 2)))
+    quarter = st.integers(-12, 12).map(lambda v: base + step * v / 4)
+    if draw(st.booleans()):
+        pattern = draw(st.lists(quarter, min_size=1, max_size=3))
+        cols = {sid: [pattern[i % len(pattern)] for i in range(length)] for sid in ids}
+    else:
+        cols = {sid: draw(st.lists(quarter, min_size=length, max_size=length)) for sid in ids}
+    for _ in range(draw(st.integers(0, 2))):
+        sid, where = draw(st.sampled_from(ids)), draw(st.integers(0, length - L))
+        span = min(L + draw(st.integers(0, 4)), length - where)
+        cols[sid][where : where + span] = [draw(quarter)] * span
+    picks = draw(st.lists(st.tuples(st.sampled_from(ids), st.integers(0, length - L - 1)),
+                          min_size=1, max_size=12))
+    for sid, cstart in picks:
+        context = cols[sid][cstart : cstart + L]
+        for _ in range(draw(st.integers(0, 3)) if cstart >= L else 0):
+            copy = list(context)
+            at = draw(st.integers(0, L - 1))
+            copy[at] = nudged(copy[at], draw(st.integers(-2, 2)))
+            where = draw(st.integers(0, cstart - L))
+            cols[draw(st.sampled_from(ids))][where : where + L] = copy
+    ds = make_dataset(cols)
+    return ds, [window_at(ds.series[ids.index(sid)], cstart, L) for sid, cstart in picks]
+
+
+class TestFilterSafety:
+    """The expanded-form filter only prunes: whatever the magnitudes, ties and
+    chunking, every search equals the brute force over every candidate, bit for
+    bit. `_CHUNK_ELEMENTS` is patched down too, so that candidates span many
+    chunks and refine gathers, and the k-th upper bound carries across them."""
+
+    @staticmethod
+    def check(ds, targets, k, znorm, chunk):
+        with mock.patch.object(neighbors, "_CHUNK_ELEMENTS", chunk):
+            got = search(ds, targets, k, znorm)
+        for target, found in zip(targets, got, strict=True):
+            try:
+                expected = brute_force_neighbors(ds, target, k, znorm)
+            except EmptyPool:
+                assert isinstance(found, EmptyPool)
+                continue
+            assert found == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), regime=st.sampled_from(sorted(REGIMES)), k=st.integers(1, 8),
+           znorm=st.booleans(), chunk=st.sampled_from([1, 30, 200, neighbors._CHUNK_ELEMENTS]))
+    def test_equals_brute_force(self, data, regime, k, znorm, chunk):
+        ds, targets = data.draw(filter_cases(regime))
+        self.check(ds, targets, k, znorm, chunk)
+
+    @pytest.mark.parametrize("regime", sorted(REGIMES))
+    @pytest.mark.parametrize("znorm", [False, True], ids=["plain", "znorm"])
+    def test_fixed_case_per_regime(self, regime, znorm):
+        """One seeded dataset per regime: three series, and each target's
+        context copied earlier into every series with one cell 0, 1 or -2 ulps
+        off."""
+        base, step = REGIMES[regime]
+        rng = random.Random(regime)
+        cols = {sid: [base + step * rng.randint(-12, 12) / 4 for _ in range(80)] for sid in "cab"}
+        starts = (60, 66, 71)
+        for i, (sid, start) in enumerate(zip("cab", starts)):
+            context = cols[sid][start : start + 8]
+            for copy_to, ulps in (("a", 0), ("b", 1), ("c", -2)):
+                cols[copy_to][9 * i + 1 : 9 * i + 9] = (
+                    context[:3] + [nudged(context[3], ulps)] + context[4:])
+        ds = make_dataset(cols)
+        targets = [window_at(s, start, 8) for s, start in zip(ds.series, starts)]
+        for chunk in (1, neighbors._CHUNK_ELEMENTS):
+            for k in (1, 2, 5):
+                self.check(ds, targets, k, znorm, chunk)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_differences_that_square_below_the_least_double(self, seed):
+        """Cells near 1e-160, and copies of the target context one cell of which
+        is off by about 1e-163: the exact formula squares that difference to 0,
+        a tie with the exact copies that (series_id, start) breaks, while the
+        expanded form errs by a few units of 2**-1074 either way."""
+        rng = random.Random(seed)
+        cols = {sid: [rng.randint(-12, 12) * 0.25e-160 for _ in range(40)] for sid in "cab"}
+        context = cols["c"][30:38]
+        for i, sid in enumerate("abc"):
+            copy = list(context)
+            copy[rng.randrange(8)] += rng.choice([-1, 1]) * rng.randint(1, 30) * 1e-164
+            cols[sid][9 * i + 1 : 9 * i + 9] = copy
+        ds = make_dataset(cols)
+        for k in (1, 2):
+            self.check(ds, [window_at(ds.series[0], 30, 8)], k, False, neighbors._CHUNK_ELEMENTS)
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=filter_cases("unit", max_length=20), k=st.integers(50, 300),
+           znorm=st.booleans(), chunk=st.sampled_from([1, 30, neighbors._CHUNK_ELEMENTS]))
+    def test_k_above_candidate_count(self, case, k, znorm, chunk):
+        """With k at or above the candidate count every candidate is returned."""
+        self.check(*case, k, znorm, chunk)
+
+    @pytest.mark.parametrize("znorm", [False, True], ids=["plain", "znorm"])
+    def test_hundreds_of_ties_across_series(self, znorm):
+        """Four series of one repeated pattern: the targets at 141 tie exactly
+        with 184 candidates, those at 60 with 76, across many chunks, and each
+        takes the k with the least (series_id, start)."""
+        cols = {sid: [(i % 3) / 4 for i in range(150)] for sid in "dbca"}
+        ds = make_dataset(cols)
+        targets = [window_at(s, start, 6) for s in ds.series for start in (60, 141)]
+        for chunk in (7, neighbors._CHUNK_ELEMENTS):
+            self.check(ds, targets, 5, znorm, chunk)
+        (first, *_) = search(ds, targets, 5, znorm)
+        assert keys(first) == [("a", 0), ("a", 3), ("a", 6), ("a", 9), ("a", 12)]
+
+    def test_exact_distances_that_overflow(self):
+        """Cells 1e200 apart: the exact formula overflows to inf, as it always
+        has, so distances tie at inf and (series_id, start) decides; the filter
+        neither drops nor warns about them."""
+        rng = random.Random(4)
+        cols = {sid: [rng.choice([-1e200, 0.0, 1e200]) for _ in range(40)] for sid in "ba"}
+        ds = make_dataset(cols)
+        targets = [window_at(s, 30, 8) for s in ds.series]
+        for znorm in (False, True):
+            with np.errstate(over="ignore", invalid="ignore"):
+                self.check(ds, targets, 5, znorm, neighbors._CHUNK_ELEMENTS)
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                search(ds, targets, 5, znorm)
+
+
+    def test_windows_that_z_normalise_to_nan_are_never_neighbors(self):
+        """Cells near the float64 maximum make a window's sum overflow, so it
+        z-normalises to NaN. Such windows are left out, and every other
+        candidate ranks as usual, also when fewer than k remain in a series."""
+        rng = random.Random(0)
+        cols = {sid: [rng.randint(0, 8) / 4 for _ in range(60)] for sid in "ab"}
+        cols["a"][10:14] = [1.5e308] * 4
+        cols["b"][20:24] = [-1.5e308] * 4
+        ds = make_dataset(cols)
+        target = window_at(ds.series[1], 45, 8)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ranked = []
+            for c in enumerate_candidates(ds, target):
+                d = reference_distance(c.values, target.context, znorm=True)
+                if not math.isnan(d):
+                    ranked.append((d, c.series_id, c.start_index))
+            ranked.sort()
+            assert len(ranked) == 2 * (38 - 9)  # 9 windows a series hold 2 or more such cells
+            for k in (3, 40, 100):
+                got = nearest(ds, target, k, znorm=True)
+                assert [(d, c.series_id, c.start_index) for c, d in got.entries] == ranked[:k]
 
 
 def pinned_dataset():
