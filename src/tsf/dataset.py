@@ -186,7 +186,7 @@ def _columns(f, path, schema: CsvSchema) -> tuple[list[str], int, list[int]]:
 def _load_rows(path, schema: CsvSchema):
     """load_csv cell by cell: every row through csv, every stamp through
     _parse_timestamp and every value through float(), so each error names
-    its row and column. Returns what _load_chunks does."""
+    its row and column. Returns what _load_chunks does, as arrays of its own."""
     with open(path, newline="", encoding="utf-8") as f:
         value_cols, ts_idx, idx = _columns(f, path, schema)
         pick = operator.itemgetter(*idx) if len(idx) > 1 else lambda row: (row[idx[0]],)
@@ -203,31 +203,64 @@ def _load_rows(path, schema: CsvSchema):
             if vals is None or not all(map(math.isfinite, vals)):
                 vals = _checked_values(row, i, value_cols, idx)  # names a bad cell
             rows.append(vals)
-    return value_cols, np.array(stamps, dtype=np.int64), np.array(rows, dtype=float)
+    return value_cols, np.array(stamps, dtype=np.int64), np.array(rows, dtype=float).T.copy()
 
 
 _CHUNK_CHARS = 1 << 20  # about 7,000 rows of a 21-column table
 _EPOCH = r"-?[0-9]{1,18}"  # int() reads these exactly, and int64 holds them
-# the only stamps numpy and datetime.fromisoformat both read, and read alike:
-# no offset or Z (numpy warns), no fraction (numpy truncates), no year 0
-_ISO = r"(?!0000)[0-9]{4}-[0-9]{2}-[0-9]{2}[T ][0-9]{2}:[0-9]{2}:[0-9]{2}"
 _EPOCH_STAMPS = re.compile(rf"{_EPOCH}(?:,{_EPOCH})*")
-_ISO_STAMPS = re.compile(rf"{_ISO}(?:,{_ISO})*")
+# byte offsets in "YYYY-MM-DD?HH:MM:SS," of its digits, and of its separators
+# "--::," ("?", at 10, is "T" or " "); the days of each month of a common year
+_ISO_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
+_ISO_SEPARATORS = [4, 7, 13, 16, 19]
+_MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+
+
+def _iso_seconds(text: str, n: int):
+    """Epoch seconds, as int64, of the n stamps in text, each followed by a
+    comma, when they are all YYYY-MM-DD HH:MM:SS with T or space, naive and so
+    UTC; None unless every stamp is one, of a real date and time: year 0001
+    to 9999, a day its month has under the Gregorian leap rule, hour up to
+    23, minute and second up to 59. datetime.fromisoformat, and so
+    _parse_timestamp, reads each such stamp as that time.
+
+    Checked and converted by integer arithmetic on the bytes of text, as n
+    rows of 20; days from civil after H. Hinnant, "chrono-Compatible
+    Low-Level Date Algorithms"."""
+    # rows of 20 whose only comma is the last (checked below) are stamps of 19
+    if not text.isascii() or len(text) != 20 * n:
+        return None
+    b = np.frombuffer(text.encode(), np.uint8).reshape(n, 20)
+    d = b[:, _ISO_DIGITS] - np.uint8(ord("0"))  # wraps above 9 for every non-digit
+    if ((d > 9).any() or (b[:, _ISO_SEPARATORS] != np.frombuffer(b"--::,", np.uint8)).any()
+            or ((b[:, 10] != ord("T")) & (b[:, 10] != ord(" "))).any()):
+        return None
+    d = d.astype(np.int64)
+    year = d[:, 0] * 1000 + d[:, 1] * 100 + d[:, 2] * 10 + d[:, 3]
+    month, day, hour, minute, second = (d[:, i] * 10 + d[:, i + 1] for i in range(4, 14, 2))
+    if not ((1 <= month) & (month <= 12)).all():
+        return None
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_days = _MONTH_DAYS[month - 1] + (leap & (month == 2))
+    if not ((year > 0) & (1 <= day) & (day <= month_days)
+            & (hour <= 23) & (minute <= 59) & (second <= 59)).all():
+        return None
+    y = year - (month <= 2)  # years from March, so a leap day ends its year
+    era = y // 400
+    yoe = y - era * 400
+    doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+    days = era * 146_097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719_468
+    return days * 86_400 + hour * 3_600 + minute * 60 + second
 
 
 def _chunk_stamps(stamps: list[str]):
     """Epoch seconds of one chunk's stamps as int64, or None unless every
-    stamp is an epoch int, or every stamp an ISO datetime that numpy parses
-    and prints back unchanged."""
+    stamp is an epoch int, or every stamp an ISO datetime _iso_seconds
+    converts: the stamps _parse_timestamp reads, read alike."""
     joined = ",".join(stamps)  # a stamp holds no comma
     if _EPOCH_STAMPS.fullmatch(joined):
         return np.array(stamps, dtype=np.int64)
-    if not _ISO_STAMPS.fullmatch(joined):
-        return None
-    parsed = np.array(stamps, dtype="datetime64[s]")
-    if ",".join(np.datetime_as_string(parsed, unit="s").tolist()) != joined.replace(" ", "T"):
-        return None
-    return parsed.astype(np.int64)
+    return _iso_seconds(joined + ",", len(stamps))
 
 
 def _parse_chunk(text: str, ts_idx: int, idx: list[int]):
@@ -235,8 +268,7 @@ def _parse_chunk(text: str, ts_idx: int, idx: list[int]):
     the lines whose cells are all blank (as in _load_rows), or None on any
     doubt: a quote or a lone carriage return (csv would split the lines
     otherwise), a line longer than csv's field limit, a short or non-numeric
-    row, a stamp numpy might read otherwise than _parse_timestamp, or a
-    non-finite value."""
+    row, stamps _chunk_stamps declines, or a non-finite value."""
     if "\r" in text:
         text = text.replace("\r\n", "\n")
     if '"' in text or "\r" in text:
@@ -262,52 +294,72 @@ def _parse_chunk(text: str, ts_idx: int, idx: list[int]):
     return stamps, values
 
 
+def _line_count(path) -> int:
+    """The newlines in the file at path, plus one: the lines it splits into,
+    and so a bound on its data rows."""
+    block, count = np.empty(1 << 16, np.uint8), 1
+    with open(path, "rb") as f:
+        while n := f.readinto(block):
+            count += np.count_nonzero(block[:n] == ord("\n"))
+    return count
+
+
 def _load_chunks(path, schema: CsvSchema):
     """load_csv vectorised over chunks of lines: (value columns, int64 stamps
-    in file order, float64 values with one row per stamp), or None when a chunk
-    is in doubt, so that _load_rows reads the file and raises any error."""
-    stamp_chunks, value_chunks = [], []
+    in file order, float64 values with one row per value column), or None when
+    a chunk is in doubt, so that _load_rows reads the file and raises any error.
+
+    Each chunk's stamps and values are written in place into one stamps array
+    and one (columns x rows) values array, sized by _line_count and returned
+    as read-only views trimmed to the rows parsed."""
     with open(path, newline="", encoding="utf-8") as f:
         value_cols, ts_idx, idx = _columns(f, path, schema)
+        size = _line_count(path)
+        stamps, values = np.empty(size, np.int64), np.empty((len(idx), size))
+        n = 0
         try:
             while text := f.read(_CHUNK_CHARS):
-                parsed = _parse_chunk(text + f.readline(), ts_idx, idx)
+                text += f.readline()  # whole lines, held as one string
+                parsed = _parse_chunk(text, ts_idx, idx)
                 if parsed is None:
                     return None
-                stamp_chunks.append(parsed[0])
-                value_chunks.append(parsed[1])
+                end = n + len(parsed[0])
+                stamps[n:end], values[:, n:end] = parsed[0], parsed[1].T
+                n = end
+                del parsed  # so that no chunk's arrays are held while the next one parses
         except UnicodeDecodeError:  # its byte position depends on how the file is read
             return None
-    if not stamp_chunks:
+    if not n:
         return None
-    return value_cols, np.concatenate(stamp_chunks), np.concatenate(value_chunks)
+    stamps.flags.writeable = values.flags.writeable = False
+    return value_cols, stamps[:n], values[:, :n]
 
 
 def load_csv(path, schema: CsvSchema, name: str | None = None) -> Dataset:
-    """Load a CSV file into a Dataset, one Series per value column, all sharing
-    one read-only timestamps array.
+    """Load a CSV file into a Dataset, one Series per value column. The series
+    share one read-only timestamps array, and their values are the rows of one
+    read-only (columns x rows) array, which no Series copies.
 
-    Chunks of lines parse with numpy; a file with any doubt parses again cell
-    by cell, so each error names its row and column. Rows are then sorted by
-    timestamp (stably, and only when they are out of order); sampling must be
-    uniform.
+    Chunks of lines parse with numpy straight into those arrays; a file with
+    any doubt parses again cell by cell, so each error names its row and
+    column. Rows are then sorted by timestamp (stably, into new arrays, and
+    only when they are out of order); sampling must be uniform.
     """
     value_cols, stamps, values = _load_chunks(path, schema) or _load_rows(path, schema)
     if not len(stamps):
         raise EmptyFile(f"{path}: no data rows")
     if (stamps[1:] < stamps[:-1]).any():
         order = np.argsort(stamps, kind="stable")
-        stamps, values = stamps[order], values[order]
+        # take keeps each row contiguous; values[:, order] views a (rows x columns) array
+        stamps, values = stamps[order], values.take(order, axis=1)
     interval = int(stamps[1]) - int(stamps[0]) if len(stamps) > 1 else 1
     if interval <= 0:
         raise NonUniformSampling("duplicate or non-increasing timestamps")
-    stamps.flags.writeable = False
-    columns = np.ascontiguousarray(values.T)  # one row per series
-    columns.flags.writeable = False
+    stamps.flags.writeable = values.flags.writeable = False
     return Dataset(
         name=name if name is not None else str(path),
         series=tuple(Series(c, schema.descriptions.get(c, c), interval, stamps, column)
-                     for c, column in zip(value_cols, columns)),
+                     for c, column in zip(value_cols, values)),
     )
 
 

@@ -34,10 +34,13 @@ class NeighborSet:
 
 
 def _znorm(x: np.ndarray) -> np.ndarray:
-    """Row-wise (x - mean) / std, or x - mean where std is 0."""
-    x = np.ascontiguousarray(x)  # each row reduces as a 1-D call on it would
+    """Row-wise (x - mean) / std, or x - mean where std is 0, as a new array.
+    Bit for bit what x.mean and x.std give, each row reduced as a 1-D call on
+    it would be: std is sqrt(sum(z * z) / L), with z * z squared into a
+    contiguous copy of x."""
+    x = np.array(x, dtype=float)
     z = x - x.mean(axis=-1, keepdims=True)
-    sd = x.std(axis=-1, keepdims=True)
+    sd = np.sqrt(np.multiply(z, z, out=x).sum(axis=-1, keepdims=True) / x.shape[-1])
     return np.divide(z, sd, out=z, where=sd != 0)
 
 
@@ -84,7 +87,8 @@ def search(dataset: Dataset, targets: Sequence[EvalWindow], k: int = 5,
     A target's candidates are the length-L windows of every series that end
     before its context begins: with timestamps shared across the dataset, the
     first context_start - L + 1 windows of each series. Each series' window view
-    is built, and z-normalised, once per call and cut to each target's prefix.
+    is built once per call and cut to each target's prefix; with znorm, each
+    chunk of it is z-normalised as it is read.
     A target without candidates gets an EmptyPool in its place.
 
     Filter and refine: for each chunk of a series' candidates, one matrix product
@@ -102,11 +106,12 @@ def search(dataset: Dataset, targets: Sequence[EvalWindow], k: int = 5,
     L = len(targets[0].context)
     if any(len(t.context) != L for t in targets):
         raise LengthMismatch("targets of one search must share a context length")
-    norm = _znorm if znorm else np.asarray
     # targets by falling cut, so the ones a chunk of candidates reaches are a prefix
     order = sorted(range(len(targets)), key=lambda i: -targets[i].context_start)
     cuts = np.array([targets[i].context_start - L + 1 for i in order])
-    queries = norm(np.array([targets[i].context for i in order], dtype=float))
+    queries = np.array([targets[i].context for i in order], dtype=float)
+    if znorm:
+        queries = _znorm(queries)
     n_max = int(cuts[0])
     # per target: the smallest upper bounds seen, k of them or one per candidate
     best = np.full((len(targets), min(k, max(n_max, 0) * len(dataset.series))), np.inf)
@@ -114,8 +119,8 @@ def search(dataset: Dataset, targets: Sequence[EvalWindow], k: int = 5,
     # columns of (target slot, distance, id rank, start, series index)
     kept = [np.empty((5, 0))]
     for j, series in enumerate(dataset.series if n_max > 0 else ()):
-        slot, d, start = _refine(norm(sliding_window_view(series.values, L)[:n_max]),
-                                 queries, cuts, best)
+        slot, d, start = _refine(sliding_window_view(series.values, L)[:n_max],
+                                 queries, cuts, best, znorm)
         kept.append([slot, d, np.full(len(d), rank[series.id]), start, np.full(len(d), j)])
         if sum(len(c[1]) for c in kept) > _CHUNK_ELEMENTS:  # many ties
             kept = [_first_k(np.concatenate(kept, axis=1), k)]
@@ -132,11 +137,13 @@ def search(dataset: Dataset, targets: Sequence[EvalWindow], k: int = 5,
 
 
 def _refine(view: np.ndarray, queries: np.ndarray, cuts: np.ndarray,
-            best: np.ndarray) -> np.ndarray:
+            best: np.ndarray, znorm: bool) -> np.ndarray:
     """The (target slot, exact distance, start) columns of the candidate rows of
     one series' view that pass the filter, for queries sorted by falling cut.
-    Folds each chunk's upper bounds into best, every target's smallest upper
-    bounds so far, before that chunk is filtered."""
+    Copies the view one chunk of rows at a time, z-normalising each chunk when
+    znorm is set, so no copy of the whole view is made. Folds each chunk's
+    upper bounds into best, every target's smallest upper bounds so far,
+    before that chunk is filtered."""
     L, kb = queries.shape[1], best.shape[1]
     step = max(1, _CHUNK_ELEMENTS // L)
     found = [np.empty((3, 0))]
@@ -146,7 +153,7 @@ def _refine(view: np.ndarray, queries: np.ndarray, cuts: np.ndarray,
         # of their cuts, so every row of it is a candidate of each of them
         na = int(np.count_nonzero(cuts > c0))
         c1 = min(len(view), int(cuts[na - 1]), c0 + max(1, _CHUNK_ELEMENTS // (L + na)))
-        rows = np.ascontiguousarray(view[c0:c1])
+        rows = _znorm(view[c0:c1]) if znorm else np.ascontiguousarray(view[c0:c1])
         lo, hi = _bounds(queries[:na], rows)
         best[:na] = np.partition(np.concatenate([best[:na], hi], axis=1),
                                  kb - 1, axis=1)[:, :kb]

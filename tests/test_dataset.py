@@ -1,6 +1,7 @@
 import csv
 import math
 import random
+import tracemalloc
 import warnings
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
@@ -409,6 +410,74 @@ class TestChunkedLoad:
         assert tuple(ds.series[0].timestamps.tolist()) == (0, 600)
 
 
+def iso_table(rows, columns=3):
+    """Lines of a CSV: a header, then rows of ISO stamps at a 600 s cadence
+    and `columns` values in hundredths."""
+    stamp = iso("T")
+    return [",".join(["t", *(f"f{j}" for j in range(columns))])] + [
+        ",".join([stamp(1_577_836_800 + 600 * i),
+                  *(f"{(i * (j + 3)) % 2_000 / 100:.2f}" for j in range(columns))])
+        for i in range(rows)
+    ]
+
+
+def owner(a):
+    """The array that holds a's memory."""
+    return a if a.base is None else a.base
+
+
+class TestInPlaceFill:
+    """Every series' values are a row of one read-only array, filled chunk by
+    chunk in place, which no Series copies."""
+
+    @pytest.mark.parametrize("variant", ["in order", "out of order", "crlf", "blank lines",
+                                         "per cell"])
+    def test_series_are_rows_of_one_read_only_array(self, tmp_path, variant):
+        header, *rows = iso_table(3_000)
+        if variant == "out of order":
+            rows[5], rows[2_500] = rows[2_500], rows[5]
+        elif variant == "blank lines":
+            rows[100:100] = ["", " ,,"]
+            rows.append("")
+        end = "\r\n" if variant == "crlf" else "\n"
+        p = tmp_path / "data.csv"
+        p.write_text(end.join([header, *rows]) + end, encoding="utf-8", newline="")
+        with mock.patch.object(dataset, "_CHUNK_CHARS", 4_096):  # about 30 chunks
+            if variant == "per cell":
+                ds = per_cell(p)
+            else:
+                with mock.patch.object(dataset, "_load_rows", side_effect=AssertionError):
+                    ds = load_csv(p, SCHEMA)
+        values = owner(ds.series[0].values)
+        assert len(values) == 3 and not values.flags.writeable
+        for j, s in enumerate(ds.series):
+            assert s.values.base is values and not s.values.flags.writeable
+            assert np.shares_memory(s.values, values[j])
+        assert not owner(ds.series[0].timestamps).flags.writeable
+        assert snapshot(ds) == snapshot(per_cell(p))
+
+    def test_peak_memory_beyond_the_arrays_does_not_grow_with_the_table(self, tmp_path):
+        """load_csv's tracemalloc peak, less the arrays it returns, is the same
+        for a table four times as long: no copy of the table is made. Chunks are
+        cut small, so that both tables span many of them."""
+        def overhead(rows):
+            p = tmp_path / f"{rows}.csv"
+            p.write_text("\n".join(iso_table(rows, columns=5)) + "\n", encoding="utf-8")
+            with mock.patch.object(dataset, "_CHUNK_CHARS", 1 << 16):
+                tracemalloc.start()
+                try:
+                    ds = load_csv(p, SCHEMA)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            held = owner(ds.series[0].timestamps).nbytes + owner(ds.series[0].values).nbytes
+            return peak - held, held
+
+        small, small_held = overhead(20_000)
+        large, large_held = overhead(80_000)
+        assert large - small < (large_held - small_held) / 4
+
+
 def parse_timestamp_int_first(raw: str, row: int, column: str) -> int:
     """_parse_timestamp as it was before its guard: int() tried on every stamp
     (and an int outside int64 rejected)."""
@@ -466,6 +535,101 @@ class TestParseTimestamp:
     ])
     def test_examples(self, raw, expected):
         assert _parse_timestamp(raw, 2, "t") == expected
+
+
+# any digits in the shape of YYYY-MM-DD?HH:MM:SS, so most fields are out of range
+TEMPLATE_STAMPS = st.from_regex(
+    r"[0-9]{4}-[01][0-9]-[0-3][0-9][T ][0-2][0-9]:[0-6][0-9]:[0-6][0-9]", fullmatch=True)
+SECONDS_STAMPS = st.builds(
+    lambda dt, sep: dt.isoformat(sep=sep, timespec="seconds"),
+    st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59)),
+    st.sampled_from(["T", " "]),
+)
+# such a stamp with one character replaced by any printable ASCII character
+MUTATED_STAMPS = st.builds(
+    lambda raw, at, c: raw[:at] + c + raw[at + 1:],
+    SECONDS_STAMPS, st.integers(0, 18), st.characters(min_codepoint=32, max_codepoint=126),
+)
+
+
+def parsed(stamps):
+    return [_parse_timestamp(raw, 2, "t") for raw in stamps]
+
+
+class TestChunkStamps:
+    """_chunk_stamps reads a chunk's stamps as _parse_timestamp does, or declines."""
+
+    @given(stamps=st.lists(st.one_of(SECONDS_STAMPS, TEMPLATE_STAMPS, MUTATED_STAMPS, ISO_STAMPS,
+                                     ODD_STAMPS, INT_STAMPS, JUNK_STAMPS), min_size=1, max_size=4))
+    def test_equals_parse_timestamp_or_declines(self, stamps):
+        got = dataset._chunk_stamps(stamps)
+        if got is not None:
+            assert got.dtype == np.int64
+            assert got.tolist() == parsed(stamps)
+
+    @given(stamps=st.lists(SECONDS_STAMPS, min_size=1, max_size=20))
+    def test_reads_every_date_and_time(self, stamps):
+        """Every second of years 0001 to 9999, with T or space, is read."""
+        assert dataset._chunk_stamps(stamps).tolist() == parsed(stamps)
+
+    @given(raw=TEMPLATE_STAMPS)
+    def test_reads_what_fromisoformat_reads(self, raw):
+        """A stamp of the right shape is declined only when its fields are not
+        a date and time of years 0001 to 9999."""
+        got = dataset._chunk_stamps([raw])
+        try:
+            expected = parsed([raw])
+        except NonNumericValue:
+            assert got is None
+        else:
+            if got is None:
+                assert raw[11:13] == "24"  # some Pythons read 24:00:00 as the next midnight
+            else:
+                assert got.tolist() == expected
+
+    @pytest.mark.parametrize("raw, read", [
+        ("1900-02-29T00:00:00", False), ("2000-02-29T00:00:00", True),
+        ("2023-02-29 00:00:00", False), ("2024-02-29 23:59:59", True),
+        ("2023-04-31T00:00:00", False), ("2023-04-30T00:00:00", True),
+        ("2024-04-31T00:00:00", False), ("2024-12-32T00:00:00", False),
+        ("2023-12-31T00:00:00", True), ("2023-12-32T00:00:00", False),
+        ("2023-00-10T00:00:00", False), ("2023-13-10T00:00:00", False),
+        ("2023-01-00T00:00:00", False),
+        ("2023-01-01T24:00:00", False), ("2023-01-01T23:60:00", False),
+        ("2023-01-01T23:59:60", False), ("2023-01-01 23:59:59", True),
+        ("0000-01-01T00:00:00", False), ("0001-01-01T00:00:00", True),
+        ("9999-12-31T23:59:59", True), ("1970-01-01T00:00:00", True),
+        ("1970-01-01 00:00:00", True), ("1970-01-01x00:00:00", False),
+        ("1970/01/01T00:00:00", False), ("1970-01-01T00.00.00", False),
+        ("197a-01-01T00:00:00", False), ("1970-0:-01T00:00:00", False),
+        ("1970-01-01T0/:00:00", False), ("1970-01-01T00:00:0 ", False),
+        ("١٩٧٠-01-01T00:00:00", False), ("1970-01-01T00:00:0\u0661", False),
+        ("1970-01-01 00:00:00+01:00", False), ("1970-01-01T00:00:00.5", False),
+        ("1970-01-01T00:00:0", False), ("1970-01-01T00:00:0\x00", False),
+    ])
+    def test_fields_separators_and_width(self, raw, read):
+        got = dataset._chunk_stamps([raw])
+        assert (got is not None) == read
+        if read:
+            assert got.tolist() == parsed([raw])
+
+    def test_stamp_longer_than_the_others_is_not_cut(self):
+        """A longer stamp among 19-character ones is not truncated to 19."""
+        stamps = ["1970-01-01 00:00:00", "1970-01-01 00:10:00+01:00"]
+        assert dataset._chunk_stamps(stamps) is None
+        assert dataset._chunk_stamps(stamps[::-1]) is None
+
+    def test_shorter_stamp_among_others_is_declined(self):
+        assert dataset._chunk_stamps(["1970-01-01T00:00:00", "1970-01-01T00:00:1"]) is None
+
+    @pytest.mark.parametrize("stamps, expected", [
+        (["0001-01-01T00:00:00"], [-62_135_596_800]),
+        (["9999-12-31T23:59:59"], [253_402_300_799]),
+        (["2000-02-29 12:34:56", "2000-03-01T00:00:00"], [951_827_696, 951_868_800]),
+        (["-600", "0", "600"], [-600, 0, 600]),
+    ])
+    def test_examples(self, stamps, expected):
+        assert dataset._chunk_stamps(stamps).tolist() == expected
 
 
 class TestDirectConstruction:

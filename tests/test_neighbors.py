@@ -67,6 +67,26 @@ class TestEuclidean:
             euclidean([1], [1, 2])
 
 
+class TestZnorm:
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, 1.5, -2.25])),
+                           min_size=1, max_size=80),
+           L=st.integers(1, 40), start=st.integers(0, 10))
+    def test_rows_equal_one_dimensional_mean_and_std(self, values, L, start):
+        """Any run of rows of a window view z-normalises, bit for bit, as each
+        row's own mean and std give, and the view is left as it was."""
+        view = np.lib.stride_tricks.sliding_window_view(np.array(values), min(L, len(values)))
+        rows = view[start:]
+        before = rows.copy()
+        got = neighbors._znorm(rows)
+        assert got.shape == rows.shape
+        for row, z in zip(rows, got):
+            sd = row.std()
+            want = row - row.mean() if sd == 0 else (row - row.mean()) / sd
+            assert z.tobytes() == want.tobytes()
+        assert rows.tobytes() == before.tobytes()
+
+
 class TestBuildPool:
     """The candidates one target is searched against: every whole window of
     every series that ends before its context begins."""
