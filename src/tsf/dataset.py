@@ -7,6 +7,7 @@ import functools
 import math
 import operator
 import re
+import weakref
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
@@ -34,6 +35,24 @@ def _frozen(x, dtype) -> np.ndarray:
     return a
 
 
+# The read-only stamps arrays whose gaps a Series has checked, by (id, interval):
+# the series of one table share one array, and it is checked once. An entry
+# leaves with its array, so a reused id never matches.
+_UNIFORM_STAMPS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _check_gaps(series_id: str, stamps: np.ndarray, interval: int) -> None:
+    """Raise NonUniformSampling unless every gap is interval; else remember stamps."""
+    lo, hi = stamps[:-1], stamps[1:]
+    # int64 gaps wrap; where the stamps rise, their uint64 view is exact
+    wrong = ((hi - lo).view(np.uint64) != interval) | (hi <= lo)
+    if np.count_nonzero(wrong):
+        i = int(wrong.argmax())
+        raise NonUniformSampling(f"series {series_id!r}: gap of {int(hi[i]) - int(lo[i])}s"
+                                 f" where {interval}s expected")
+    _UNIFORM_STAMPS[id(stamps), interval] = stamps
+
+
 @dataclass(frozen=True, eq=False)
 class Series:
     """One named, uniformly sampled sequence of timestamped real values, held as
@@ -57,13 +76,8 @@ class Series:
             raise NonUniformSampling(
                 f"series {self.id!r}: interval of {self.interval_seconds}s is not positive"
             )
-        lo, hi = self.timestamps[:-1], self.timestamps[1:]
-        # int64 gaps wrap; where the stamps rise, their uint64 view is exact
-        wrong = ((hi - lo).view(np.uint64) != self.interval_seconds) | (hi <= lo)
-        if np.count_nonzero(wrong):
-            i = int(wrong.argmax())
-            raise NonUniformSampling(f"series {self.id!r}: gap of {int(hi[i]) - int(lo[i])}s"
-                                     f" where {self.interval_seconds}s expected")
+        if _UNIFORM_STAMPS.get((id(self.timestamps), self.interval_seconds)) is not self.timestamps:
+            _check_gaps(self.id, self.timestamps, self.interval_seconds)
 
     def __len__(self) -> int:
         return len(self.values)

@@ -1,11 +1,13 @@
 """Nearest-neighbor retrieval of earlier context windows by Euclidean distance:
-an exhaustive search over a sliding window view of each series, shared by every
-target of one search, by filter and refine. The expanded form
-|q|^2 + |v|^2 - 2 q.v, one matrix product per chunk of candidates, only prunes;
-the exact sqrt(sum((v - q)^2)) decides every distance returned and their order."""
+an exhaustive search, by filter and refine, in one pass over a sliding window
+view of all series at once, shared by every target of one search. The expanded
+form |q|^2 + |v|^2 - 2 q.v, one matrix product per chunk of candidates with one
+rounding margin per target, only prunes; the exact sqrt(sum((v - q)^2)) decides
+every distance returned and their order."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,43 +43,8 @@ def _znorm(x: np.ndarray) -> np.ndarray:
     x = np.array(x, dtype=float)
     z = x - x.mean(axis=-1, keepdims=True)
     sd = np.sqrt(np.multiply(z, z, out=x).sum(axis=-1, keepdims=True) / x.shape[-1])
-    return np.divide(z, sd, out=z, where=sd != 0)
-
-
-def _bounds(queries: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper bounds on the exact formula's squared distance between
-    every query and every candidate row, from one matrix product.
-
-    With u = 2**-53, eta = 2**-1074, L the row length and P = (|q| + |v|)^2, the
-    expanded form |q|^2 + |v|^2 - 2 q.v and the exact sum of squares each differ
-    from the true squared distance by at most (L + 2)(u P + eta) (Higham,
-    "Accuracy and Stability of Numerical Algorithms", 2nd ed., sections 2.1 and
-    3.1: L rounded products, sums of L terms and two more operations; eta for
-    each product that underflows). 6 u P + 4 eta more keeps apart any two
-    candidates whose exact distances sqrt could round to one double, and 4 u P
-    covers the rounding of P, the margin and the bounds: (2L + 14)(u P + eta)
-    in all, taken here as 4(L + 8)(u P + eta), about twice that. A pair whose
-    expanded form is not finite (norms from about 1e154 up) gets -inf and inf,
-    as an infinite margin gives: it is always refined, never dropped."""
-    c = 4 * (queries.shape[1] + 8)
-    with np.errstate(over="ignore", invalid="ignore"):
-        qn = np.einsum("ij,ij->i", queries, queries)[:, None]
-        vn = np.einsum("ij,ij->i", rows, rows)
-        hi = queries @ rows.T
-        hi *= -2
-        hi += qn
-        hi += vn
-        sure = np.isfinite(hi)
-        margin = np.sqrt(qn) + np.sqrt(vn)
-        margin *= margin
-        margin *= c * 2.0**-53
-        margin += c * 2.0**-1074
-        lo = hi - margin
-        hi += margin
-        if not sure.all():
-            lo[~sure] = -np.inf
-            hi[~sure] = np.inf
-    return lo, hi
+    sd[sd == 0] = 1  # z / 1 is z
+    return np.divide(z, sd, out=z)
 
 
 def search(dataset: Dataset, targets: Sequence[EvalWindow], k: int = 5,
@@ -86,19 +53,32 @@ def search(dataset: Dataset, targets: Sequence[EvalWindow], k: int = 5,
 
     A target's candidates are the length-L windows of every series that end
     before its context begins: with timestamps shared across the dataset, the
-    first context_start - L + 1 windows of each series. Each series' window view
-    is built once per call and cut to each target's prefix; with znorm, each
-    chunk of it is z-normalised as it is read.
-    A target without candidates gets an EmptyPool in its place.
+    first context_start - L + 1 windows of each series. One window view over
+    the stacked prefixes of every series is built per call, and read in chunks
+    of window starts across all series; with znorm, each chunk is z-normalised
+    as it is read. A target without candidates gets an EmptyPool in its place.
 
-    Filter and refine: for each chunk of a series' candidates, one matrix product
-    gives every target the expanded form |q|^2 + |v|^2 - 2 q.v, and a margin
-    for rounding (see _bounds) turns it into lower and upper bounds on the
-    squared distance. Each target keeps the k smallest upper bounds seen so far,
-    across series, and only candidates whose lower bound is at or below the
-    k-th of them get the exact sqrt(sum((v - q)^2)), which alone ranks them: the
-    pruned candidates are beaten by k others, so the result is the exhaustive
-    scan's, bit for bit."""
+    Filter and refine: per chunk, one matrix product gives each target q the
+    expanded form e = |q|^2 + |v|^2 - 2 q.v of every row v (-2 q is exact).
+    With u = 2**-53, eta = 2**-1074 and P = (|q| + |v|)^2, e and the exact sum
+    of squares each differ from the true squared distance by at most
+    (L + 2)(u P + eta) (Higham, "Accuracy and Stability of Numerical
+    Algorithms", 2nd ed., sections 2.1 and 3.1: L rounded products, sums of L
+    terms and two more operations; eta for each product that underflows);
+    6 u P + 4 eta more keeps apart any two candidates whose exact distances
+    sqrt could round to one double, and 4 u P covers the rounding of P, the
+    margin and the bounds: (2L + 14)(u P + eta) in all. Each target takes one
+    margin per chunk, M = 4(L + 8)(u P + eta) with P from the chunk's largest
+    row norm (NaN rows aside), so about twice that for every row of the chunk.
+    It keeps the k smallest upper bounds e + M seen so far, folding in each
+    chunk's own k smallest before the chunk is filtered, and refines only the
+    rows whose e is not above the k-th of them plus M; the one rounding of that
+    sum, below u e for a row near it, is within the 4 u P. A pruned row is
+    beaten by k others, so the exact sqrt(sum((v - q)^2)) of the rest ranks
+    them as the exhaustive scan does, bit for bit. Where 4 P is finite no sum
+    in e overflows; where it is not (norms from about 1e153 up), M is inf and
+    the target refines the whole chunk. A NaN row (z-normalised cells whose
+    sum overflows) is refined, and its NaN distance is never a neighbor."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if not targets:
@@ -112,58 +92,59 @@ def search(dataset: Dataset, targets: Sequence[EvalWindow], k: int = 5,
     queries = np.array([targets[i].context for i in order], dtype=float)
     if znorm:
         queries = _znorm(queries)
-    n_max = int(cuts[0])
+    n_max, S = max(int(cuts[0]), 0), len(dataset.series)
+    with np.errstate(over="ignore", invalid="ignore"):
+        qn, q2 = np.einsum("ij,ij->i", queries, queries), -2 * queries
+        qa2 = 2 * np.sqrt(qn)
     # per target: the smallest upper bounds seen, k of them or one per candidate
-    best = np.full((len(targets), min(k, max(n_max, 0) * len(dataset.series))), np.inf)
+    best = np.full((len(targets), min(k, n_max * S)), np.inf)
+    kb = best.shape[1]
     rank = {sid: r for r, sid in enumerate(sorted({s.id for s in dataset.series}))}
+    ranks = np.array([rank[s.id] for s in dataset.series])
+    # (series, start, L): every candidate window of every series
+    view = sliding_window_view(np.stack([s.values[:n_max + L - 1] for s in dataset.series])
+                               if n_max else np.empty((S, L)), L, axis=1)
+    step = max(1, _CHUNK_ELEMENTS // L)
     # columns of (target slot, distance, id rank, start, series index)
     kept = [np.empty((5, 0))]
-    for j, series in enumerate(dataset.series if n_max > 0 else ()):
-        slot, d, start = _refine(sliding_window_view(series.values, L)[:n_max],
-                                 queries, cuts, best, znorm)
-        kept.append([slot, d, np.full(len(d), rank[series.id]), start, np.full(len(d), j)])
+    c0 = 0
+    while c0 < n_max:
+        # the targets whose cut is past c0; the chunk ends at or before the first
+        # of their cuts, so every row of it is a candidate of each of them
+        na = int(np.count_nonzero(cuts > c0))
+        c1 = min(int(cuts[na - 1]), c0 + max(1, _CHUNK_ELEMENTS // ((L + na) * S)))
+        rows = (_znorm(view[:, c0:c1]) if znorm else
+                np.ascontiguousarray(view[:, c0:c1])).reshape(-1, L)
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = q2[:na] @ rows.T
+            e += qn[:na, None]
+            vn = np.einsum("ij,ij->i", rows, rows)
+            e += vn
+            m = qa2[:na] + 2 * math.sqrt(np.fmax.reduce(vn))
+            margin = ((L + 8) * (m * m * 2.0**-53 + 4 * 2.0**-1074))[:, None]
+            kc = min(kb, len(rows))
+            low = np.partition(e, kc - 1, axis=1)[:, :kc] + margin
+            best[:na] = np.sort(np.concatenate([best[:na], low], axis=1), axis=1)[:, :kb]
+            slot, at = np.divmod(np.flatnonzero(~(e > best[:na, kb - 1:] + margin)), len(rows))
+        for g in range(0, len(slot), step):
+            s, a = slot[g:g + step], at[g:g + step]
+            j, start = np.divmod(a, c1 - c0)
+            kept.append([s, np.sqrt(((rows[a] - queries[s]) ** 2).sum(axis=1)), ranks[j],
+                         start + c0, j])
         if sum(len(c[1]) for c in kept) > _CHUNK_ELEMENTS:  # many ties
             kept = [_first_k(np.concatenate(kept, axis=1), k)]
-    kept = _first_k(np.concatenate(kept, axis=1), k)
+        c0 = c1
+    slot, d, _, start, j = _first_k(np.concatenate(kept, axis=1), k)
+    slot, start, j = slot.astype(np.intp), start.astype(np.intp), j.astype(np.intp)
+    ids = [s.id for s in dataset.series]
     found: list[list] = [[] for _ in targets]
-    for p, d, _, start, j in zip(*kept.tolist()):
-        series, start = dataset.series[int(j)], int(start)
-        found[order[int(p)]].append((CandidateWindow(
-            series.id, start, tuple(series.values[start:start + L].tolist())), d))
+    for p, dist, sj, st, values in zip(slot.tolist(), d.tolist(), j.tolist(), start.tolist(),
+                                       map(tuple, view[j, start].tolist())):
+        found[order[p]].append((CandidateWindow(ids[sj], st, values), dist))
     return [NeighborSet(k=k, entries=tuple(entries)) if entries else
             EmptyPool(f"no candidate windows precede target at {t.series_id!r}"
                       f" start {t.context_start}")
             for t, entries in zip(targets, found)]
-
-
-def _refine(view: np.ndarray, queries: np.ndarray, cuts: np.ndarray,
-            best: np.ndarray, znorm: bool) -> np.ndarray:
-    """The (target slot, exact distance, start) columns of the candidate rows of
-    one series' view that pass the filter, for queries sorted by falling cut.
-    Copies the view one chunk of rows at a time, z-normalising each chunk when
-    znorm is set, so no copy of the whole view is made. Folds each chunk's
-    upper bounds into best, every target's smallest upper bounds so far,
-    before that chunk is filtered."""
-    L, kb = queries.shape[1], best.shape[1]
-    step = max(1, _CHUNK_ELEMENTS // L)
-    found = [np.empty((3, 0))]
-    c0 = 0
-    while c0 < len(view):
-        # the targets whose cut is past c0; the chunk ends at or before the first
-        # of their cuts, so every row of it is a candidate of each of them
-        na = int(np.count_nonzero(cuts > c0))
-        c1 = min(len(view), int(cuts[na - 1]), c0 + max(1, _CHUNK_ELEMENTS // (L + na)))
-        rows = _znorm(view[c0:c1]) if znorm else np.ascontiguousarray(view[c0:c1])
-        lo, hi = _bounds(queries[:na], rows)
-        best[:na] = np.partition(np.concatenate([best[:na], hi], axis=1),
-                                 kb - 1, axis=1)[:, :kb]
-        slot, at = np.nonzero(lo <= best[:na, kb - 1:])
-        for g in range(0, len(slot), step):
-            s, a = slot[g:g + step], at[g:g + step]
-            found.append(np.stack([s, np.sqrt(((rows[a] - queries[s]) ** 2).sum(axis=1)),
-                                   a + c0]))
-        c0 = c1
-    return np.concatenate(found, axis=1)
 
 
 def _first_k(kept: np.ndarray, k: int) -> np.ndarray:

@@ -82,14 +82,21 @@ def output_example(horizon: int) -> str:
     return "[" + ", ".join(f"y{i}" for i in range(1, horizon + 1)) + "]"
 
 
-def build_system_prompt(strategy: Strategy, template: str, bindings: dict) -> str:
-    def sub(m: re.Match) -> str:
-        name = m.group(1)
-        if name not in bindings:
-            raise UnboundPlaceholder(f"placeholder {{{name}}} unbound in {strategy.value} template")
-        return str(bindings[name])
+@functools.lru_cache(maxsize=64)
+def _split_template(template: str) -> tuple[str, ...]:
+    """The template's literal text and placeholder names, alternating: the
+    text before the first placeholder, its name, the text up to the next, ..."""
+    return tuple(_PLACEHOLDER_RE.split(template))
 
-    return _PLACEHOLDER_RE.sub(sub, template)
+
+def build_system_prompt(strategy: Strategy, template: str, bindings: dict) -> str:
+    parts = list(_split_template(template))
+    for i in range(1, len(parts), 2):
+        if parts[i] not in bindings:
+            raise UnboundPlaceholder(
+                f"placeholder {{{parts[i]}}} unbound in {strategy.value} template")
+        parts[i] = str(bindings[parts[i]])
+    return "".join(parts)
 
 
 def render_neighbor_block(ns: NeighborSet) -> str:

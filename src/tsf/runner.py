@@ -182,13 +182,11 @@ def eval_windows(dataset: Dataset, cfg: RunConfig, horizon: int) -> list[tuple[S
     """Subsampled evaluation windows for every series in the dataset. The
     subsample draws from the window starts valid at the run's longest
     horizon, so every horizon scores the same windows; only the kept windows
-    are built."""
-    pairs: list[tuple[Series, EvalWindow]] = []
-    for series in dataset.series:
-        starts = window_starts(series, cfg.context_len, max(cfg.horizons), cfg.eval_stride)
-        for start in _subsample(starts, cfg.max_windows, cfg.seed):
-            pairs.append((series, eval_window(series, start, cfg.context_len, horizon)))
-    return pairs
+    are built. The series share their timestamps, so one draw serves them all."""
+    starts = _subsample(window_starts(dataset.series[0], cfg.context_len, max(cfg.horizons),
+                                      cfg.eval_stride), cfg.max_windows, cfg.seed)
+    return [(series, eval_window(series, start, cfg.context_len, horizon))
+            for series in dataset.series for start in starts]
 
 
 def bundles_for_run(dataset: Dataset, cfg: RunConfig) -> list[PromptBundle]:

@@ -705,6 +705,33 @@ class TestSeriesArrays:
         assert [s.values.tolist() for s in ds.series] == [[4, 1, 7], [5, 2, 8], [6, 3, 9]]
 
 
+class TestGapsCheckedOnce:
+    """The series of one table share a stamps array, and its gaps are checked
+    once; any other array, or the same one at another interval, is checked."""
+
+    def test_one_check_per_loaded_table(self, tmp_path):
+        header = "t," + ",".join(f"v{j}" for j in range(21))
+        rows = "".join(f"{600 * i}," + ",".join(["1.5"] * 21) + "\n" for i in range(30))
+        p = write_csv(tmp_path, header + "\n" + rows)
+        with mock.patch.object(dataset, "_check_gaps", wraps=dataset._check_gaps) as check:
+            ds = load_csv(p, SCHEMA)
+            assert check.call_count == 1
+            stamps = ds.series[0].timestamps
+            Series("w", "w", 600, stamps, np.ones(30))
+            assert check.call_count == 1
+            with pytest.raises(NonUniformSampling, match="gap of 600s where 300s expected"):
+                Series("w", "w", 300, stamps, np.ones(30))
+            Series("w", "w", 600, tuple(range(0, 18000, 600)), np.ones(30))
+            assert check.call_count == 3
+
+    def test_a_rejected_array_is_checked_again(self):
+        stamps = np.array([0, 600, 1300])
+        stamps.flags.writeable = False
+        for _ in range(2):
+            with pytest.raises(NonUniformSampling, match="'s': gap of 700s where 600s expected"):
+                Series("s", "s", 600, stamps, (1.0, 2.0, 3.0))
+
+
 class TestSliceWindows:
     def test_two_windows(self):
         s = make_series(range(100))

@@ -437,6 +437,163 @@ class TestFilterSafety:
                 assert [(d, c.series_id, c.start_index) for c, d in got.entries] == ranked[:k]
 
 
+    # Chunks run over window starts across every series: a chunk of c starts
+    # holds c rows of each, and _CHUNK_ELEMENTS = c (L + targets) series makes one.
+
+    @pytest.mark.parametrize("znorm", [False, True], ids=["plain", "znorm"])
+    def test_one_chunk_spans_several_series(self, znorm):
+        """Chunks of 1, 3 and 7 starts across four series in shuffled id order,
+        with exact ties across series: each kept row comes back with its own
+        series and start."""
+        rng = random.Random(8)
+        cols = {sid: [rng.randint(-12, 12) / 4 for _ in range(70)] for sid in "dbca"}
+        context = cols["b"][50:58]
+        for sid, where in (("d", 12), ("a", 12), ("c", 13), ("b", 30)):
+            cols[sid][where : where + 8] = context
+        ds = make_dataset(cols)
+        targets = [window_at(s, 50, 8) for s in ds.series]
+        for starts in (1, 3, 7):
+            for k in (1, 3, 6):
+                self.check(ds, targets, k, znorm, starts * (8 + 4) * 4)
+        found = nearest(ds, window_at(ds.series[1], 50, 8), k=4, znorm=znorm)
+        assert keys(found) == [("a", 12), ("b", 30), ("c", 13), ("d", 12)]
+
+    @pytest.mark.parametrize("znorm", [False, True], ids=["plain", "znorm"])
+    def test_targets_whose_cuts_fall_inside_a_chunk(self, znorm):
+        """Targets one to three starts apart, read in chunks of ten starts, and
+        each target's context copied into the window one start past its cut,
+        which ends inside its context: each chunk stops at the next cut, so no
+        target sees that copy, and the targets still active keep their bounds."""
+        rng = random.Random(9)
+        cols = {sid: [rng.randint(-12, 12) / 4 for _ in range(90)] for sid in "bca"}
+        ids = "bcabc"
+        starts = (70, 71, 73, 76, 77)
+        for sid, start in zip(ids, starts):
+            context = cols[sid][start : start + 8]
+            cut = start - 8 + 1
+            other = "abc"[("abc".index(sid) + 1) % 3]
+            cols[other][cut + 1 : cut + 9] = context
+        ds = make_dataset(cols)
+        by_id = {s.id: s for s in ds.series}
+        targets = [window_at(by_id[sid], start, 8) for sid, start in zip(ids, starts)]
+        for chunk in (10 * (8 + 5) * 3, 10 * (8 + 2) * 3, neighbors._CHUNK_ELEMENTS):
+            for k in (1, 4):
+                self.check(ds, targets, k, znorm, chunk)
+
+    @pytest.mark.parametrize("znorm", [False, True], ids=["plain", "znorm"])
+    def test_a_series_a_thousand_times_larger_sets_the_margin(self, znorm):
+        """A series of cells near 1e3 beside three unit-scale ones: its rows have
+        the largest norm of every chunk, so they set each target's margin,
+        while the targets' copies in the unit series sit 0 or 1 ulp off."""
+        rng = random.Random(10)
+        cols = {sid: [rng.randint(-12, 12) / 4 for _ in range(80)] for sid in "abc"}
+        cols["z"] = [1e3 + rng.randint(-12, 12) / 4 for _ in range(80)]
+        starts = (60, 61, 63)
+        for i, (sid, start) in enumerate(zip("abc", starts)):
+            context = cols[sid][start : start + 8]
+            for copy_to, ulps in (("a", 0), ("b", 1), ("c", -1)):
+                cols[copy_to][9 * i + 1 : 9 * i + 9] = (
+                    context[:3] + [nudged(context[3], ulps)] + context[4:])
+        ds = make_dataset(cols)
+        targets = [window_at(s, start, 8) for s, start in zip(ds.series, starts)]
+        for chunk in (1, 5 * (8 + 3) * 4, neighbors._CHUNK_ELEMENTS):
+            for k in (1, 2, 5):
+                self.check(ds, targets, k, znorm, chunk)
+
+    def test_large_rows_that_tie_near_a_small_target(self):
+        """A unit-scale target with three candidates of its own scale and k up
+        to 8, so its last neighbors are rows near 1e3, copies of one window
+        with a cell 0, 1 or 2 ulps off: their expanded forms err by about
+        1e-9, a million times the margin the target's own scale would give,
+        and they tie or nearly tie at the k-th distance."""
+        rng = random.Random(11)
+        cols = {"u": [rng.randint(-12, 12) / 4 for _ in range(40)]}
+        block = [1e3 + rng.randint(-12, 12) / 4 for _ in range(8)]
+        for sid in "abc":
+            cols[sid] = [1e3 + rng.randint(-12, 12) / 4 for _ in range(40)]
+            for where, ulps in ((0, 0), (9, 1), (18, -1), (27, 2)):
+                copy = list(block)
+                copy[5] = nudged(copy[5], ulps)
+                cols[sid][where : where + 8] = copy
+        ds = make_dataset(cols)
+        targets = [window_at(ds.series[0], start, 8) for start in (10, 11, 12)]
+        for chunk in (1, 3 * (8 + 3) * 4, neighbors._CHUNK_ELEMENTS):
+            for k in range(4, 9):
+                self.check(ds, targets, k, False, chunk)
+
+    def test_a_z_normalised_chunk_with_one_nan_row(self):
+        """Two cells of 1.5e308 seven apart make exactly one window (start 20 of
+        series b) z-normalise to NaN, and the windows holding one of them
+        all-zero. The NaN row is dropped, whatever chunk it shares with finite
+        rows of other series, and every other candidate ranks as usual."""
+        rng = random.Random(12)
+        cols = {sid: [rng.randint(0, 8) / 4 for _ in range(60)] for sid in "cab"}
+        cols["b"][20] = cols["b"][27] = 1.5e308
+        ds = make_dataset(cols)
+        targets = [window_at(s, start, 8) for s in ds.series for start in (40, 45)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for target in targets:
+                ranked = []
+                for c in enumerate_candidates(ds, target):
+                    d = reference_distance(c.values, target.context, znorm=True)
+                    if math.isnan(d):
+                        assert (c.series_id, c.start_index) == ("b", 20)
+                    else:
+                        ranked.append((d, c.series_id, c.start_index))
+                assert len(ranked) == 3 * (target.context_start - 7) - 1
+                ranked.sort()
+                for chunk in (1, 4 * (8 + 6) * 3, neighbors._CHUNK_ELEMENTS):
+                    for k in (3, 200):
+                        with mock.patch.object(neighbors, "_CHUNK_ELEMENTS", chunk):
+                            (got, *_) = search(ds, [target, *targets], k, znorm=True)
+                        assert [(d, c.series_id, c.start_index)
+                                for c, d in got.entries] == ranked[:k]
+
+
+class TestFilterPrunes:
+    """The filter keeps the exhaustive scan's result (TestFilterSafety) and
+    also prunes: a chunk's own k nearest rows set the bound it is filtered by."""
+
+    def refined(self, ds, targets, k, znorm=False):
+        """How many (target, candidate) pairs got the exact distance."""
+        counts = []
+        real = neighbors._first_k
+        with mock.patch.object(neighbors, "_first_k",
+                               lambda kept, k: counts.append(kept.shape[1]) or real(kept, k)):
+            search(ds, targets, k, znorm)
+        return sum(counts)
+
+    @pytest.mark.parametrize("znorm", [False, True], ids=["plain", "znorm"])
+    def test_a_chunk_prunes_by_its_own_nearest_rows(self, znorm):
+        """One chunk holds every candidate of a target whose context is copied
+        into five earlier windows among random ones: only the copies are
+        refined."""
+        rng = random.Random(13)
+        vals = [rng.uniform(0, 10) for _ in range(200)]
+        context = vals[180:188]
+        for where in (10, 40, 70, 100, 130):
+            vals[where : where + 8] = context
+        ds = make_dataset({"a": vals})
+        target = window_at(ds.series[0], 180, 8)
+        assert self.refined(ds, [target], 5, znorm) == 5
+        assert [d for _, d in nearest(ds, target, 5, znorm).entries] == [0.0] * 5
+
+    def test_each_target_is_filtered_by_its_own_bound(self):
+        """Two targets, one with five exact copies of its context and one with
+        none: the second keeps its own k nearest, and the first refines no more
+        than its copies."""
+        rng = random.Random(14)
+        cols = {sid: [rng.uniform(0, 10) for _ in range(200)] for sid in "ab"}
+        context = cols["a"][180:188]
+        for where in (10, 40, 70, 100, 130):
+            cols["b"][where : where + 8] = context
+        ds = make_dataset(cols)
+        copied, other = window_at(ds.series[0], 180, 8), window_at(ds.series[1], 185, 8)
+        assert self.refined(ds, [copied], 5) == 5
+        for targets in ([copied, other], [other, copied]):
+            TestFilterSafety.check(ds, targets, 5, False, neighbors._CHUNK_ELEMENTS)
+
+
 def pinned_dataset():
     """Four quarter-step series in shuffled id order. One target context is
     copied into earlier windows of three series, and constant stretches (which

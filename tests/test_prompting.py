@@ -2,6 +2,8 @@ import re
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tsf.prompting as prompting_mod
 
@@ -83,6 +85,22 @@ class TestSystemPrompt:
     def test_unbound_placeholder(self):
         with pytest.raises(UnboundPlaceholder, match="patch-instruct"):
             build_system_prompt(Strategy.PATCH_INSTRUCT, "h={horizon}", {"window": 3})
+
+    @settings(max_examples=300, deadline=None)
+    @given(template=st.text(st.sampled_from("{}ab_1 \n"), max_size=40),
+           bound=st.sets(st.sampled_from(["a", "b", "ab", "a_1", "_", "1"])))
+    def test_build_equals_one_substitution_per_placeholder(self, template, bound):
+        """Any template renders as a regex substitution of each {name} would,
+        from a cached split, and an unbound name raises."""
+        bindings = {name: f"<{name}>" for name in bound}
+        names = re.findall(r"\{(\w+)\}", template)
+        if set(names) <= bound:
+            want = re.sub(r"\{(\w+)\}", lambda m: bindings[m.group(1)], template)
+            for _ in range(2):
+                assert build_system_prompt(Strategy.ZEROSHOT, template, bindings) == want
+        else:
+            with pytest.raises(UnboundPlaceholder, match="zeroshot"):
+                build_system_prompt(Strategy.ZEROSHOT, template, bindings)
 
     def test_no_placeholder_markers_remain(self):
         for strategy in Strategy:

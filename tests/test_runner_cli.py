@@ -7,6 +7,7 @@ import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -259,6 +260,29 @@ class TestEvalWindows:
         ds = make_dataset({"a": range(50)})
         with pytest.raises(SeriesTooShort):
             eval_windows(ds, small_config([Strategy.ZEROSHOT]), 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(max_windows=st.integers(1, 30), seed=st.integers(0, 2**32),
+           stride=st.integers(1, 40), n_series=st.integers(1, 6))
+    def test_one_draw_serves_every_series(self, max_windows, seed, stride, n_series):
+        """The subsample is drawn once per call, and every series keeps the
+        starts that a draw of its own, with the same seed, keeps."""
+        ds = make_dataset({f"s{j}": [float(i * (j + 1) % 13) for i in range(300)]
+                           for j in range(n_series)})
+        cfg = small_config([Strategy.ZEROSHOT], horizons=(1, 4), context_len=24,
+                           eval_stride=stride, max_windows=max_windows, seed=seed)
+        starts = range(0, 300 - 24 - 4 + 1, stride)
+        if len(starts) > max_windows:
+            starts = [starts[i] for i in sorted(random.Random(seed).sample(range(len(starts)),
+                                                                           max_windows))]
+        draws = []
+        real = runner_mod._subsample
+        with mock.patch.object(runner_mod, "_subsample",
+                               lambda *a: draws.append(a) or real(*a)):
+            pairs = eval_windows(ds, cfg, 1)
+        assert len(draws) == 1
+        assert [(s.id, w.context_start) for s, w in pairs] == [
+            (s.id, start) for s in ds.series for start in starts]
 
 
 NEIGHBOR_DS = make_dataset({
