@@ -52,7 +52,8 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--temperature", type=float, default=0.0)
     p.add_argument("--timeout", type=int, default=60)
     p.add_argument("--retries", type=int, default=3)
-    p.add_argument("--parallel", type=_count, default=1)
+    p.add_argument("--parallel", type=_count, default=1,
+                   help="http requests in flight; mock and replay run on the calling thread")
     p.add_argument("--max-windows", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lenient", action="store_true")

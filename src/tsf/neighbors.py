@@ -17,9 +17,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .dataset import Dataset, EvalWindow
 from .errors import EmptyPool, LengthMismatch
 
-# Elements in one chunk's (active targets + L) x candidates arrays, and rows x L
-# in one gather of candidates to refine: what bounds the search's transient memory.
+# What bounds the search's transient memory. _CHUNK_ELEMENTS: elements in one
+# chunk's (L + active targets) x candidates arrays while the targets are at most
+# L, in its candidates x L rows alone beyond that, in each copy that partitions
+# the (targets x candidates) block, and rows x L in one gather of candidates to
+# refine. _PAIR_ELEMENTS: that block once the targets outnumber L, so that a
+# chunk does not shrink with their count.
 _CHUNK_ELEMENTS = 1 << 16
+_PAIR_ELEMENTS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -106,13 +111,15 @@ def search(dataset: Dataset, targets: Sequence[EvalWindow], k: int = 5,
                                if n_max else np.empty((S, L)), L, axis=1)
     step = max(1, _CHUNK_ELEMENTS // L)
     # columns of (target slot, distance, id rank, start, series index)
-    kept = [np.empty((5, 0))]
+    kept, n_kept = [np.empty((5, 0))], 0
     c0 = 0
     while c0 < n_max:
         # the targets whose cut is past c0; the chunk ends at or before the first
         # of their cuts, so every row of it is a candidate of each of them
         na = int(np.count_nonzero(cuts > c0))
-        c1 = min(int(cuts[na - 1]), c0 + max(1, _CHUNK_ELEMENTS // ((L + na) * S)))
+        per_row = L + na if na <= L else L
+        width = min(_CHUNK_ELEMENTS // (per_row * S), _PAIR_ELEMENTS // (na * S))
+        c1 = min(int(cuts[na - 1]), c0 + max(1, width))
         rows = (_znorm(view[:, c0:c1]) if znorm else
                 np.ascontiguousarray(view[:, c0:c1])).reshape(-1, L)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -122,17 +129,27 @@ def search(dataset: Dataset, targets: Sequence[EvalWindow], k: int = 5,
             e += vn
             m = qa2[:na] + 2 * math.sqrt(np.fmax.reduce(vn))
             margin = ((L + 8) * (m * m * 2.0**-53 + 4 * 2.0**-1074))[:, None]
-            kc = min(kb, len(rows))
-            low = np.partition(e, kc - 1, axis=1)[:, :kc] + margin
-            best[:na] = np.sort(np.concatenate([best[:na], low], axis=1), axis=1)[:, :kb]
-            slot, at = np.divmod(np.flatnonzero(~(e > best[:na, kb - 1:] + margin)), len(rows))
+            # only a target whose nearest row here beats its k-th bound takes in the
+            # chunk's k smallest; they are partitioned a block of targets at a time
+            moved = np.flatnonzero(np.fmin.reduce(e, axis=1) + margin[:, 0] < best[:na, -1])
+            kc, tb = min(kb, len(rows)), max(1, _CHUNK_ELEMENTS // len(rows))
+            for t in range(0, len(moved), tb):
+                blk = moved[t:t + tb]
+                low = e[blk]
+                low.partition(kc - 1, axis=1)
+                best[blk] = np.sort(np.concatenate([best[blk], low[:, :kc] + margin[blk]], axis=1),
+                                    axis=1)[:, :kb]
+            above = np.greater(e, best[:na, kb - 1:] + margin)
+            slot, at = np.divmod(np.flatnonzero(np.logical_not(above, out=above)), len(rows))
         for g in range(0, len(slot), step):
             s, a = slot[g:g + step], at[g:g + step]
             j, start = np.divmod(a, c1 - c0)
             kept.append([s, np.sqrt(((rows[a] - queries[s]) ** 2).sum(axis=1)), ranks[j],
                          start + c0, j])
-        if sum(len(c[1]) for c in kept) > _CHUNK_ELEMENTS:  # many ties
+            n_kept += len(s)
+        if n_kept > _CHUNK_ELEMENTS:  # many ties
             kept = [_first_k(np.concatenate(kept, axis=1), k)]
+            n_kept = kept[0].shape[1]
         c0 = c1
     slot, d, _, start, j = _first_k(np.concatenate(kept, axis=1), k)
     slot, start, j = slot.astype(np.intp), start.astype(np.intp), j.astype(np.intp)

@@ -4,6 +4,7 @@ carrying the formatted context window (and optional neighbor block)."""
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -77,6 +78,27 @@ def render_sequence(values) -> str:
     return "<" + ", ".join(map(format_value, values)) + ">"
 
 
+def render_sequences(values, starts, length: int) -> dict[int, str]:
+    """render_sequence(values[s:s + length]) for each start s of a 1-D float
+    array, each value formatted once: windows that overlap or touch merge into
+    one run, which is formatted and joined once, and each window's text is a
+    slice of its run's."""
+    starts = sorted(set(starts))
+    texts = {}
+    i = 0
+    while i < len(starts):
+        lo, end, j = starts[i], starts[i] + length, i + 1
+        while j < len(starts) and starts[j] <= end:
+            end, j = starts[j] + length, j + 1
+        cells = list(map(format_value, values[lo:end].tolist()))
+        run = ", ".join(cells)
+        at = list(itertools.accumulate((len(c) + 2 for c in cells), initial=0))  # cell offsets
+        for s in starts[i:j]:
+            texts[s] = "<" + run[at[s - lo] : at[s - lo + length] - 2] + ">"
+        i = j
+    return texts
+
+
 def output_example(horizon: int) -> str:
     """The bracketed y1..yh list shown in the output-format contract."""
     return "[" + ", ".join(f"y{i}" for i in range(1, horizon + 1)) + "]"
@@ -99,14 +121,16 @@ def build_system_prompt(strategy: Strategy, template: str, bindings: dict) -> st
     return "".join(parts)
 
 
+def neighbor_block(sequences) -> str:
+    """One `Neighbor i: <...>` line per rendered sequence, nearest first."""
+    if not sequences:
+        raise EmptyNeighborSet("neighbor set has no entries")
+    return "\n".join(f"Neighbor {i}: {seq}" for i, seq in enumerate(sequences, start=1))
+
+
 def render_neighbor_block(ns: NeighborSet) -> str:
     """One `Neighbor i: <...>` line per entry, nearest first."""
-    if not ns.entries:
-        raise EmptyNeighborSet("neighbor set has no entries")
-    return "\n".join(
-        f"Neighbor {i}: {render_sequence(cand.values)}"
-        for i, (cand, _dist) in enumerate(ns.entries, start=1)
-    )
+    return neighbor_block([render_sequence(cand.values) for cand, _dist in ns.entries])
 
 
 def system_prompt(

@@ -3,11 +3,13 @@ forecasts -> scored reports."""
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import queue
 import random
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple, Optional, Sequence, Union
@@ -16,7 +18,7 @@ from . import evaluation, neighbors, prompting
 from .dataset import Dataset, EvalWindow, Series, eval_window, window_starts
 from .errors import EmptyPool, TsfError, WrongCount
 from .evaluation import RunReport, WindowResult
-from .llmgateway import BackendConfig, Gateway, LlmResponse
+from .llmgateway import BackendConfig, BackendKind, Gateway, LlmResponse
 from .neighbors import NeighborSet
 from .parsing import parse_prediction
 from .prompting import TEMPLATE_VERSION, PromptBundle, Strategy
@@ -86,24 +88,50 @@ def _cells(cfg: RunConfig) -> list[tuple[Strategy, int]]:
     return list(itertools.product(cfg.strategies, cfg.horizons))
 
 
+def _shown_text(dataset: Dataset, drawn, found, length: int) -> dict[tuple[str, int], str]:
+    """The rendered text of every window the plan shows, by (series id, start):
+    each drawn context and each neighbor, each series' cells formatted once.
+    A series whose id another series shares is left out, since its id does not
+    say which series a neighbor came from."""
+    ids = Counter(s.id for s in dataset.series)
+    starts = {s.id: set() for s in dataset.series if ids[s.id] == 1}
+    for (series, window), ns in zip(drawn, found):
+        shown = [(series.id, window.context_start)]
+        if isinstance(ns, NeighborSet):
+            shown += [(cand.series_id, cand.start_index) for cand, _ in ns.entries]
+        for sid, start in shown:
+            if sid in starts:
+                starts[sid].add(start)
+    return {(s.id, start): text for s in dataset.series if s.id in starts
+            for start, text in prompting.render_sequences(s.values, starts[s.id], length).items()}
+
+
 def _plan(dataset: Dataset, cfg: RunConfig) -> list[_Job]:
     """One job per (strategy, horizon, window), in cell order, its text rendered
-    here on the calling thread: every window's neighbors in one search, each
-    window's context sequence and neighbor block once, and each system prompt once
-    per (strategy, horizon, series, and the start clock where the strategy states
-    it). A window without candidates gets the EmptyPool that stands in for its
-    neighbor block."""
+    here on the calling thread: every window's neighbors in one search, the
+    text of every window shown (contexts and neighbors) from each series'
+    cells formatted once, each neighbor block once per window, and each system
+    prompt once per (strategy, horizon, series, and the start clock where the
+    strategy states it). A window without candidates gets the EmptyPool that
+    stands in for its neighbor block."""
     cells = _cells(cfg)
     if not cells:
         return []
     drawn = eval_windows(dataset, cfg, max(cfg.horizons))
     found = (neighbors.search(dataset, [w for _, w in drawn], cfg.k, cfg.znorm_neighbors)
              if any(s.uses_neighbors for s in cfg.strategies) else [None] * len(drawn))
+    texts = _shown_text(dataset, drawn, found, cfg.context_len)
+
+    def text(sid: str, start: int, values) -> str:
+        return texts.get((sid, start)) or prompting.render_sequence(values)
+
     windows = []
     for (series, window), ns in zip(drawn, found):
-        block = prompting.render_neighbor_block(ns) if isinstance(ns, NeighborSet) else ns
+        block = (prompting.neighbor_block([text(c.series_id, c.start_index, c.values)
+                                           for c, _ in ns.entries])
+                 if isinstance(ns, NeighborSet) else ns)
         at = {h: replace(window, horizon=h, truth=window.truth[:h]) for h in cfg.horizons}
-        windows.append((series, at, prompting.render_sequence(window.context), block))
+        windows.append((series, at, text(series.id, window.context_start, window.context), block))
     systems: dict[tuple, str] = {}
     jobs = []
     for strategy, horizon in cells:
@@ -216,10 +244,13 @@ def _aggregate(
 
 
 def run(dataset: Dataset, cfg: RunConfig) -> RunOutcome:
-    """Dispatch the whole plan through one pool of `parallelism` workers that
-    pull job indices from one queue; the plan carries every job's prompt text.
-    The worker that finishes a cell's last job aggregates the cell and lets its
-    window results go.
+    """Dispatch the whole plan through workers that pull job indices from one
+    queue; the plan carries every job's prompt text. The calling thread is a
+    worker. An http backend, which waits on the network, adds a pool of
+    `parallelism - 1` threads, so `parallelism` requests are in flight; the
+    offline backends hold the GIL and never wait, so they dispatch on the
+    calling thread alone. The worker that finishes a cell's last job aggregates
+    the cell and lets its window results go.
     The plan is built before the gateway, so a run that fails while planning
     leaves a fixture file it would record to untouched."""
     cells = _cells(cfg)
@@ -250,9 +281,12 @@ def run(dataset: Dataset, cfg: RunConfig) -> RunOutcome:
                 outcomes[c] = _aggregate(dataset, cfg, cells[c], results[c])
                 results[c] = None
 
-    workers = max(1, cfg.backend.parallelism)
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        for f in [ex.submit(work) for _ in range(workers)]:
+    # the calling thread is one worker; only http waits on I/O, so only it gets more
+    helpers = max(1, cfg.backend.parallelism) - 1 if cfg.backend.kind is BackendKind.HTTP else 0
+    with ThreadPoolExecutor(max_workers=helpers) if helpers else contextlib.nullcontext() as ex:
+        futures = [ex.submit(work) for _ in range(helpers)]
+        work()
+        for f in futures:
             f.result()
     return RunOutcome(
         reports=[o for o in outcomes if isinstance(o, RunReport)],

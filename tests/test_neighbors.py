@@ -628,3 +628,50 @@ class TestPinnedNeighborPrompts:
         assert len(bundles) == 2 * 2 * 4 * (49 - 2)  # starts 0 and 7 have no candidates
         joined = "\n".join(bundle_hash(b) for b in bundles)
         assert hashlib.sha256(joined.encode()).hexdigest() == digest
+
+
+class TestChunkWidth:
+    """A chunk's width does not shrink with the number of targets, and a chunk's
+    k smallest are taken only for the targets whose bound they can move."""
+
+    def test_many_targets_read_chunks_wider_than_one_start(self):
+        """2,100 targets of context 96 over 21 series, 20 starts apart, as a
+        paper-sized run at the CLI defaults has: chunks of (L + targets) x series
+        rows per start would hold one start each; they hold many, and every
+        target finds what a search of a few targets alone finds."""
+        rng = random.Random(16)
+        n = 96 + 20 * 99 + 97
+        ds = make_dataset({f"s{j:02d}": [rng.randint(-40, 40) / 4 for _ in range(n)]
+                           for j in range(21)})
+        targets = [window_at(s, 96 + 20 * m, 96) for s in ds.series for m in range(100)]
+        widths = []
+        real = neighbors._znorm
+        with mock.patch.object(neighbors, "_znorm",
+                               lambda x: x.ndim == 3 and widths.append(x.shape[1]) or real(x)):
+            found = search(ds, targets, 5, znorm=True)
+        n_max = 20 * 99 + 1  # the latest target's candidate starts
+        assert sum(widths) == n_max and len(widths) < n_max // 4
+        sample = random.Random(17).sample(range(len(targets)), 12)
+        assert search(ds, [targets[i] for i in sample], 5, znorm=True) == [found[i] for i in sample]
+        found = search(ds, targets, 5)
+        assert search(ds, [targets[i] for i in sample], 5) == [found[i] for i in sample]
+
+    def test_a_nan_row_does_not_stop_a_chunk_from_pruning(self):
+        """A chunk takes in its k smallest only for targets whose nearest row there
+        beats their bound: a NaN row (z-normalised cells whose sum overflows) in the
+        chunk neither hides that nearest row nor is pruned itself."""
+        rng = random.Random(18)
+        vals = [rng.uniform(0, 10) for _ in range(200)]
+        context = vals[180:188]
+        for where in (10, 40, 70, 100, 130):
+            vals[where : where + 8] = context
+        other = [rng.uniform(0, 10) for _ in range(200)]
+        other[50:54] = [1.5e308] * 4
+        ds = make_dataset({"a": vals, "b": other})
+        target = window_at(ds.series[0], 180, 8)
+        cut = 180 - 8 + 1
+        windows = np.lib.stride_tricks.sliding_window_view(ds.series[1].values[:cut + 7], 8)
+        with np.errstate(over="ignore", invalid="ignore"):
+            nan_rows = int(np.isnan(neighbors._znorm(windows)).any(axis=1).sum())
+            assert nan_rows > 1
+            assert TestFilterPrunes().refined(ds, [target], 5, znorm=True) == 5 + nan_rows

@@ -1,6 +1,8 @@
 import re
 from collections import Counter
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,8 +17,10 @@ from tsf.prompting import (
     Strategy,
     build_system_prompt,
     load_template,
+    neighbor_block,
     render_neighbor_block,
     render_sequence,
+    render_sequences,
     user_prompt,
 )
 from tsf.runner import RunConfig, bundles_for_run, run
@@ -209,6 +213,42 @@ class TestNeighborBlock:
     def test_block_precedes_continue_sentence(self):
         b = golden_bundle(Strategy.NEIGHS)
         assert b.user.index("Neighbor 5:") < b.user.index("Continue the following sequence")
+
+
+class TestRenderSequences:
+    """Each window's text from one formatting of the runs its windows merge into."""
+
+    def test_overlapping_touching_and_apart(self):
+        values = np.array([1.0, 2.5, -0.0, 3.0, 4.0, 9.0, 1e-5, 0.00015, 7.0])
+        assert render_sequences(values, [3, 0, 2, 0, 7], 2) == {
+            0: "<1, 2.5>", 2: "<0, 3>", 3: "<3, 4>", 7: "<0.0002, 7>"}
+        assert render_sequences(values, [], 2) == {}
+
+    def test_neighbor_block_joins_rendered_sequences(self):
+        ns = golden_neighbors()
+        assert neighbor_block([render_sequence(c.values) for c, _ in ns.entries]) == \
+            render_neighbor_block(ns)
+        with pytest.raises(EmptyNeighborSet):
+            neighbor_block([])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_equals_render_sequence_of_each_window(self, data):
+        """Random overlapping windows of random values: every window's text is
+        render_sequence of its values, and each cell shown is formatted once."""
+        n = data.draw(st.integers(1, 60))
+        cell = st.one_of(st.integers(-40, 40).map(lambda i: i / 4),
+                         st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=True))
+        values = np.array(data.draw(st.lists(cell, min_size=n, max_size=n)), dtype=float)
+        length = data.draw(st.integers(1, n))
+        starts = data.draw(st.lists(st.integers(0, n - length), max_size=12))
+        formatted = []
+        real = prompting_mod.format_value
+        with mock.patch.object(prompting_mod, "format_value",
+                               lambda x: formatted.append(x) or real(x)):
+            got = render_sequences(values, starts, length)
+        assert got == {s: render_sequence(values[s : s + length].tolist()) for s in starts}
+        assert len(formatted) == len({s + i for s in starts for i in range(length)})
 
 
 class TestAssemble:

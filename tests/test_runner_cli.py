@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -19,7 +20,7 @@ import tsf.neighbors as neighbors_mod
 import tsf.prompting as prompting_mod
 import tsf.runner as runner_mod
 from tsf.cli import main
-from tsf.dataset import CsvSchema, load_csv, slice_windows
+from tsf.dataset import CsvSchema, Dataset, load_csv, slice_windows
 from tsf.errors import EmptyPool, SeriesTooShort
 from tsf.evaluation import compare_reports, render_comparison_markdown, reports_from_json
 from tsf.llmgateway import BackendConfig, BackendKind, Gateway, bundle_hash, save_fixtures
@@ -31,7 +32,8 @@ from tsf.runner import (
     run,
 )
 
-from conftest import brute_force_neighbors, fresh_bundle, make_dataset
+from conftest import brute_force_neighbors, fresh_bundle, make_dataset, make_series
+from golden_util import compose
 from test_gateway import FakeResponse, ok_payload
 
 MOCK_P = BackendConfig(kind=BackendKind.MOCK_PERSISTENCE)
@@ -125,31 +127,29 @@ class TestRunner:
         assert r1.reports == r2.reports
         assert [r.mean_mse for r in r1.reports] == [r.mean_mse for r in mock.reports]
 
-    def test_parallelism_matches_sequential(self):
+    def test_parallelism_matches_sequential(self, monkeypatch):
+        """Four http workers answering as persistence score what the sequential
+        mock-persistence run scores."""
+        FakeLlm(monkeypatch, persist=True)
         ds = make_dataset({"v": [float(i % 7) for i in range(140)]})
         seq = run(ds, small_config([Strategy.ZEROSHOT], horizons=(2,)))
-        par = run(
-            ds,
-            small_config(
-                [Strategy.ZEROSHOT],
-                horizons=(2,),
-                backend=BackendConfig(kind=BackendKind.MOCK_PERSISTENCE, parallelism=4),
-            ),
-        )
+        par = run(ds, small_config([Strategy.ZEROSHOT], horizons=(2,), backend=http_backend(4)))
+        assert par.ok and len(par.reports) == len(seq.reports) == 1
         for a, b in zip(seq.reports, par.reports):
             assert a.mean_mse == b.mean_mse
             assert a.n_windows == b.n_windows
 
-    def test_many_workers_aggregate_every_cell_once(self):
-        """More workers than cores, switching threads often: a lost update of a
-        cell's count would drop or cut short that cell's report."""
+    def test_many_workers_aggregate_every_cell_once(self, monkeypatch):
+        """More http workers than cores, switching threads often: a lost update of
+        a cell's count would drop or cut short that cell's report."""
+        FakeLlm(monkeypatch, persist=True)
         ds = make_dataset({"a": [float(i % 7) for i in range(140)],
                            "b": [float(i % 9) / 4 for i in range(140)]})
         strategies = [Strategy.ZEROSHOT, Strategy.PATCH_INSTRUCT, Strategy.REVERSE_ORDERED_PI]
-        seq = run(ds, small_config(strategies, horizons=(1, 2, 3), max_windows=8))
+        seq = run(ds, small_config(strategies, horizons=(1, 2, 3), max_windows=8,
+                                   backend=http_backend(1)))
         par_cfg = small_config(strategies, horizons=(1, 2, 3), max_windows=8,
-                               backend=BackendConfig(kind=BackendKind.MOCK_PERSISTENCE,
-                                                     parallelism=16))
+                               backend=http_backend(16))
         out = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -162,7 +162,7 @@ class TestRunner:
         assert not t.is_alive()
         (par,) = out
         assert par.ok and [r.n_windows for r in par.reports] == [16] * 9
-        assert par.reports == seq.reports
+        assert timeless(par.reports) == timeless(seq.reports)
 
     def test_one_executor_per_run(self, monkeypatch):
         created = []
@@ -173,14 +173,37 @@ class TestRunner:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(runner_mod, "ThreadPoolExecutor", CountingExecutor)
+        FakeLlm(monkeypatch, persist=True)
         ds = make_dataset({"v": [float(i % 7) for i in range(140)]})
-        cfg = small_config(
-            [Strategy.ZEROSHOT, Strategy.PATCH_INSTRUCT], horizons=(1, 3),
-            backend=BackendConfig(kind=BackendKind.MOCK_PERSISTENCE, parallelism=3),
-        )
+        cfg = small_config([Strategy.ZEROSHOT, Strategy.PATCH_INSTRUCT], horizons=(1, 3),
+                           backend=http_backend(3))
         outcome = run(ds, cfg)
         assert outcome.ok and len(outcome.reports) == 4
         assert len(created) == 1
+
+    @pytest.mark.parametrize("kind", [BackendKind.MOCK_PERSISTENCE, BackendKind.MOCK_LINEAR,
+                                      BackendKind.REPLAY])
+    def test_offline_runs_dispatch_on_the_calling_thread(self, kind, tmp_path, monkeypatch):
+        """An offline backend never waits on I/O: at parallelism 16 the run starts
+        no thread, dispatches every window on the calling thread, and reports what
+        a run at parallelism 1 does."""
+        fx = tmp_path / "fx.jsonl"
+        save_fixtures(fixture_records(bundles_for_run(NEIGHBOR_DS, all_strategies_config())), fx)
+        cfgs = [replace(all_strategies_config(), backend=BackendConfig(
+            kind=kind, parallelism=p, fixture_path=str(fx))) for p in (1, 16)]
+        one = run(NEIGHBOR_DS, cfgs[0])
+        started = []
+        real_start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda t: started.append(t) or real_start(t))
+        callers = []
+        real_complete = Gateway.complete
+        monkeypatch.setattr(Gateway, "complete", lambda g, b: callers.append(
+            threading.get_ident()) or real_complete(g, b))
+        many = run(NEIGHBOR_DS, cfgs[1])
+        assert started == []
+        assert len(callers) > 100 and set(callers) == {threading.get_ident()}
+        assert many.ok and len(many.reports) == 27 and many.reports == one.reports
 
     def test_same_windows_at_every_horizon(self, monkeypatch):
         """136 points, stride 8: h=1 has 5 windows and h=12 has 4; keep 3."""
@@ -355,6 +378,16 @@ def all_strategies_config(znorm=False, parallelism=1):
     )
 
 
+def http_backend(parallelism=1) -> BackendConfig:
+    return BackendConfig(kind=BackendKind.HTTP, endpoint_url="http://llm.example",
+                         model_name="m", parallelism=parallelism)
+
+
+def timeless(reports) -> list:
+    """The reports with their measured latency left out: it differs run to run."""
+    return [replace(r, mean_latency_s=0.0) for r in reports]
+
+
 def dispatched_bundles(monkeypatch) -> list:
     """The bundles that reach Gateway.complete, from any thread."""
     sent = []
@@ -374,11 +407,14 @@ class TestSharedPromptText:
 
     @staticmethod
     def expected_renders(ds, cfg) -> Counter:
-        """One context sequence per window and one neighbor block per window with
-        neighbors, whose entries render one sequence each; one system prompt per
-        (strategy, horizon, series), and per start clock for meta-patch."""
+        """Per series, one call of the renderer, which renders each window the plan
+        shows (every context, and the windows of every neighbor) once and formats
+        each of their cells once; one neighbor block per window with neighbors; one
+        system prompt per (strategy, horizon, series), and per start clock for
+        meta-patch."""
         windows = {(w.series_id, w.context_start): w
                    for h in cfg.horizons for _, w in eval_windows(ds, cfg, h)}
+        shown = set(windows)
         blocks = entries = 0
         for w in windows.values():
             try:
@@ -387,23 +423,34 @@ class TestSharedPromptText:
                 continue
             blocks += 1
             entries += len(found.entries)
+            shown |= {(c.series_id, c.start_index) for c, _ in found.entries}
         assert blocks > 1 and len(windows) > blocks
+        assert len(shown) < len(windows) + entries  # some windows are shown twice
+        cells = {(sid, start + i) for sid, start in shown for i in range(cfg.context_len)}
+        assert len(cells) < len(shown) * cfg.context_len  # and some windows overlap
         systems = {(s, h, w.series_id,
                     w.start_timestamp % 86400 if s is Strategy.META_TOKENS_PI else None)
                    for s in cfg.strategies for h in cfg.horizons for w in windows.values()}
         assert len(systems) > len(cfg.strategies) * len(cfg.horizons) * len(ds.series)
-        return Counter(sequence=len(windows) + entries, neighbor_block=blocks,
-                       system_prompt=len(systems))
+        return Counter(sequences=len(ds.series), window=len(shown), format_value=len(cells),
+                       neighbor_block=blocks, system_prompt=len(systems))
 
     @staticmethod
     def count_renders(monkeypatch) -> list:
-        calls = []  # list.append is atomic, so workers may share it
-        for name in ("render_sequence", "render_neighbor_block", "system_prompt"):
+        """Calls of the prompting functions that build text, and each window the
+        renderer returns as "window"; render_sequence and render_neighbor_block,
+        which the plan does not call, are counted too."""
+        calls = []  # list.append and list.extend are atomic, so workers may share it
+        for name in ("render_sequences", "render_sequence", "render_neighbor_block",
+                     "neighbor_block", "format_value", "system_prompt"):
             real = getattr(prompting_mod, name)
 
             def counting(*args, real=real, name=name):
                 calls.append(name.removeprefix("render_"))
-                return real(*args)
+                out = real(*args)
+                if name == "render_sequences":
+                    calls.extend(["window"] * len(out))
+                return out
 
             monkeypatch.setattr(prompting_mod, name, counting)
         return calls
@@ -419,9 +466,10 @@ class TestSharedPromptText:
                 assert Counter(calls) == expected
 
     def test_many_workers_render_once(self, monkeypatch):
-        """16 workers switching threads often: each piece of text is still rendered
-        once, and every bundle dispatched is one a serial call builds."""
-        cfg = all_strategies_config(parallelism=16)
+        """16 http workers switching threads often: each piece of text is still
+        rendered once, and every bundle dispatched is one a serial call builds."""
+        FakeLlm(monkeypatch, persist=True)
+        cfg = replace(all_strategies_config(), backend=http_backend(16))
         expected = self.expected_renders(NEIGHBOR_DS, cfg)
         serial = bundles_for_run(NEIGHBOR_DS, cfg)
         calls = self.count_renders(monkeypatch)
@@ -435,9 +483,36 @@ class TestSharedPromptText:
             t.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
-        assert not t.is_alive() and out
+        assert not t.is_alive() and out and out[0].ok
         assert Counter(calls) == expected
         assert Counter(sent) == Counter(serial)
+
+
+    def test_repeated_series_ids_render_their_own_values(self):
+        """Two series named alike, with different values: an id does not say which
+        series a neighbor came from, so each of their windows is rendered from its
+        own values, as a fresh render of its job alone does."""
+        series = [make_series([float(i % 17) for i in range(260)], series_id="v"),
+                  make_series([float((3 * i) % 11) / 2 for i in range(260)], series_id="v"),
+                  make_series([float(i % 5) for i in range(260)], series_id="w")]
+        ds = Dataset(name="twins", series=tuple(series))
+        cfg = all_strategies_config()
+        expected = []
+        for strategy in cfg.strategies:
+            for h in cfg.horizons:
+                pairs = eval_windows(ds, cfg, h)
+                found = neighbors_mod.search(ds, [w for _, w in pairs], cfg.k)
+                for (s, w), ns in zip(pairs, found):
+                    if strategy.uses_neighbors and isinstance(ns, EmptyPool):
+                        continue
+                    expected.append(compose(strategy, w, s.description, s.interval_seconds,
+                                            cfg.patch_window, cfg.patch_stride, cfg.k,
+                                            ns if strategy.uses_neighbors else None))
+        assert bundles_for_run(ds, cfg) == expected
+        users = {}
+        for b in expected:
+            users.setdefault((b.strategy, b.horizon, b.window_id), set()).add(b.user)
+        assert all(len(u) == 2 for key, u in users.items() if key[2].startswith("v:"))
 
 
 def varying_dataset(n=106):
@@ -841,12 +916,15 @@ def live_csv(tmp_path, n=1000):
 
 
 class FakeLlm:
-    """A fake requests.post answering every prompt with "[1.25]" and reported
-    usage; the call numbered `fail_at` (from 1) gets an HTTP 500."""
+    """A fake requests.post answering every prompt with "[1.25]", or with
+    `persist` as the persistence mock does (the last context value, repeated
+    over the horizon), and reported usage; the call numbered `fail_at` (from 1)
+    gets an HTTP 500."""
 
-    def __init__(self, monkeypatch, fail_at=None):
+    def __init__(self, monkeypatch, fail_at=None, persist=False):
         self.calls = 0
         self.fail_at = fail_at
+        self.persist = persist
         self._lock = threading.Lock()
         monkeypatch.setenv(gw.API_KEY_ENV, "test-key")
         monkeypatch.setattr(gw.requests, "post", self)
@@ -857,7 +935,13 @@ class FakeLlm:
             n = self.calls
         if n == self.fail_at:
             return FakeResponse(500, text="server error")
-        return FakeResponse(200, ok_payload("[1.25]", it=7, ot=1))
+        text = "[1.25]"
+        if self.persist:
+            user = json["messages"][1]["content"]
+            last = user[: user.rfind(">")].rsplit(", ", 1)[-1].lstrip("<")
+            horizon = int(re.search(r"Predict the next (\d+) values", user)[1])
+            text = "[" + ", ".join([last] * horizon) + "]"
+        return FakeResponse(200, ok_payload(text, it=7, ot=1))
 
 
 RECORD_FLAGS = ["--strategy", "zeroshot", "--horizon", "1", "--endpoint", "http://llm.example",
@@ -899,17 +983,24 @@ class TestRecord:
                        config={**replayed.config, "backend": live.config["backend"]}) == live
 
     def test_one_pool_of_parallel_workers(self, tmp_path, monkeypatch):
-        workers = []
+        """--parallel 4 puts four requests in flight at once: the first four wait
+        for each other, so four distinct threads dispatched them."""
+        llm = FakeLlm(monkeypatch)
+        together = threading.Barrier(4, timeout=30)
+        lock = threading.Lock()
+        arrived = []
 
-        class CountingExecutor(ThreadPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                workers.append(max_workers)
-                super().__init__(max_workers, **kwargs)
+        def post(*args, **kwargs):
+            with lock:
+                arrived.append(threading.get_ident())
+                first = len(arrived) <= 4
+            if first:
+                together.wait()
+            return llm(*args, **kwargs)
 
-        monkeypatch.setattr(runner_mod, "ThreadPoolExecutor", CountingExecutor)
-        FakeLlm(monkeypatch)
+        monkeypatch.setattr(gw.requests, "post", post)
         assert self.record(tmp_path) == 0
-        assert workers == [4]
+        assert len(arrived) == 10 and len(set(arrived[:4])) == 4
         assert len(read_records(tmp_path / "fx.jsonl")) == 10
 
     def test_many_workers_append_whole_records(self, tmp_path, monkeypatch):
