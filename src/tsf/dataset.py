@@ -7,7 +7,6 @@ import functools
 import math
 import operator
 import re
-import weakref
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
@@ -15,6 +14,7 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 import numpy as np
 
 from .errors import (
+    DuplicateSeries,
     EmptyFile,
     MissingColumn,
     NonFiniteValue,
@@ -35,69 +35,60 @@ def _frozen(x, dtype) -> np.ndarray:
     return a
 
 
-# The read-only stamps arrays whose gaps a Series has checked, by (id, interval):
-# the series of one table share one array, and it is checked once. An entry
-# leaves with its array, so a reused id never matches.
-_UNIFORM_STAMPS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
-def _check_gaps(series_id: str, stamps: np.ndarray, interval: int) -> None:
-    """Raise NonUniformSampling unless every gap is interval; else remember stamps."""
-    lo, hi = stamps[:-1], stamps[1:]
-    # int64 gaps wrap; where the stamps rise, their uint64 view is exact
-    wrong = ((hi - lo).view(np.uint64) != interval) | (hi <= lo)
-    if np.count_nonzero(wrong):
-        i = int(wrong.argmax())
-        raise NonUniformSampling(f"series {series_id!r}: gap of {int(hi[i]) - int(lo[i])}s"
-                                 f" where {interval}s expected")
-    _UNIFORM_STAMPS[id(stamps), interval] = stamps
-
-
 @dataclass(frozen=True, eq=False)
 class Series:
-    """One named, uniformly sampled sequence of timestamped real values, held as
-    read-only int64 epoch seconds and float64 values. Other inputs are copied,
-    so a caller's list or writable array may change without changing it."""
+    """One named sequence of real values, one per stamp of its Dataset's clock,
+    held as read-only float64. Other inputs are copied, so a caller's list or
+    writable array may change without changing it."""
 
     id: str
     description: str
-    interval_seconds: int
-    timestamps: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        if len(self.timestamps) != len(self.values) or not len(self.values):
-            raise ValueError("timestamps and values must be equal-length and non-empty")
-        for name, dtype in (("timestamps", np.int64), ("values", np.float64)):
-            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+        object.__setattr__(self, "values", _frozen(self.values, np.float64))
         if not np.isfinite(self.values).all():
             raise NonFiniteValue(f"series {self.id!r} contains a non-finite value")
-        if self.interval_seconds <= 0:
-            raise NonUniformSampling(
-                f"series {self.id!r}: interval of {self.interval_seconds}s is not positive"
-            )
-        if _UNIFORM_STAMPS.get((id(self.timestamps), self.interval_seconds)) is not self.timestamps:
-            _check_gaps(self.id, self.timestamps, self.interval_seconds)
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
+    """Series of distinct ids on one clock: read-only int64 epoch seconds that
+    rise by one interval, with one value of each series per stamp. So (series
+    id, start) names a window, and a window's stamps say which windows precede
+    it in every series. The clock is copied as Series values are."""
+
     name: str
+    timestamps: np.ndarray
     series: tuple[Series, ...]
 
     def __post_init__(self):
-        if not self.series:
-            raise ValueError("dataset must contain at least one series")
-        first = self.series[0]
-        for s in self.series[1:]:
-            if s.interval_seconds != first.interval_seconds or (
-                s.timestamps is not first.timestamps
-                and not np.array_equal(s.timestamps, first.timestamps)
-            ):
-                raise ValueError("all series in a dataset must share timestamps")
+        object.__setattr__(self, "timestamps", stamps := _frozen(self.timestamps, np.int64))
+        if not self.series or not len(stamps) or any(s.values.shape != stamps.shape
+                                                      for s in self.series):
+            raise ValueError("a dataset needs a clock and series of one value per stamp")
+        ids = set()
+        for s in self.series:
+            if s.id in ids:
+                raise DuplicateSeries(f"dataset {self.name!r}: series id {s.id!r} repeats")
+            ids.add(s.id)
+        interval = self.interval_seconds
+        if interval <= 0:
+            raise NonUniformSampling(
+                f"dataset {self.name!r}: interval of {interval}s is not positive")
+        lo, hi = stamps[:-1], stamps[1:]
+        # int64 gaps wrap; where the stamps rise, their uint64 view is exact
+        wrong = ((hi - lo).view(np.uint64) != interval) | (hi <= lo)
+        if np.count_nonzero(wrong):
+            i = int(wrong.argmax())
+            raise NonUniformSampling(f"dataset {self.name!r}: gap of {int(hi[i]) - int(lo[i])}s"
+                                     f" where {interval}s expected")
+
+    @property
+    def interval_seconds(self) -> int:
+        """The clock's one gap, as an int, which may exceed int64; 1 for one stamp."""
+        t = self.timestamps
+        return int(t[1]) - int(t[0]) if len(t) > 1 else 1
 
     @property
     def feature_count(self) -> int:
@@ -194,6 +185,8 @@ def _columns(f, path, schema: CsvSchema) -> tuple[list[str], int, list[int]]:
     for c in value_cols:
         if c not in header:
             raise MissingColumn(f"value column {c!r} not in header")
+        if header.count(c) > 1:  # which of them holds the series?
+            raise DuplicateSeries(f"{path}: header names value column {c!r} more than once")
     return value_cols, header.index(schema.timestamp_column), [header.index(c) for c in value_cols]
 
 
@@ -350,14 +343,15 @@ def _load_chunks(path, schema: CsvSchema):
 
 
 def load_csv(path, schema: CsvSchema, name: str | None = None) -> Dataset:
-    """Load a CSV file into a Dataset, one Series per value column. The series
-    share one read-only timestamps array, and their values are the rows of one
-    read-only (columns x rows) array, which no Series copies.
+    """Load a CSV file into a Dataset, one Series per value column. The
+    Dataset's clock is one read-only timestamps array, and the series' values
+    are the rows of one read-only (columns x rows) array, which no Series copies.
 
     Chunks of lines parse with numpy straight into those arrays; a file with
     any doubt parses again cell by cell, so each error names its row and
     column. Rows are then sorted by timestamp (stably, into new arrays, and
-    only when they are out of order); sampling must be uniform.
+    only when they are out of order); the Dataset checks that sampling is
+    uniform.
     """
     value_cols, stamps, values = _load_chunks(path, schema) or _load_rows(path, schema)
     if not len(stamps):
@@ -366,31 +360,31 @@ def load_csv(path, schema: CsvSchema, name: str | None = None) -> Dataset:
         order = np.argsort(stamps, kind="stable")
         # take keeps each row contiguous; values[:, order] views a (rows x columns) array
         stamps, values = stamps[order], values.take(order, axis=1)
-    interval = int(stamps[1]) - int(stamps[0]) if len(stamps) > 1 else 1
-    if interval <= 0:
-        raise NonUniformSampling("duplicate or non-increasing timestamps")
     stamps.flags.writeable = values.flags.writeable = False
     return Dataset(
         name=name if name is not None else str(path),
-        series=tuple(Series(c, schema.descriptions.get(c, c), interval, stamps, column)
+        timestamps=stamps,
+        series=tuple(Series(c, schema.descriptions.get(c, c), column)
                      for c, column in zip(value_cols, values)),
     )
 
 
-def window_starts(series: Series, context_len: int, horizon: int, stride: int) -> range:
-    """Starts 0, stride, 2*stride, ... of every whole evaluation window."""
+def window_starts(dataset: Dataset, context_len: int, horizon: int, stride: int) -> range:
+    """Starts 0, stride, 2*stride, ... of every whole evaluation window, the
+    same in every series of the dataset."""
     if context_len < 1 or horizon < 1 or stride < 1:
         raise ValueError("context_len, horizon and stride must be >= 1")
-    n = len(series)
+    n = len(dataset.timestamps)
     if n < context_len + horizon:
         raise SeriesTooShort(
-            f"series {series.id!r} has {n} points; needs {context_len + horizon}"
+            f"dataset {dataset.name!r} has {n} points; needs {context_len + horizon}"
         )
     return range(0, n - context_len - horizon + 1, stride)
 
 
-def eval_window(series: Series, start: int, context_len: int, horizon: int) -> EvalWindow:
-    """The window whose context begins at `start`; its truth follows it."""
+def eval_window(dataset: Dataset, series: Series, start: int, context_len: int,
+                horizon: int) -> EvalWindow:
+    """The window of series whose context begins at `start`; its truth follows it."""
     end = start + context_len
     return EvalWindow(
         series_id=series.id,
@@ -398,18 +392,8 @@ def eval_window(series: Series, start: int, context_len: int, horizon: int) -> E
         context_start=start,
         horizon=horizon,
         truth=tuple(series.values[end : end + horizon].tolist()),
-        start_timestamp=int(series.timestamps[start]),
+        start_timestamp=int(dataset.timestamps[start]),
     )
-
-
-def slice_windows(
-    series: Series, context_len: int, horizon: int, stride: int = 96
-) -> list[EvalWindow]:
-    """Slice evaluation windows at starts 0, stride, 2*stride, ..."""
-    return [
-        eval_window(series, start, context_len, horizon)
-        for start in window_starts(series, context_len, horizon, stride)
-    ]
 
 
 @functools.lru_cache(maxsize=1 << 14)

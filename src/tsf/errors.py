@@ -35,6 +35,10 @@ class NonFiniteValue(TsfError):
     pass
 
 
+class DuplicateSeries(TsfError):
+    """Two series of one dataset, or two value columns of a header, share a name."""
+
+
 # --- neighbors ---
 
 class EmptyPool(TsfError):

@@ -148,36 +148,33 @@ def _http_complete(bundle: PromptBundle, cfg: BackendConfig) -> LlmResponse:
     }
     headers = {"Authorization": f"Bearer {api_key}"}
     attempts = max(1, cfg.max_retries)
-    backoff = 1.0
     for attempt in range(attempts):
+        last = attempt + 1 == attempts
         start = time.perf_counter()
         try:
             resp = requests.post(url, json=body, headers=headers, timeout=cfg.timeout_seconds)
         except requests.RequestException as e:  # timeouts included
-            if attempt + 1 < attempts:
-                _sleep(backoff)
-                backoff *= 2
-                continue
-            raise TransportError(str(e)) from e
-        latency = time.perf_counter() - start
-        if resp.status_code == 429 and attempt + 1 < attempts:
-            _sleep(backoff)
-            backoff *= 2
-            continue
-        if resp.status_code != 200:
-            raise HttpStatusError(resp.status_code, resp.text)
-        data = resp.json()
-        text = data["choices"][0]["message"]["content"]
-        usage = data.get("usage") or {}
-        if "prompt_tokens" in usage and "completion_tokens" in usage:
-            return LlmResponse(
-                text=text,
-                input_tokens=usage["prompt_tokens"],
-                output_tokens=usage["completion_tokens"],
-                latency_seconds=latency,
-                token_source=TokenSource.REPORTED,
-            )
-        return _estimated_response(text, bundle, latency)
+            if last:
+                raise TransportError(str(e)) from e
+        else:
+            if resp.status_code != 429 or last:
+                break
+        _sleep(2.0 ** attempt)  # a transport error or 429 retries after 1 s, 2 s, ...
+    latency = time.perf_counter() - start
+    if resp.status_code != 200:
+        raise HttpStatusError(resp.status_code, resp.text)
+    data = resp.json()
+    text = data["choices"][0]["message"]["content"]
+    usage = data.get("usage") or {}
+    if "prompt_tokens" in usage and "completion_tokens" in usage:
+        return LlmResponse(
+            text=text,
+            input_tokens=usage["prompt_tokens"],
+            output_tokens=usage["completion_tokens"],
+            latency_seconds=latency,
+            token_source=TokenSource.REPORTED,
+        )
+    return _estimated_response(text, bundle, latency)
 
 
 class Gateway:

@@ -57,11 +57,12 @@ def search(dataset: Dataset, targets: Sequence[EvalWindow], k: int = 5,
     """Each target's k nearest candidates, ties broken by (series_id, start_index).
 
     A target's candidates are the length-L windows of every series that end
-    before its context begins: with timestamps shared across the dataset, the
-    first context_start - L + 1 windows of each series. One window view over
-    the stacked prefixes of every series is built per call, and read in chunks
-    of window starts across all series; with znorm, each chunk is z-normalised
-    as it is read. A target without candidates gets an EmptyPool in its place.
+    before its context begins: on the dataset's one clock, the first
+    context_start - L + 1 windows of each series. One window view over the
+    prefixes of every series, stacked in id order, is built per call, and read
+    in chunks of window starts across all series; with znorm, each chunk is
+    z-normalised as it is read. A target without candidates gets an EmptyPool
+    in its place.
 
     Filter and refine: per chunk, one matrix product gives each target q the
     expanded form e = |q|^2 + |v|^2 - 2 q.v of every row v (-2 q is exact).
@@ -104,14 +105,14 @@ def search(dataset: Dataset, targets: Sequence[EvalWindow], k: int = 5,
     # per target: the smallest upper bounds seen, k of them or one per candidate
     best = np.full((len(targets), min(k, n_max * S)), np.inf)
     kb = best.shape[1]
-    rank = {sid: r for r, sid in enumerate(sorted({s.id for s in dataset.series}))}
-    ranks = np.array([rank[s.id] for s in dataset.series])
+    # ids are distinct, so in id order a series' index is its rank by id
+    series = sorted(dataset.series, key=lambda s: s.id)
     # (series, start, L): every candidate window of every series
-    view = sliding_window_view(np.stack([s.values[:n_max + L - 1] for s in dataset.series])
+    view = sliding_window_view(np.stack([s.values[:n_max + L - 1] for s in series])
                                if n_max else np.empty((S, L)), L, axis=1)
     step = max(1, _CHUNK_ELEMENTS // L)
-    # columns of (target slot, distance, id rank, start, series index)
-    kept, n_kept = [np.empty((5, 0))], 0
+    # columns of (target slot, distance, series index, start)
+    kept, n_kept = [np.empty((4, 0))], 0
     c0 = 0
     while c0 < n_max:
         # the targets whose cut is past c0; the chunk ends at or before the first
@@ -144,16 +145,15 @@ def search(dataset: Dataset, targets: Sequence[EvalWindow], k: int = 5,
         for g in range(0, len(slot), step):
             s, a = slot[g:g + step], at[g:g + step]
             j, start = np.divmod(a, c1 - c0)
-            kept.append([s, np.sqrt(((rows[a] - queries[s]) ** 2).sum(axis=1)), ranks[j],
-                         start + c0, j])
+            kept.append([s, np.sqrt(((rows[a] - queries[s]) ** 2).sum(axis=1)), j, start + c0])
             n_kept += len(s)
         if n_kept > _CHUNK_ELEMENTS:  # many ties
             kept = [_first_k(np.concatenate(kept, axis=1), k)]
             n_kept = kept[0].shape[1]
         c0 = c1
-    slot, d, _, start, j = _first_k(np.concatenate(kept, axis=1), k)
-    slot, start, j = slot.astype(np.intp), start.astype(np.intp), j.astype(np.intp)
-    ids = [s.id for s in dataset.series]
+    slot, d, j, start = _first_k(np.concatenate(kept, axis=1), k)
+    slot, j, start = slot.astype(np.intp), j.astype(np.intp), start.astype(np.intp)
+    ids = [s.id for s in series]
     found: list[list] = [[] for _ in targets]
     for p, dist, sj, st, values in zip(slot.tolist(), d.tolist(), j.tolist(), start.tolist(),
                                        map(tuple, view[j, start].tolist())):
@@ -166,8 +166,8 @@ def search(dataset: Dataset, targets: Sequence[EvalWindow], k: int = 5,
 
 def _first_k(kept: np.ndarray, k: int) -> np.ndarray:
     """The columns of kept that are among the first k of their target slot by
-    (distance, series id, start, series index), the order a sort of such tuples
-    gives, sorted that way. A NaN distance (z-normalised values whose sum
+    (distance, series index, start), the order a sort of such tuples gives,
+    sorted that way. A NaN distance (z-normalised values whose sum
     overflows) is never a neighbor."""
     kept = kept[:, ~np.isnan(kept[1])]
     kept = kept[:, np.lexsort(kept[::-1])]

@@ -9,7 +9,6 @@ import json
 import queue
 import random
 import threading
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple, Optional, Sequence, Union
@@ -90,19 +89,14 @@ def _cells(cfg: RunConfig) -> list[tuple[Strategy, int]]:
 
 def _shown_text(dataset: Dataset, drawn, found, length: int) -> dict[tuple[str, int], str]:
     """The rendered text of every window the plan shows, by (series id, start):
-    each drawn context and each neighbor, each series' cells formatted once.
-    A series whose id another series shares is left out, since its id does not
-    say which series a neighbor came from."""
-    ids = Counter(s.id for s in dataset.series)
-    starts = {s.id: set() for s in dataset.series if ids[s.id] == 1}
+    each drawn context and each neighbor, each series' cells formatted once."""
+    starts = {s.id: set() for s in dataset.series}
     for (series, window), ns in zip(drawn, found):
-        shown = [(series.id, window.context_start)]
+        starts[series.id].add(window.context_start)
         if isinstance(ns, NeighborSet):
-            shown += [(cand.series_id, cand.start_index) for cand, _ in ns.entries]
-        for sid, start in shown:
-            if sid in starts:
-                starts[sid].add(start)
-    return {(s.id, start): text for s in dataset.series if s.id in starts
+            for cand, _ in ns.entries:
+                starts[cand.series_id].add(cand.start_index)
+    return {(s.id, start): text for s in dataset.series
             for start, text in prompting.render_sequences(s.values, starts[s.id], length).items()}
 
 
@@ -121,17 +115,12 @@ def _plan(dataset: Dataset, cfg: RunConfig) -> list[_Job]:
     found = (neighbors.search(dataset, [w for _, w in drawn], cfg.k, cfg.znorm_neighbors)
              if any(s.uses_neighbors for s in cfg.strategies) else [None] * len(drawn))
     texts = _shown_text(dataset, drawn, found, cfg.context_len)
-
-    def text(sid: str, start: int, values) -> str:
-        return texts.get((sid, start)) or prompting.render_sequence(values)
-
     windows = []
     for (series, window), ns in zip(drawn, found):
-        block = (prompting.neighbor_block([text(c.series_id, c.start_index, c.values)
-                                           for c, _ in ns.entries])
+        block = (prompting.neighbor_block([texts[c.series_id, c.start_index] for c, _ in ns.entries])
                  if isinstance(ns, NeighborSet) else ns)
         at = {h: replace(window, horizon=h, truth=window.truth[:h]) for h in cfg.horizons}
-        windows.append((series, at, text(series.id, window.context_start, window.context), block))
+        windows.append((series, at, texts[series.id, window.context_start], block))
     systems: dict[tuple, str] = {}
     jobs = []
     for strategy, horizon in cells:
@@ -141,7 +130,7 @@ def _plan(dataset: Dataset, cfg: RunConfig) -> list[_Job]:
             key = (strategy, horizon, series.id, start % 86400 if strategy.states_clock else None)
             if key not in systems:
                 systems[key] = prompting.system_prompt(
-                    strategy, series.description, series.interval_seconds, horizon,
+                    strategy, series.description, dataset.interval_seconds, horizon,
                     cfg.context_len, cfg.patch_window, cfg.patch_stride, cfg.k, start)
             jobs.append(_Job(strategy, window, systems[key], sequence,
                              block if strategy.uses_neighbors else None))
@@ -210,10 +199,10 @@ def eval_windows(dataset: Dataset, cfg: RunConfig, horizon: int) -> list[tuple[S
     """Subsampled evaluation windows for every series in the dataset. The
     subsample draws from the window starts valid at the run's longest
     horizon, so every horizon scores the same windows; only the kept windows
-    are built. The series share their timestamps, so one draw serves them all."""
-    starts = _subsample(window_starts(dataset.series[0], cfg.context_len, max(cfg.horizons),
+    are built. The series share the dataset's clock, so one draw serves them all."""
+    starts = _subsample(window_starts(dataset, cfg.context_len, max(cfg.horizons),
                                       cfg.eval_stride), cfg.max_windows, cfg.seed)
-    return [(series, eval_window(series, start, cfg.context_len, horizon))
+    return [(series, eval_window(dataset, series, start, cfg.context_len, horizon))
             for series in dataset.series for start in starts]
 
 

@@ -1,7 +1,6 @@
 import math
 
 import numpy as np
-import pytest
 
 from tsf.dataset import Dataset, Series
 from tsf.errors import EmptyPool, LengthMismatch
@@ -10,24 +9,17 @@ from tsf.neighbors import CandidateWindow, NeighborSet
 from golden_util import compose
 
 
-def make_series(values, series_id="s", interval=600, description=None, start_ts=0):
-    return Series(
-        id=series_id,
-        description=description or series_id,
-        interval_seconds=interval,
-        timestamps=tuple(start_ts + interval * i for i in range(len(values))),
-        values=tuple(float(v) for v in values),
-    )
-
-
-def make_dataset(columns, name="synthetic", interval=600):
-    """columns: dict of series_id -> values (all same length)."""
+def make_dataset(columns, name="synthetic", interval=600, start_ts=0, descriptions=None):
+    """columns: dict of series_id -> values (all same length), on one clock of
+    stamps start_ts, start_ts + interval, ...; descriptions: dict of series_id
+    -> description (default: the id)."""
+    descriptions = descriptions or {}
+    n = len(next(iter(columns.values())))
     return Dataset(
         name=name,
-        series=tuple(
-            make_series(vals, series_id=sid, interval=interval)
-            for sid, vals in columns.items()
-        ),
+        timestamps=tuple(start_ts + interval * i for i in range(n)),
+        series=tuple(Series(sid, descriptions.get(sid, sid), tuple(float(v) for v in vals))
+                     for sid, vals in columns.items()),
     )
 
 
@@ -45,8 +37,8 @@ def enumerate_candidates(ds, target):
     return [
         CandidateWindow(s.id, start, tuple(s.values[start : start + L].tolist()))
         for s in ds.series
-        for start in range(len(s) - L + 1)
-        if s.timestamps[start + L - 1] < target.start_timestamp
+        for start in range(len(ds.timestamps) - L + 1)
+        if ds.timestamps[start + L - 1] < target.start_timestamp
     ]
 
 
@@ -79,15 +71,5 @@ def fresh_bundle(cfg, dataset, series, window, strategy):
     neighbors = None
     if strategy.uses_neighbors:
         neighbors = brute_force_neighbors(dataset, window, cfg.k, cfg.znorm_neighbors)
-    return compose(strategy, window, series.description, series.interval_seconds,
+    return compose(strategy, window, series.description, dataset.interval_seconds,
                    cfg.patch_window, cfg.patch_stride, cfg.k, neighbors)
-
-
-@pytest.fixture
-def linear_series():
-    return make_series([0.5 * i for i in range(130)], series_id="lin")
-
-
-@pytest.fixture
-def constant_series():
-    return make_series([5.0] * 130, series_id="const")

@@ -54,7 +54,7 @@ def test_neighbor_oracle_50_random_datasets():
             context_start=cstart,
             horizon=1,
             truth=tuple(series.values[cstart + L : cstart + L + 1].tolist()),
-            start_timestamp=int(series.timestamps[cstart]),
+            start_timestamp=int(ds.timestamps[cstart]),
         )
         candidates = enumerate_candidates(ds, target)
         assert len(candidates) <= 5000

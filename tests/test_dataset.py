@@ -18,11 +18,13 @@ from tsf.dataset import (
     Dataset,
     Series,
     _parse_timestamp,
+    eval_window,
     format_value,
     load_csv,
-    slice_windows,
+    window_starts,
 )
 from tsf.errors import (
+    DuplicateSeries,
     EmptyFile,
     MissingColumn,
     NonFiniteValue,
@@ -31,7 +33,7 @@ from tsf.errors import (
     SeriesTooShort,
 )
 
-from conftest import make_series
+from conftest import make_dataset
 
 SCHEMA = CsvSchema(timestamp_column="t")
 
@@ -46,10 +48,9 @@ class TestLoadCsv:
     def test_three_row_readback(self, tmp_path):
         p = write_csv(tmp_path, "t,v\n0,1\n600,2\n1200,3\n")
         ds = load_csv(p, SCHEMA)
-        s = ds.series[0]
-        assert s.interval_seconds == 600
-        assert tuple(s.values.tolist()) == (1.0, 2.0, 3.0)
-        assert tuple(s.timestamps.tolist()) == (0, 600, 1200)
+        assert ds.interval_seconds == 600
+        assert tuple(ds.series[0].values.tolist()) == (1.0, 2.0, 3.0)
+        assert tuple(ds.timestamps.tolist()) == (0, 600, 1200)
 
     def test_nonuniform_sampling(self, tmp_path):
         p = write_csv(tmp_path, "t,v\n0,1\n600,2\n1300,3\n")
@@ -114,15 +115,16 @@ class TestLoadCsv:
     def test_loaded_series_pass_direct_validation(self, tmp_path):
         p = write_csv(tmp_path, "t,v,w\n1200,3,6\n0,1.5,2\n600,2.25,4\n")
         ds = load_csv(p, SCHEMA)
-        for s in ds.series:
-            rebuilt = Series(s.id, s.description, s.interval_seconds, s.timestamps, s.values)
-            assert fields(rebuilt) == fields(s)
-        rebuilt = Dataset(ds.name, ds.series)
-        assert (rebuilt.name, rebuilt.series) == (ds.name, ds.series)
+        rebuilt = Dataset(ds.name, ds.timestamps,
+                          tuple(Series(s.id, s.description, s.values) for s in ds.series))
+        assert snapshot(rebuilt) == snapshot(ds)
+        # read-only arrays over read-only memory are taken as they are, not copied
+        assert rebuilt.timestamps is ds.timestamps
+        assert all(a.values is b.values for a, b in zip(rebuilt.series, ds.series))
 
     def test_interval_wider_than_int64(self, tmp_path):
         p = write_csv(tmp_path, f"t,v\n{-2**63},1\n{2**63 - 1},2\n")
-        assert load_csv(p, SCHEMA).series[0].interval_seconds == 2**64 - 1
+        assert load_csv(p, SCHEMA).interval_seconds == 2**64 - 1
 
     def test_empty_file(self, tmp_path):
         p = write_csv(tmp_path, "")
@@ -140,7 +142,7 @@ class TestLoadCsv:
             "t,v\n1970-01-01T00:00:00,1\n1970-01-01T00:10:00,2\n1970-01-01T00:20:00,3\n",
         )
         ds = load_csv(p, SCHEMA)
-        assert tuple(ds.series[0].timestamps.tolist()) == (0, 600, 1200)
+        assert tuple(ds.timestamps.tolist()) == (0, 600, 1200)
 
     def test_rows_sorted_by_timestamp(self, tmp_path):
         p = write_csv(tmp_path, "t,v\n1200,3\n0,1\n600,2\n")
@@ -152,13 +154,13 @@ class TestLoadCsv:
         ds = load_csv(p, SCHEMA)
         lines = ["t,v,w"]
         s1, s2 = ds.series
-        for i, ts in enumerate(s1.timestamps):
+        for i, ts in enumerate(ds.timestamps):
             lines.append(f"{ts},{format_value(s1.values[i])},{format_value(s2.values[i])}")
         p2 = write_csv(tmp_path, "\n".join(lines) + "\n", name="rt.csv")
         ds2 = load_csv(p2, SCHEMA)
         assert ds2.series[0].values.tolist() == s1.values.tolist()
         assert ds2.series[1].values.tolist() == s2.values.tolist()
-        assert ds2.series[0].timestamps.tolist() == s1.timestamps.tolist()
+        assert ds2.timestamps.tolist() == ds.timestamps.tolist()
 
 
 def per_cell(path, schema=SCHEMA):
@@ -167,19 +169,12 @@ def per_cell(path, schema=SCHEMA):
         return load_csv(path, schema)
 
 
-def fields(s):
-    """A Series' fields, its arrays as tuples."""
-    return (s.id, s.description, s.interval_seconds, tuple(s.timestamps.tolist()),
-            tuple(s.values.tolist()))
-
-
 def snapshot(ds):
     """Everything a Dataset holds, with types, and values bit for bit."""
-    return ds.name, [
-        (s.id, s.description, s.interval_seconds, type(s.interval_seconds),
-         tuple(s.timestamps.tolist()), s.timestamps.dtype, [v.hex() for v in s.values.tolist()])
-        for s in ds.series
-    ]
+    return (ds.name, ds.interval_seconds, type(ds.interval_seconds),
+            tuple(ds.timestamps.tolist()), ds.timestamps.dtype,
+            [(s.id, s.description, s.values.dtype, [v.hex() for v in s.values.tolist()])
+             for s in ds.series])
 
 
 def load_outcome(load, path, schema):
@@ -344,8 +339,7 @@ class TestChunkedLoad:
                 with mock.patch.object(dataset, "_load_rows", side_effect=AssertionError):
                     ds = load_csv(p, SCHEMA)
             assert snapshot(ds) == snapshot(per_cell(p))
-            assert ds.series[0].timestamps[0] == start
-            assert ds.series[1].timestamps is ds.series[0].timestamps
+            assert ds.timestamps[0] == start
 
     @pytest.mark.parametrize("text, expected", [
         ('t,u,v,w\n0,"1,2",3,4\n600,5,6,7\n', (4.0, 7.0)),  # split at commas, w reads 3
@@ -400,14 +394,14 @@ class TestChunkedLoad:
     @pytest.mark.parametrize("stamp", [-2**63, 2**63 - 1])
     def test_stamps_at_int64_bounds_load(self, tmp_path, stamp):
         p = write_csv(tmp_path, f"t,v\n{stamp},1\n")
-        assert load_csv(p, SCHEMA).series[0].timestamps.tolist() == [stamp]
+        assert load_csv(p, SCHEMA).timestamps.tolist() == [stamp]
 
     def test_offset_stamps_warn_nothing(self, tmp_path):
         p = write_csv(tmp_path, "t,v\n1970-01-01T01:00:00+01:00,1\n1970-01-01T00:10:00+00:00,2\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ds = load_csv(p, SCHEMA)
-        assert tuple(ds.series[0].timestamps.tolist()) == (0, 600)
+        assert tuple(ds.timestamps.tolist()) == (0, 600)
 
 
 def iso_table(rows, columns=3):
@@ -453,7 +447,7 @@ class TestInPlaceFill:
         for j, s in enumerate(ds.series):
             assert s.values.base is values and not s.values.flags.writeable
             assert np.shares_memory(s.values, values[j])
-        assert not owner(ds.series[0].timestamps).flags.writeable
+        assert not owner(ds.timestamps).flags.writeable
         assert snapshot(ds) == snapshot(per_cell(p))
 
     def test_peak_memory_beyond_the_arrays_does_not_grow_with_the_table(self, tmp_path):
@@ -470,7 +464,7 @@ class TestInPlaceFill:
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-            held = owner(ds.series[0].timestamps).nbytes + owner(ds.series[0].values).nbytes
+            held = owner(ds.timestamps).nbytes + owner(ds.series[0].values).nbytes
             return peak - held, held
 
         small, small_held = overhead(20_000)
@@ -632,11 +626,17 @@ class TestChunkStamps:
         assert dataset._chunk_stamps(stamps).tolist() == expected
 
 
+def one_series(timestamps, values=None, name="d"):
+    """A Dataset of one series "s" on the given clock (values default to 1.0)."""
+    values = (1.0,) * len(timestamps) if values is None else values
+    return Dataset(name, timestamps, (Series("s", "s", values),))
+
+
 class TestDirectConstruction:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_series_non_finite(self, bad):
         with pytest.raises(NonFiniteValue):
-            Series("s", "s", 600, (0, 600, 1200), (1.0, bad, 3.0))
+            Series("s", "s", (1.0, bad, 3.0))
 
     @pytest.mark.parametrize("timestamps", [
         (0, 600, 1300), (0, 600, 600), (0, 1200, 1800),
@@ -644,117 +644,110 @@ class TestDirectConstruction:
     ])
     def test_series_uneven_gaps(self, timestamps):
         with pytest.raises(NonUniformSampling):
-            Series("s", "s", 600, timestamps, (1.0, 2.0, 3.0))
+            one_series(timestamps)
 
     @pytest.mark.parametrize("interval, timestamps", [
-        (-600, (0, -600, -1200)), (0, (0, 0, 0)), (0, (5,)), (-1, (3,)),
+        (-600, (0, -600, -1200)), (0, (0, 0, 0)),
     ])
     def test_series_interval_not_positive(self, interval, timestamps):
-        values = (1.0,) * len(timestamps)
-        with pytest.raises(NonUniformSampling, match="not positive"):
-            Series("a", "a", interval, timestamps, values)
+        with pytest.raises(NonUniformSampling, match=f"interval of {interval}s is not positive"):
+            one_series(timestamps)
 
-    def test_dataset_mismatched_timestamps(self):
-        a = make_series([1, 2, 3], series_id="a")
-        b = make_series([1, 2, 3], series_id="b", start_ts=600)
-        with pytest.raises(ValueError):
-            Dataset("d", (a, b))
+    def test_gap_error_names_the_dataset(self):
+        with pytest.raises(NonUniformSampling, match="'d': gap of 700s where 600s expected"):
+            one_series((0, 600, 1300))
 
-    def test_dataset_mismatched_interval(self):
-        a = make_series([1.0], series_id="a", interval=600)
-        b = make_series([1.0], series_id="b", interval=60)
+    @pytest.mark.parametrize("timestamps", [(5,), (-2**63,)])
+    def test_one_stamp_has_interval_one(self, timestamps):
+        assert one_series(timestamps).interval_seconds == 1
+
+    def test_repeated_series_id_raises(self):
+        """Two series named alike, with their own values and descriptions: a
+        window's (id, start) would not say which series it came from, nor its
+        system prompt which description to name."""
+        series = (Series("v", "wind speed", (1.0, 2.0, 3.0)),
+                  Series("v", "air pressure", (4.0, 5.0, 6.0)))
+        with pytest.raises(DuplicateSeries, match="'twins': series id 'v' repeats"):
+            Dataset("twins", (0, 600, 1200), series)
+
+    @pytest.mark.parametrize("values", [(1.0, 2.0), (1.0, 2.0, 3.0, 4.0), ((1.0, 2.0, 3.0),)])
+    def test_one_value_per_stamp(self, values):
         with pytest.raises(ValueError):
-            Dataset("d", (a, b))
+            one_series((0, 600, 1200), values)
+
+    @pytest.mark.parametrize("timestamps, series", [
+        (np.empty(0, np.int64), (Series("s", "s", ()),)), ((0, 600), ()),
+    ], ids=["no stamps", "no series"])
+    def test_empty_dataset(self, timestamps, series):
+        with pytest.raises(ValueError):
+            Dataset("d", timestamps, series)
 
 
 class TestSeriesArrays:
     def test_read_only(self):
-        s = make_series([1.0, 2.0])
+        ds = make_dataset({"s": [1.0, 2.0]})
         with pytest.raises(ValueError):
-            s.values[0] = 1
+            ds.series[0].values[0] = 1
         with pytest.raises(ValueError):
-            s.timestamps[0] = 1
-        assert (s.timestamps.dtype, s.values.dtype) == (np.int64, np.float64)
+            ds.timestamps[0] = 1
+        assert (ds.timestamps.dtype, ds.series[0].values.dtype) == (np.int64, np.float64)
 
     @pytest.mark.parametrize("wrap", [list, np.array], ids=["list", "array"])
     def test_caller_input_is_copied(self, wrap):
         timestamps, values = wrap([0, 600, 1200]), wrap([1.0, 2.0, 3.0])
-        s = Series("s", "s", 600, timestamps, values)
+        ds = one_series(timestamps, values)
         timestamps[1], values[1] = 700, 9.0
-        assert (s.timestamps.tolist(), s.values.tolist()) == ([0, 600, 1200], [1.0, 2.0, 3.0])
+        assert (ds.timestamps.tolist(), ds.series[0].values.tolist()) == (
+            [0, 600, 1200], [1.0, 2.0, 3.0])
 
     def test_read_only_view_of_writable_array_is_copied(self):
         values = np.array([1.0, 2.0])
         view = values[:]
         view.flags.writeable = False
-        s = Series("s", "s", 600, (0, 600), view)
+        s = Series("s", "s", view)
         values[0] = 9.0
         assert s.values.tolist() == [1.0, 2.0]
 
     @pytest.mark.parametrize("timestamps", [(0, 2**63), (0, 600.0), (-2**63 - 1, 0)])
     def test_stamps_that_are_not_int64_raise(self, timestamps):
         with pytest.raises(TypeError):
-            Series("s", "s", 600, timestamps, (1.0, 2.0))
+            one_series(timestamps)
 
     @pytest.mark.parametrize("per_cell_path", [False, True], ids=["vectorised", "per-cell"])
     def test_loaded_series_share_one_timestamps_array(self, tmp_path, per_cell_path):
         p = write_csv(tmp_path, "t,u,v,w\n600,1,2,3\n0,4,5,6\n1200,7,8,9\n")
         ds = per_cell(p) if per_cell_path else load_csv(p, SCHEMA)
-        assert all(s.timestamps is ds.series[0].timestamps for s in ds.series)
-        assert ds.series[0].timestamps.tolist() == [0, 600, 1200]
+        assert ds.timestamps.tolist() == [0, 600, 1200]
         assert [s.values.tolist() for s in ds.series] == [[4, 1, 7], [5, 2, 8], [6, 3, 9]]
 
 
-class TestGapsCheckedOnce:
-    """The series of one table share a stamps array, and its gaps are checked
-    once; any other array, or the same one at another interval, is checked."""
-
-    def test_one_check_per_loaded_table(self, tmp_path):
-        header = "t," + ",".join(f"v{j}" for j in range(21))
-        rows = "".join(f"{600 * i}," + ",".join(["1.5"] * 21) + "\n" for i in range(30))
-        p = write_csv(tmp_path, header + "\n" + rows)
-        with mock.patch.object(dataset, "_check_gaps", wraps=dataset._check_gaps) as check:
-            ds = load_csv(p, SCHEMA)
-            assert check.call_count == 1
-            stamps = ds.series[0].timestamps
-            Series("w", "w", 600, stamps, np.ones(30))
-            assert check.call_count == 1
-            with pytest.raises(NonUniformSampling, match="gap of 600s where 300s expected"):
-                Series("w", "w", 300, stamps, np.ones(30))
-            Series("w", "w", 600, tuple(range(0, 18000, 600)), np.ones(30))
-            assert check.call_count == 3
-
-    def test_a_rejected_array_is_checked_again(self):
-        stamps = np.array([0, 600, 1300])
-        stamps.flags.writeable = False
-        for _ in range(2):
-            with pytest.raises(NonUniformSampling, match="'s': gap of 700s where 600s expected"):
-                Series("s", "s", 600, stamps, (1.0, 2.0, 3.0))
-
-
 class TestSliceWindows:
+    """window_starts and eval_window slice a dataset's evaluation windows."""
+
     def test_two_windows(self):
-        s = make_series(range(100))
-        ws = slice_windows(s, 96, 3, stride=1)
-        assert [w.context_start for w in ws] == [0, 1]
+        ds = make_dataset({"s": range(100)})
+        assert list(window_starts(ds, 96, 3, stride=1)) == [0, 1]
 
     def test_one_window(self):
-        s = make_series(range(99))
-        assert len(slice_windows(s, 96, 3, stride=1)) == 1
+        ds = make_dataset({"s": range(99)})
+        assert len(window_starts(ds, 96, 3, stride=1)) == 1
 
     def test_too_short(self):
-        s = make_series(range(98))
-        with pytest.raises(SeriesTooShort):
-            slice_windows(s, 96, 3, stride=1)
+        ds = make_dataset({"s": range(98)})
+        with pytest.raises(SeriesTooShort, match="'synthetic' has 98 points; needs 99"):
+            window_starts(ds, 96, 3, stride=1)
 
     def test_windows_are_exact_subranges(self):
-        s = make_series([((i * 13) % 7) / 3 for i in range(120)])
-        for w in slice_windows(s, 96, 4, stride=5):
-            lo = w.context_start
-            assert w.context == tuple(s.values[lo : lo + 96].tolist())
-            assert w.truth == tuple(s.values[lo + 96 : lo + 100].tolist())
-            assert w.start_timestamp == s.timestamps[lo]
-            assert type(w.start_timestamp) is int
+        ds = make_dataset({"a": [((i * 13) % 7) / 3 for i in range(120)],
+                           "b": [-i / 4 for i in range(120)]}, start_ts=-6_000)
+        for s in ds.series:
+            for lo in window_starts(ds, 96, 4, stride=5):
+                w = eval_window(ds, s, lo, 96, 4)
+                assert (w.series_id, w.context_start, w.horizon) == (s.id, lo, 4)
+                assert w.context == tuple(s.values[lo : lo + 96].tolist())
+                assert w.truth == tuple(s.values[lo + 96 : lo + 100].tolist())
+                assert w.start_timestamp == ds.timestamps[lo] == -6_000 + 600 * lo
+                assert type(w.start_timestamp) is int
 
 
 def oracle_round_half_even(x: float, max_decimals: int) -> Fraction:

@@ -247,13 +247,41 @@ class TestHttp:
         assert exc.value.status == 500
 
     def test_transport_error_after_retries(self, monkeypatch, api_key):
+        calls = []
+        sleeps = []
+
         def fail(*a, **k):
+            calls.append(1)
             raise gw.requests.ConnectionError("down")
 
         monkeypatch.setattr(gw.requests, "post", fail)
-        monkeypatch.setattr(gw, "_sleep", lambda s: None)
+        monkeypatch.setattr(gw, "_sleep", sleeps.append)
         with pytest.raises(TransportError):
             Gateway(HTTP_CFG).complete(bundle_for([1, 2], horizon=1))
+        assert len(calls) == 3
+        assert sleeps == [1.0, 2.0]  # the backoff 429 takes, and none after the last attempt
+
+    @pytest.mark.parametrize("max_retries, attempts", [(0, 1), (1, 1), (4, 4)])
+    def test_mixed_failures_share_one_backoff(self, monkeypatch, api_key, max_retries,
+                                              attempts):
+        """Transport errors and 429s, alternating, back off along one schedule;
+        a 429 on the last attempt is the window's error."""
+        calls = []
+        sleeps = []
+
+        def flaky(*a, **k):
+            calls.append(1)
+            if len(calls) % 2:
+                raise gw.requests.Timeout("slow")
+            return FakeResponse(429, {}, text="rate limited")
+
+        monkeypatch.setattr(gw.requests, "post", flaky)
+        monkeypatch.setattr(gw, "_sleep", sleeps.append)
+        cfg = replace(HTTP_CFG, max_retries=max_retries)
+        with pytest.raises(TransportError if attempts % 2 else HttpStatusError):
+            Gateway(cfg).complete(bundle_for([1, 2], horizon=1))
+        assert len(calls) == attempts
+        assert sleeps == [2.0 ** i for i in range(attempts - 1)]
 
     def test_missing_api_key(self, monkeypatch):
         monkeypatch.delenv(gw.API_KEY_ENV, raising=False)

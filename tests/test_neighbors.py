@@ -25,14 +25,14 @@ from conftest import (
 )
 
 
-def window_at(series, start, context_len, horizon=1):
+def window_at(ds, series, start, context_len, horizon=1):
     return EvalWindow(
         series_id=series.id,
         context=tuple(series.values[start : start + context_len].tolist()),
         context_start=start,
         horizon=horizon,
         truth=tuple(series.values[start + context_len : start + context_len + horizon].tolist()),
-        start_timestamp=int(series.timestamps[start]),
+        start_timestamp=int(ds.timestamps[start]),
     )
 
 
@@ -93,22 +93,22 @@ class TestBuildPool:
 
     def test_no_past(self):
         ds = make_dataset({"a": range(20)})
-        assert isinstance(nearest(ds, window_at(ds.series[0], 0, 8)), EmptyPool)
+        assert isinstance(nearest(ds, window_at(ds, ds.series[0], 0, 8)), EmptyPool)
 
     def test_single_past_window(self):
         L = 8
         ds = make_dataset({"a": range(2 * L + 1)})
-        target = window_at(ds.series[0], L, L)
+        target = window_at(ds, ds.series[0], L, L)
         assert keys(nearest(ds, target, k=100)) == [("a", 0)]
 
     def test_pool_spans_all_features(self):
         ds = make_dataset({"a": range(30), "b": range(100, 130)})
-        target = window_at(ds.series[0], 20, 8)
+        target = window_at(ds, ds.series[0], 20, 8)
         assert {sid for sid, _ in keys(nearest(ds, target, k=100))} == {"a", "b"}
 
     def test_windows_strictly_precede_context(self):
         ds = make_dataset({"a": range(40)})
-        target = window_at(ds.series[0], 25, 8)
+        target = window_at(ds, ds.series[0], 25, 8)
         starts = sorted(start for _, start in keys(nearest(ds, target, k=100)))
         assert starts == list(range(25 - 8 + 1))
 
@@ -122,7 +122,7 @@ class TestTopK:
         vals = list(range(40))
         vals[10 : 10 + L] = vals[30 : 30 + L]
         ds = make_dataset({"a": vals})
-        target = window_at(ds.series[0], 30, L, horizon=1)
+        target = window_at(ds, ds.series[0], 30, L, horizon=1)
         ns = nearest(ds, target, k=3)
         assert ns.entries[0][0].start_index == 10
         assert ns.entries[0][1] == 0.0
@@ -130,7 +130,7 @@ class TestTopK:
 
     def test_k_saturation(self):
         ds = make_dataset({"a": range(30)})
-        target = window_at(ds.series[0], 20, 8)
+        target = window_at(ds, ds.series[0], 20, 8)
         ns = nearest(ds, target, k=100)
         assert ns.k == 100
         assert len(ns.entries) == len(enumerate_candidates(ds, target))
@@ -141,7 +141,7 @@ class TestTopK:
         rng = random.Random(7)
         L = 16
         ds = make_dataset({f"s{j}": [rng.uniform(0, 10) for _ in range(120)] for j in range(4)})
-        target = window_at(ds.series[2], 100, L)
+        target = window_at(ds, ds.series[2], 100, L)
         ns = nearest(ds, target, k=5)
         expected = sorted(
             ((c, euclidean(c.values, target.context)) for c in enumerate_candidates(ds, target)),
@@ -156,13 +156,14 @@ class TestTopK:
         cols = {sid: [rng.uniform(0, 2) for _ in range(60)] for sid in "abcd"}
         ds = make_dataset(cols)
         shuffled = make_dataset({sid: cols[sid] for sid in "cadb"})
-        targets = [window_at(s, 40, 8) for s in ds.series]
+        targets = [window_at(ds, s, 40, 8) for s in ds.series]
         assert search(ds, targets, 5) == search(shuffled, targets, 5)
 
     def test_far_candidate_does_not_change_result(self):
         rng = random.Random(11)
         cols = {"a": [rng.uniform(0, 2) for _ in range(30)]}
-        target = window_at(make_dataset(cols).series[0], 20, 8)
+        ds = make_dataset(cols)
+        target = window_at(ds, ds.series[0], 20, 8)
         before = nearest(make_dataset(cols), target)
         after = nearest(make_dataset({**cols, "z": [1e6] * 30}), target)
         assert before.entries == after.entries
@@ -175,7 +176,7 @@ class TestTopK:
         for sid, where in (("b", 5), ("a", 9), ("a", 2)):
             cols[sid][where : where + L] = context
         ds = make_dataset(cols)
-        ns = nearest(ds, window_at(ds.series[0], 20, L), k=3)
+        ns = nearest(ds, window_at(ds, ds.series[0], 20, L), k=3)
         assert keys(ns) == [("a", 2), ("a", 9), ("b", 5)]
         assert [d for _, d in ns.entries] == [0.0] * 3
 
@@ -184,14 +185,14 @@ class TestTopK:
         next start has one candidate per series."""
         L = 8
         ds = make_dataset({"a": range(30), "b": range(30)})
-        targets = [window_at(ds.series[0], L - 1, L), window_at(ds.series[1], L, L)]
+        targets = [window_at(ds, ds.series[0], L - 1, L), window_at(ds, ds.series[1], L, L)]
         before, first = search(ds, targets, 5)
         assert isinstance(before, EmptyPool)
         assert keys(first) == [("a", 0), ("b", 0)]
 
     def test_rejects_bad_arguments(self):
         ds = make_dataset({"a": range(30)})
-        targets = [window_at(ds.series[0], 20, 8), window_at(ds.series[0], 20, 6)]
+        targets = [window_at(ds, ds.series[0], 20, 8), window_at(ds, ds.series[0], 20, 6)]
         assert search(ds, [], 5) == []
         with pytest.raises(ValueError):
             search(ds, targets[:1], 0)
@@ -219,7 +220,7 @@ def search_cases(draw, values):
                 where = draw(st.integers(0, cstart - L))
                 cols[draw(st.sampled_from(ids))][where : where + L] = context
     ds = make_dataset(cols)
-    return ds, [window_at(ds.series[ids.index(sid)], cstart, L) for sid, cstart in picks]
+    return ds, [window_at(ds, ds.series[ids.index(sid)], cstart, L) for sid, cstart in picks]
 
 
 FLOATS = st.floats(-1e3, 1e3, allow_nan=False)
@@ -313,7 +314,7 @@ def filter_cases(draw, regime, max_length=60):
             where = draw(st.integers(0, cstart - L))
             cols[draw(st.sampled_from(ids))][where : where + L] = copy
     ds = make_dataset(cols)
-    return ds, [window_at(ds.series[ids.index(sid)], cstart, L) for sid, cstart in picks]
+    return ds, [window_at(ds, ds.series[ids.index(sid)], cstart, L) for sid, cstart in picks]
 
 
 class TestFilterSafety:
@@ -357,7 +358,7 @@ class TestFilterSafety:
                 cols[copy_to][9 * i + 1 : 9 * i + 9] = (
                     context[:3] + [nudged(context[3], ulps)] + context[4:])
         ds = make_dataset(cols)
-        targets = [window_at(s, start, 8) for s, start in zip(ds.series, starts)]
+        targets = [window_at(ds, s, start, 8) for s, start in zip(ds.series, starts)]
         for chunk in (1, neighbors._CHUNK_ELEMENTS):
             for k in (1, 2, 5):
                 self.check(ds, targets, k, znorm, chunk)
@@ -377,7 +378,7 @@ class TestFilterSafety:
             cols[sid][9 * i + 1 : 9 * i + 9] = copy
         ds = make_dataset(cols)
         for k in (1, 2):
-            self.check(ds, [window_at(ds.series[0], 30, 8)], k, False, neighbors._CHUNK_ELEMENTS)
+            self.check(ds, [window_at(ds, ds.series[0], 30, 8)], k, False, neighbors._CHUNK_ELEMENTS)
 
     @settings(max_examples=30, deadline=None)
     @given(case=filter_cases("unit", max_length=20), k=st.integers(50, 300),
@@ -393,7 +394,7 @@ class TestFilterSafety:
         takes the k with the least (series_id, start)."""
         cols = {sid: [(i % 3) / 4 for i in range(150)] for sid in "dbca"}
         ds = make_dataset(cols)
-        targets = [window_at(s, start, 6) for s in ds.series for start in (60, 141)]
+        targets = [window_at(ds, s, start, 6) for s in ds.series for start in (60, 141)]
         for chunk in (7, neighbors._CHUNK_ELEMENTS):
             self.check(ds, targets, 5, znorm, chunk)
         (first, *_) = search(ds, targets, 5, znorm)
@@ -406,7 +407,7 @@ class TestFilterSafety:
         rng = random.Random(4)
         cols = {sid: [rng.choice([-1e200, 0.0, 1e200]) for _ in range(40)] for sid in "ba"}
         ds = make_dataset(cols)
-        targets = [window_at(s, 30, 8) for s in ds.series]
+        targets = [window_at(ds, s, 30, 8) for s in ds.series]
         for znorm in (False, True):
             with np.errstate(over="ignore", invalid="ignore"):
                 self.check(ds, targets, 5, znorm, neighbors._CHUNK_ELEMENTS)
@@ -423,7 +424,7 @@ class TestFilterSafety:
         cols["a"][10:14] = [1.5e308] * 4
         cols["b"][20:24] = [-1.5e308] * 4
         ds = make_dataset(cols)
-        target = window_at(ds.series[1], 45, 8)
+        target = window_at(ds, ds.series[1], 45, 8)
         with np.errstate(over="ignore", invalid="ignore"):
             ranked = []
             for c in enumerate_candidates(ds, target):
@@ -451,11 +452,11 @@ class TestFilterSafety:
         for sid, where in (("d", 12), ("a", 12), ("c", 13), ("b", 30)):
             cols[sid][where : where + 8] = context
         ds = make_dataset(cols)
-        targets = [window_at(s, 50, 8) for s in ds.series]
+        targets = [window_at(ds, s, 50, 8) for s in ds.series]
         for starts in (1, 3, 7):
             for k in (1, 3, 6):
                 self.check(ds, targets, k, znorm, starts * (8 + 4) * 4)
-        found = nearest(ds, window_at(ds.series[1], 50, 8), k=4, znorm=znorm)
+        found = nearest(ds, window_at(ds, ds.series[1], 50, 8), k=4, znorm=znorm)
         assert keys(found) == [("a", 12), ("b", 30), ("c", 13), ("d", 12)]
 
     @pytest.mark.parametrize("znorm", [False, True], ids=["plain", "znorm"])
@@ -475,7 +476,7 @@ class TestFilterSafety:
             cols[other][cut + 1 : cut + 9] = context
         ds = make_dataset(cols)
         by_id = {s.id: s for s in ds.series}
-        targets = [window_at(by_id[sid], start, 8) for sid, start in zip(ids, starts)]
+        targets = [window_at(ds, by_id[sid], start, 8) for sid, start in zip(ids, starts)]
         for chunk in (10 * (8 + 5) * 3, 10 * (8 + 2) * 3, neighbors._CHUNK_ELEMENTS):
             for k in (1, 4):
                 self.check(ds, targets, k, znorm, chunk)
@@ -495,7 +496,7 @@ class TestFilterSafety:
                 cols[copy_to][9 * i + 1 : 9 * i + 9] = (
                     context[:3] + [nudged(context[3], ulps)] + context[4:])
         ds = make_dataset(cols)
-        targets = [window_at(s, start, 8) for s, start in zip(ds.series, starts)]
+        targets = [window_at(ds, s, start, 8) for s, start in zip(ds.series, starts)]
         for chunk in (1, 5 * (8 + 3) * 4, neighbors._CHUNK_ELEMENTS):
             for k in (1, 2, 5):
                 self.check(ds, targets, k, znorm, chunk)
@@ -516,7 +517,7 @@ class TestFilterSafety:
                 copy[5] = nudged(copy[5], ulps)
                 cols[sid][where : where + 8] = copy
         ds = make_dataset(cols)
-        targets = [window_at(ds.series[0], start, 8) for start in (10, 11, 12)]
+        targets = [window_at(ds, ds.series[0], start, 8) for start in (10, 11, 12)]
         for chunk in (1, 3 * (8 + 3) * 4, neighbors._CHUNK_ELEMENTS):
             for k in range(4, 9):
                 self.check(ds, targets, k, False, chunk)
@@ -530,7 +531,7 @@ class TestFilterSafety:
         cols = {sid: [rng.randint(0, 8) / 4 for _ in range(60)] for sid in "cab"}
         cols["b"][20] = cols["b"][27] = 1.5e308
         ds = make_dataset(cols)
-        targets = [window_at(s, start, 8) for s in ds.series for start in (40, 45)]
+        targets = [window_at(ds, s, start, 8) for s in ds.series for start in (40, 45)]
         with np.errstate(over="ignore", invalid="ignore"):
             for target in targets:
                 ranked = []
@@ -574,7 +575,7 @@ class TestFilterPrunes:
         for where in (10, 40, 70, 100, 130):
             vals[where : where + 8] = context
         ds = make_dataset({"a": vals})
-        target = window_at(ds.series[0], 180, 8)
+        target = window_at(ds, ds.series[0], 180, 8)
         assert self.refined(ds, [target], 5, znorm) == 5
         assert [d for _, d in nearest(ds, target, 5, znorm).entries] == [0.0] * 5
 
@@ -588,7 +589,7 @@ class TestFilterPrunes:
         for where in (10, 40, 70, 100, 130):
             cols["b"][where : where + 8] = context
         ds = make_dataset(cols)
-        copied, other = window_at(ds.series[0], 180, 8), window_at(ds.series[1], 185, 8)
+        copied, other = window_at(ds, ds.series[0], 180, 8), window_at(ds, ds.series[1], 185, 8)
         assert self.refined(ds, [copied], 5) == 5
         for targets in ([copied, other], [other, copied]):
             TestFilterSafety.check(ds, targets, 5, False, neighbors._CHUNK_ELEMENTS)
@@ -643,7 +644,7 @@ class TestChunkWidth:
         n = 96 + 20 * 99 + 97
         ds = make_dataset({f"s{j:02d}": [rng.randint(-40, 40) / 4 for _ in range(n)]
                            for j in range(21)})
-        targets = [window_at(s, 96 + 20 * m, 96) for s in ds.series for m in range(100)]
+        targets = [window_at(ds, s, 96 + 20 * m, 96) for s in ds.series for m in range(100)]
         widths = []
         real = neighbors._znorm
         with mock.patch.object(neighbors, "_znorm",
@@ -668,7 +669,7 @@ class TestChunkWidth:
         other = [rng.uniform(0, 10) for _ in range(200)]
         other[50:54] = [1.5e308] * 4
         ds = make_dataset({"a": vals, "b": other})
-        target = window_at(ds.series[0], 180, 8)
+        target = window_at(ds, ds.series[0], 180, 8)
         cut = 180 - 8 + 1
         windows = np.lib.stride_tricks.sliding_window_view(ds.series[1].values[:cut + 7], 8)
         with np.errstate(over="ignore", invalid="ignore"):

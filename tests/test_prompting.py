@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import tsf.prompting as prompting_mod
 
-from tsf.dataset import Dataset, EvalWindow
+from tsf.dataset import EvalWindow
 from tsf.errors import EmptyNeighborSet, UnboundPlaceholder
 from tsf.llmgateway import BackendConfig, BackendKind
 from tsf.neighbors import CandidateWindow, NeighborSet
@@ -25,7 +25,7 @@ from tsf.prompting import (
 )
 from tsf.runner import RunConfig, bundles_for_run, run
 
-from conftest import make_dataset, make_series
+from conftest import make_dataset
 from golden_util import (
     DESCRIPTION,
     INTERVAL_SECONDS,
@@ -280,11 +280,11 @@ class TestAssemble:
         (99 points: one window of context 96 and h 3), gives the seven goldens of
         the strategies without neighbors byte for byte."""
         w = golden_window()
-        series = make_series(w.context + w.truth, series_id="humidity", description=DESCRIPTION,
-                             interval=INTERVAL_SECONDS)
+        ds = make_dataset({"humidity": w.context + w.truth}, name="golden",
+                          interval=INTERVAL_SECONDS, descriptions={"humidity": DESCRIPTION})
         strategies = tuple(s for s in Strategy if not s.uses_neighbors)
         cfg = RunConfig(strategies=strategies, backend=MOCK_P, horizons=(3,), context_len=96)
-        bundles = bundles_for_run(Dataset(name="golden", series=(series,)), cfg)
+        bundles = bundles_for_run(ds, cfg)
         assert [b.strategy for b in bundles] == list(strategies) and len(strategies) == 7
         for b in bundles:
             assert render_bundle(b).encode("utf-8") == golden_path(b.strategy).read_bytes()

@@ -20,7 +20,7 @@ import tsf.neighbors as neighbors_mod
 import tsf.prompting as prompting_mod
 import tsf.runner as runner_mod
 from tsf.cli import main
-from tsf.dataset import CsvSchema, Dataset, load_csv, slice_windows
+from tsf.dataset import CsvSchema, eval_window, load_csv, window_starts
 from tsf.errors import EmptyPool, SeriesTooShort
 from tsf.evaluation import compare_reports, render_comparison_markdown, reports_from_json
 from tsf.llmgateway import BackendConfig, BackendKind, Gateway, bundle_hash, save_fixtures
@@ -32,8 +32,7 @@ from tsf.runner import (
     run,
 )
 
-from conftest import brute_force_neighbors, fresh_bundle, make_dataset, make_series
-from golden_util import compose
+from conftest import brute_force_neighbors, fresh_bundle, make_dataset
 from test_gateway import FakeResponse, ok_payload
 
 MOCK_P = BackendConfig(kind=BackendKind.MOCK_PERSISTENCE)
@@ -211,7 +210,7 @@ class TestRunner:
                            "b": [float(i % 5) for i in range(136)]})
         cfg = small_config([Strategy.ZEROSHOT, Strategy.PATCH_INSTRUCT], horizons=(1, 6, 12),
                            eval_stride=8, max_windows=3)
-        assert [len(slice_windows(ds.series[0], 96, h, 8)) for h in (1, 12)] == [5, 4]
+        assert [len(window_starts(ds, 96, h, 8)) for h in (1, 12)] == [5, 4]
         scored = {}
         real_aggregate = runner_mod.evaluation.aggregate
 
@@ -272,11 +271,12 @@ class TestEvalWindows:
         )
         expected = []
         for series in ds.series:
-            windows = slice_windows(series, context_len, horizon, stride)
-            if len(windows) > max_windows:
-                keep = sorted(random.Random(seed).sample(range(len(windows)), max_windows))
-                windows = [windows[i] for i in keep]
-            expected += [(series, w) for w in windows]
+            starts = window_starts(ds, context_len, horizon, stride)
+            if len(starts) > max_windows:
+                keep = sorted(random.Random(seed).sample(range(len(starts)), max_windows))
+                starts = [starts[i] for i in keep]
+            expected += [(series, eval_window(ds, series, start, context_len, horizon))
+                         for start in starts]
         assert eval_windows(ds, cfg, horizon) == expected
 
     def test_too_short_series(self):
@@ -488,33 +488,6 @@ class TestSharedPromptText:
         assert Counter(sent) == Counter(serial)
 
 
-    def test_repeated_series_ids_render_their_own_values(self):
-        """Two series named alike, with different values: an id does not say which
-        series a neighbor came from, so each of their windows is rendered from its
-        own values, as a fresh render of its job alone does."""
-        series = [make_series([float(i % 17) for i in range(260)], series_id="v"),
-                  make_series([float((3 * i) % 11) / 2 for i in range(260)], series_id="v"),
-                  make_series([float(i % 5) for i in range(260)], series_id="w")]
-        ds = Dataset(name="twins", series=tuple(series))
-        cfg = all_strategies_config()
-        expected = []
-        for strategy in cfg.strategies:
-            for h in cfg.horizons:
-                pairs = eval_windows(ds, cfg, h)
-                found = neighbors_mod.search(ds, [w for _, w in pairs], cfg.k)
-                for (s, w), ns in zip(pairs, found):
-                    if strategy.uses_neighbors and isinstance(ns, EmptyPool):
-                        continue
-                    expected.append(compose(strategy, w, s.description, s.interval_seconds,
-                                            cfg.patch_window, cfg.patch_stride, cfg.k,
-                                            ns if strategy.uses_neighbors else None))
-        assert bundles_for_run(ds, cfg) == expected
-        users = {}
-        for b in expected:
-            users.setdefault((b.strategy, b.horizon, b.window_id), set()).add(b.user)
-        assert all(len(u) == 2 for key, u in users.items() if key[2].startswith("v:"))
-
-
 def varying_dataset(n=106):
     """One series whose stride-1 windows all differ (period 13 > 10 windows)."""
     return make_dataset({"v": [float(i % 13) / 4 for i in range(n)]})
@@ -679,6 +652,23 @@ class TestCli:
             main(argv)
         assert exc.value.code == 2 and not out.exists()
         assert f"argument {flag}: '{value}' is not a positive integer" in capsys.readouterr().err
+
+    def test_repeated_value_column_exits_2(self, tmp_path, capsys):
+        """A header that names a value column twice is an error naming it, with
+        exit 2, not a dataset of the first such column read twice; --features
+        that names a column twice is a dataset with a repeated series id."""
+        csv = tmp_path / "dup.csv"
+        csv.write_text("timestamp,a,a\n" + "".join(f"{600 * i},{i % 7},{i % 5}\n"
+                                                   for i in range(200)), encoding="utf-8")
+        once = tmp_path / "once.csv"
+        once.write_text("timestamp,a\n" + "".join(f"{600 * i},{i % 7}\n" for i in range(200)),
+                        encoding="utf-8")
+        for path, extra in ((csv, []), (once, ["--features", "a,a"])):
+            out = tmp_path / "r.json"
+            assert main(["run", "--dataset", str(path), *extra, "--strategy", "zeroshot",
+                         "--horizon", "1", "--out", str(out)]) == 2 and not out.exists()
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "'a'" in err
 
     def test_missing_files_exit_2(self, tmp_path, capsys):
         """A missing dataset, replay fixture file or compare report is an error
