@@ -173,21 +173,23 @@ def _columns(f, path, schema: CsvSchema) -> tuple[list[str], int, list[int]]:
     except StopIteration:
         raise EmptyFile(f"{path}: no header row") from None
     header = [h.strip() for h in header]
-    if schema.timestamp_column not in header:
-        raise MissingColumn(f"timestamp column {schema.timestamp_column!r} not in header")
-    value_cols = (
-        list(schema.value_columns)
-        if schema.value_columns is not None
-        else [c for c in header if c != schema.timestamp_column]
-    )
+    ts = schema.timestamp_column
+    if ts not in header:
+        raise MissingColumn(f"timestamp column {ts!r} not in header")
+    if header.count(ts) > 1:  # which of them is the clock?
+        raise DuplicateSeries(f"{path}: header names timestamp column {ts!r} more than once")
+    value_cols = (list(schema.value_columns) if schema.value_columns is not None
+                  else [c for c in header if c != ts])
     if not value_cols:
         raise MissingColumn("schema names no value columns")
     for c in value_cols:
+        if c == ts:
+            raise DuplicateSeries(f"{path}: value column {c!r} is the timestamp column")
         if c not in header:
             raise MissingColumn(f"value column {c!r} not in header")
         if header.count(c) > 1:  # which of them holds the series?
             raise DuplicateSeries(f"{path}: header names value column {c!r} more than once")
-    return value_cols, header.index(schema.timestamp_column), [header.index(c) for c in value_cols]
+    return value_cols, header.index(ts), [header.index(c) for c in value_cols]
 
 
 def _load_rows(path, schema: CsvSchema):
@@ -396,9 +398,12 @@ def eval_window(dataset: Dataset, series: Series, start: int, context_len: int,
     )
 
 
+_DECIMALS = 4  # places a prompt value keeps at most
+
+
 @functools.lru_cache(maxsize=1 << 14)
-def format_value(x: float, max_decimals: int = 4) -> str:
-    """Render a value for prompts: <= max_decimals places, half-to-even,
+def format_value(x: float) -> str:
+    """Render a value for prompts: <= _DECIMALS places, half-to-even,
     trailing zeros stripped, leading zero kept, "-0" normalized to "0".
     Memoised: prompts repeat values, and the Decimal path is slow.
     """
@@ -407,7 +412,7 @@ def format_value(x: float, max_decimals: int = 4) -> str:
     with localcontext() as ctx:
         ctx.prec = 60
         q = Decimal(repr(float(x))).quantize(
-            Decimal(1).scaleb(-max_decimals), rounding=ROUND_HALF_EVEN
+            Decimal(1).scaleb(-_DECIMALS), rounding=ROUND_HALF_EVEN
         )
         s = format(q.normalize(), "f")
     if s == "-0":

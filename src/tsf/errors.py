@@ -36,7 +36,8 @@ class NonFiniteValue(TsfError):
 
 
 class DuplicateSeries(TsfError):
-    """Two series of one dataset, or two value columns of a header, share a name."""
+    """Two series of one dataset, two columns of a header, or a value column
+    and the timestamp column share a name."""
 
 
 # --- neighbors ---
@@ -52,10 +53,6 @@ class LengthMismatch(TsfError):
 # --- prompting ---
 
 class UnboundPlaceholder(TsfError):
-    pass
-
-
-class EmptyNeighborSet(TsfError):
     pass
 
 

@@ -8,7 +8,6 @@ every distance returned and their order."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -27,19 +26,6 @@ _CHUNK_ELEMENTS = 1 << 16
 _PAIR_ELEMENTS = 1 << 19
 
 
-@dataclass(frozen=True)
-class CandidateWindow:
-    series_id: str
-    start_index: int
-    values: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class NeighborSet:
-    k: int
-    entries: tuple[tuple[CandidateWindow, float], ...]
-
-
 def _znorm(x: np.ndarray) -> np.ndarray:
     """Row-wise (x - mean) / std, or x - mean where std is 0, as a new array.
     Bit for bit what x.mean and x.std give, each row reduced as a 1-D call on
@@ -53,16 +39,17 @@ def _znorm(x: np.ndarray) -> np.ndarray:
 
 
 def search(dataset: Dataset, targets: Sequence[EvalWindow], k: int = 5,
-           znorm: bool = False) -> list[NeighborSet | EmptyPool]:
-    """Each target's k nearest candidates, ties broken by (series_id, start_index).
+           znorm: bool = False) -> list[tuple[tuple[str, int, float], ...] | EmptyPool]:
+    """Each target's k nearest candidates, as (series id, start, distance)
+    entries, nearest first, ties broken by (series id, start); a target
+    without candidates gets an EmptyPool in their place.
 
     A target's candidates are the length-L windows of every series that end
     before its context begins: on the dataset's one clock, the first
     context_start - L + 1 windows of each series. One window view over the
     prefixes of every series, stacked in id order, is built per call, and read
     in chunks of window starts across all series; with znorm, each chunk is
-    z-normalised as it is read. A target without candidates gets an EmptyPool
-    in its place.
+    z-normalised as it is read.
 
     Filter and refine: per chunk, one matrix product gives each target q the
     expanded form e = |q|^2 + |v|^2 - 2 q.v of every row v (-2 q is exact).
@@ -151,14 +138,12 @@ def search(dataset: Dataset, targets: Sequence[EvalWindow], k: int = 5,
             kept = [_first_k(np.concatenate(kept, axis=1), k)]
             n_kept = kept[0].shape[1]
         c0 = c1
-    slot, d, j, start = _first_k(np.concatenate(kept, axis=1), k)
-    slot, j, start = slot.astype(np.intp), j.astype(np.intp), start.astype(np.intp)
+    first = _first_k(np.concatenate(kept, axis=1), k)
     ids = [s.id for s in series]
     found: list[list] = [[] for _ in targets]
-    for p, dist, sj, st, values in zip(slot.tolist(), d.tolist(), j.tolist(), start.tolist(),
-                                       map(tuple, view[j, start].tolist())):
-        found[order[p]].append((CandidateWindow(ids[sj], st, values), dist))
-    return [NeighborSet(k=k, entries=tuple(entries)) if entries else
+    for p, j, start, dist in zip(*first[[0, 2, 3]].astype(np.intp).tolist(), first[1].tolist()):
+        found[order[p]].append((ids[j], start, dist))
+    return [tuple(entries) if entries else
             EmptyPool(f"no candidate windows precede target at {t.series_id!r}"
                       f" start {t.context_start}")
             for t, entries in zip(targets, found)]

@@ -12,8 +12,7 @@ from importlib import resources
 from typing import Optional
 
 from .dataset import describe_interval, format_value
-from .errors import EmptyNeighborSet, UnboundPlaceholder
-from .neighbors import NeighborSet
+from .errors import UnboundPlaceholder
 
 TEMPLATE_VERSION = "1.2.0"
 
@@ -74,15 +73,11 @@ def load_template(strategy: Strategy) -> str:
     )
 
 
-def render_sequence(values) -> str:
-    return "<" + ", ".join(map(format_value, values)) + ">"
-
-
 def render_sequences(values, starts, length: int) -> dict[int, str]:
-    """render_sequence(values[s:s + length]) for each start s of a 1-D float
-    array, each value formatted once: windows that overlap or touch merge into
-    one run, which is formatted and joined once, and each window's text is a
-    slice of its run's."""
+    """The text "<v1, v2, ...>" of values[s:s + length], each value by
+    format_value, for each start s of a 1-D float array, each value formatted
+    once: windows that overlap or touch merge into one run, which is formatted
+    and joined once, and each window's text is a slice of its run's."""
     starts = sorted(set(starts))
     texts = {}
     i = 0
@@ -123,14 +118,7 @@ def build_system_prompt(strategy: Strategy, template: str, bindings: dict) -> st
 
 def neighbor_block(sequences) -> str:
     """One `Neighbor i: <...>` line per rendered sequence, nearest first."""
-    if not sequences:
-        raise EmptyNeighborSet("neighbor set has no entries")
     return "\n".join(f"Neighbor {i}: {seq}" for i, seq in enumerate(sequences, start=1))
-
-
-def render_neighbor_block(ns: NeighborSet) -> str:
-    """One `Neighbor i: <...>` line per entry, nearest first."""
-    return neighbor_block([render_sequence(cand.values) for cand, _dist in ns.entries])
 
 
 def system_prompt(

@@ -18,7 +18,6 @@ from .dataset import Dataset, EvalWindow, Series, eval_window, window_starts
 from .errors import EmptyPool, TsfError, WrongCount
 from .evaluation import RunReport, WindowResult
 from .llmgateway import BackendConfig, BackendKind, Gateway, LlmResponse
-from .neighbors import NeighborSet
 from .parsing import parse_prediction
 from .prompting import TEMPLATE_VERSION, PromptBundle, Strategy
 
@@ -91,11 +90,11 @@ def _shown_text(dataset: Dataset, drawn, found, length: int) -> dict[tuple[str, 
     """The rendered text of every window the plan shows, by (series id, start):
     each drawn context and each neighbor, each series' cells formatted once."""
     starts = {s.id: set() for s in dataset.series}
-    for (series, window), ns in zip(drawn, found):
+    for (series, window), entries in zip(drawn, found):
         starts[series.id].add(window.context_start)
-        if isinstance(ns, NeighborSet):
-            for cand, _ in ns.entries:
-                starts[cand.series_id].add(cand.start_index)
+        if isinstance(entries, tuple):
+            for sid, start, _ in entries:
+                starts[sid].add(start)
     return {(s.id, start): text for s in dataset.series
             for start, text in prompting.render_sequences(s.values, starts[s.id], length).items()}
 
@@ -116,9 +115,9 @@ def _plan(dataset: Dataset, cfg: RunConfig) -> list[_Job]:
              if any(s.uses_neighbors for s in cfg.strategies) else [None] * len(drawn))
     texts = _shown_text(dataset, drawn, found, cfg.context_len)
     windows = []
-    for (series, window), ns in zip(drawn, found):
-        block = (prompting.neighbor_block([texts[c.series_id, c.start_index] for c, _ in ns.entries])
-                 if isinstance(ns, NeighborSet) else ns)
+    for (series, window), entries in zip(drawn, found):
+        block = (prompting.neighbor_block([texts[sid, start] for sid, start, _ in entries])
+                 if isinstance(entries, tuple) else entries)
         at = {h: replace(window, horizon=h, truth=window.truth[:h]) for h in cfg.horizons}
         windows.append((series, at, texts[series.id, window.context_start], block))
     systems: dict[tuple, str] = {}

@@ -4,7 +4,6 @@ import numpy as np
 
 from tsf.dataset import Dataset, Series
 from tsf.errors import EmptyPool, LengthMismatch
-from tsf.neighbors import CandidateWindow, NeighborSet
 
 from golden_util import compose
 
@@ -30,16 +29,23 @@ def euclidean(a, b) -> float:
     return math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
 
 
-def enumerate_candidates(ds, target):
-    """Every length-L window, of every series, that ends before the target
-    context begins, found by checking each start in turn."""
+def enumerate_candidates(ds, target, distance=euclidean):
+    """(series id, start, distance(window values, target context)) of every
+    length-L window, of every series, that ends before the target context
+    begins, found by checking each start in turn."""
     L = len(target.context)
     return [
-        CandidateWindow(s.id, start, tuple(s.values[start : start + L].tolist()))
+        (s.id, start, distance(tuple(s.values[start : start + L].tolist()), target.context))
         for s in ds.series
         for start in range(len(ds.timestamps) - L + 1)
         if ds.timestamps[start + L - 1] < target.start_timestamp
     ]
+
+
+def window_values(ds, series_id, start, length):
+    """The values of one series' window, as a tuple of floats."""
+    (series,) = [s for s in ds.series if s.id == series_id]
+    return tuple(series.values[start : start + length].tolist())
 
 
 def reference_distance(a, b, znorm):
@@ -52,15 +58,14 @@ def reference_distance(a, b, znorm):
     return float(np.sqrt(((a - b) ** 2).sum()))
 
 
-def brute_force_neighbors(ds, target, k, znorm=False) -> NeighborSet:
-    """The k nearest of enumerate_candidates by reference_distance, sorted by
-    (distance, series_id, start_index). Raises EmptyPool when there are none."""
-    candidates = enumerate_candidates(ds, target)
+def brute_force_neighbors(ds, target, k, znorm=False):
+    """The k nearest (series id, start, distance) of enumerate_candidates by
+    reference_distance, sorted by (distance, series id, start). Raises
+    EmptyPool when there are none."""
+    candidates = enumerate_candidates(ds, target, lambda a, b: reference_distance(a, b, znorm))
     if not candidates:
         raise EmptyPool(f"no candidates precede {target.series_id}:{target.context_start}")
-    ranked = sorted(((reference_distance(c.values, target.context, znorm), c) for c in candidates),
-                    key=lambda e: (e[0], e[1].series_id, e[1].start_index))
-    return NeighborSet(k=k, entries=tuple((c, d) for d, c in ranked[:k]))
+    return tuple(sorted(candidates, key=lambda e: (e[2], e[0], e[1]))[:k])
 
 
 def fresh_bundle(cfg, dataset, series, window, strategy):
@@ -68,8 +73,10 @@ def fresh_bundle(cfg, dataset, series, window, strategy):
     own: the oracle for the bundles a run builds from one shared search and
     shared text. Raises EmptyPool for a neighbor strategy on a window without
     candidates."""
-    neighbors = None
+    shown = None
     if strategy.uses_neighbors:
-        neighbors = brute_force_neighbors(dataset, window, cfg.k, cfg.znorm_neighbors)
+        shown = [window_values(dataset, sid, start, len(window.context))
+                 for sid, start, _ in brute_force_neighbors(dataset, window, cfg.k,
+                                                            cfg.znorm_neighbors)]
     return compose(strategy, window, series.description, dataset.interval_seconds,
-                   cfg.patch_window, cfg.patch_stride, cfg.k, neighbors)
+                   cfg.patch_window, cfg.patch_stride, cfg.k, shown)

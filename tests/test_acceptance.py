@@ -56,16 +56,11 @@ def test_neighbor_oracle_50_random_datasets():
             truth=tuple(series.values[cstart + L : cstart + L + 1].tolist()),
             start_timestamp=int(ds.timestamps[cstart]),
         )
-        candidates = enumerate_candidates(ds, target)
+        candidates = enumerate_candidates(ds, target, euclidean)
         assert len(candidates) <= 5000
         (got,) = search(ds, [target], k=5)
-        expected = sorted(
-            ((c, euclidean(c.values, target.context)) for c in candidates),
-            key=lambda e: (e[1], e[0].series_id, e[0].start_index),
-        )[:5]
-        assert [(c.series_id, c.start_index, d) for c, d in got.entries] == [
-            (c.series_id, c.start_index, d) for c, d in expected
-        ]
+        expected = sorted(candidates, key=lambda e: (e[2], e[0], e[1]))[:5]
+        assert list(got) == expected
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"took {elapsed:.2f}s"
     ok(f"top-k equals brute force on 50 random datasets incl. tie-breaks ({elapsed:.2f}s < 5s)")

@@ -19,7 +19,6 @@ from tsf.llmgateway import (
     load_fixtures,
     save_fixtures,
 )
-from tsf.neighbors import CandidateWindow, NeighborSet
 from tsf.prompting import Strategy
 
 from golden_util import compose, golden_bundle, golden_window
@@ -28,7 +27,7 @@ MOCK_P = BackendConfig(kind=BackendKind.MOCK_PERSISTENCE)
 MOCK_L = BackendConfig(kind=BackendKind.MOCK_LINEAR)
 
 
-def bundle_for(context, horizon, truth=None, strategy=Strategy.ZEROSHOT, neighbor_set=None):
+def bundle_for(context, horizon, truth=None, strategy=Strategy.ZEROSHOT, neighbor_windows=None):
     from tsf.dataset import EvalWindow
 
     w = EvalWindow(
@@ -39,7 +38,7 @@ def bundle_for(context, horizon, truth=None, strategy=Strategy.ZEROSHOT, neighbo
         truth=tuple(truth or [0.0] * horizon),
         start_timestamp=0,
     )
-    return compose(strategy, w, "a test series", 600, neighbor_set=neighbor_set)
+    return compose(strategy, w, "a test series", 600, neighbor_windows=neighbor_windows)
 
 
 class TestEstimateTokens:
@@ -109,9 +108,7 @@ class TestMockAnswersFromTail:
     )
     def test_equal_full_parse(self, context, horizon, neighbors):
         if neighbors:
-            ns = NeighborSet(k=len(neighbors), entries=tuple(
-                (CandidateWindow("n", i, tuple(v)), float(i)) for i, v in enumerate(neighbors)))
-            b = bundle_for(context, horizon, strategy=Strategy.NEIGHS, neighbor_set=ns)
+            b = bundle_for(context, horizon, strategy=Strategy.NEIGHS, neighbor_windows=neighbors)
         else:
             b = bundle_for(context, horizon)
         for cfg in (MOCK_P, MOCK_L):

@@ -22,6 +22,7 @@ from conftest import (
     euclidean,
     make_dataset,
     reference_distance,
+    window_values,
 )
 
 
@@ -42,8 +43,12 @@ def nearest(ds, target, k=5, znorm=False):
     return found
 
 
-def keys(ns):
-    return [(c.series_id, c.start_index) for c, _ in ns.entries]
+def keys(found):
+    return [(sid, start) for sid, start, _ in found]
+
+
+def z_distance(a, b):
+    return reference_distance(a, b, znorm=True)
 
 
 class TestEuclidean:
@@ -114,8 +119,8 @@ class TestBuildPool:
 
 
 class TestTopK:
-    """The k nearest candidates one target gets, in (distance, series_id,
-    start_index) order."""
+    """The k nearest candidates one target gets, in (distance, series id,
+    start) order."""
 
     def test_exact_copy_first(self):
         L = 8
@@ -123,18 +128,17 @@ class TestTopK:
         vals[10 : 10 + L] = vals[30 : 30 + L]
         ds = make_dataset({"a": vals})
         target = window_at(ds, ds.series[0], 30, L, horizon=1)
-        ns = nearest(ds, target, k=3)
-        assert ns.entries[0][0].start_index == 10
-        assert ns.entries[0][1] == 0.0
-        assert ns.entries[0][0].values == target.context
+        (sid, start, d), *_ = nearest(ds, target, k=3)
+        assert start == 10
+        assert d == 0.0
+        assert window_values(ds, sid, start, L) == target.context
 
     def test_k_saturation(self):
         ds = make_dataset({"a": range(30)})
         target = window_at(ds, ds.series[0], 20, 8)
-        ns = nearest(ds, target, k=100)
-        assert ns.k == 100
-        assert len(ns.entries) == len(enumerate_candidates(ds, target))
-        dists = [d for _, d in ns.entries]
+        found = nearest(ds, target, k=100)
+        assert len(found) == len(enumerate_candidates(ds, target)) < 100
+        dists = [d for _, _, d in found]
         assert dists == sorted(dists)
 
     def test_matches_brute_force_on_random_pool(self):
@@ -142,13 +146,11 @@ class TestTopK:
         L = 16
         ds = make_dataset({f"s{j}": [rng.uniform(0, 10) for _ in range(120)] for j in range(4)})
         target = window_at(ds, ds.series[2], 100, L)
-        ns = nearest(ds, target, k=5)
-        expected = sorted(
-            ((c, euclidean(c.values, target.context)) for c in enumerate_candidates(ds, target)),
-            key=lambda e: (e[1], e[0].series_id, e[0].start_index),
-        )[:5]
-        assert keys(ns) == [(c.series_id, c.start_index) for c, _ in expected]
-        for (_, d1), (_, d2) in zip(ns.entries, expected):
+        found = nearest(ds, target, k=5)
+        expected = sorted(enumerate_candidates(ds, target, euclidean),
+                          key=lambda e: (e[2], e[0], e[1]))[:5]
+        assert keys(found) == keys(expected)
+        for (_, _, d1), (_, _, d2) in zip(found, expected):
             assert math.isclose(d1, d2, rel_tol=1e-12, abs_tol=1e-12)
 
     def test_permutation_invariant(self):
@@ -166,7 +168,7 @@ class TestTopK:
         target = window_at(ds, ds.series[0], 20, 8)
         before = nearest(make_dataset(cols), target)
         after = nearest(make_dataset({**cols, "z": [1e6] * 30}), target)
-        assert before.entries == after.entries
+        assert before == after
 
     def test_tie_break_lexicographic(self):
         L = 4
@@ -176,9 +178,9 @@ class TestTopK:
         for sid, where in (("b", 5), ("a", 9), ("a", 2)):
             cols[sid][where : where + L] = context
         ds = make_dataset(cols)
-        ns = nearest(ds, window_at(ds, ds.series[0], 20, L), k=3)
-        assert keys(ns) == [("a", 2), ("a", 9), ("b", 5)]
-        assert [d for _, d in ns.entries] == [0.0] * 3
+        found = nearest(ds, window_at(ds, ds.series[0], 20, L), k=3)
+        assert keys(found) == [("a", 2), ("a", 9), ("b", 5)]
+        assert [d for _, _, d in found] == [0.0] * 3
 
     def test_empty_pool(self):
         """The last start without a whole earlier window gets an EmptyPool; the
@@ -253,15 +255,12 @@ class TestBruteForceOracle:
         euclidean oracle is bit-identical whatever order it adds in."""
         ds, targets = case
         for target, got in zip(targets, search(ds, targets, k)):
-            ranked = sorted(
-                ((c.series_id, c.start_index, euclidean(c.values, target.context))
-                 for c in enumerate_candidates(ds, target)),
-                key=lambda e: (e[2], e[0], e[1]),
-            )[:k]
+            ranked = sorted(enumerate_candidates(ds, target, euclidean),
+                            key=lambda e: (e[2], e[0], e[1]))[:k]
             if not ranked:
                 assert isinstance(got, EmptyPool)
                 continue
-            assert [(c.series_id, c.start_index, d) for c, d in got.entries] == ranked
+            assert list(got) == ranked
 
 
 # (base, step): cells are base + step * (a quarter-step number in [-3, 3])
@@ -427,15 +426,14 @@ class TestFilterSafety:
         target = window_at(ds, ds.series[1], 45, 8)
         with np.errstate(over="ignore", invalid="ignore"):
             ranked = []
-            for c in enumerate_candidates(ds, target):
-                d = reference_distance(c.values, target.context, znorm=True)
+            for sid, start, d in enumerate_candidates(ds, target, z_distance):
                 if not math.isnan(d):
-                    ranked.append((d, c.series_id, c.start_index))
+                    ranked.append((d, sid, start))
             ranked.sort()
             assert len(ranked) == 2 * (38 - 9)  # 9 windows a series hold 2 or more such cells
             for k in (3, 40, 100):
                 got = nearest(ds, target, k, znorm=True)
-                assert [(d, c.series_id, c.start_index) for c, d in got.entries] == ranked[:k]
+                assert [(d, sid, start) for sid, start, d in got] == ranked[:k]
 
 
     # Chunks run over window starts across every series: a chunk of c starts
@@ -535,20 +533,18 @@ class TestFilterSafety:
         with np.errstate(over="ignore", invalid="ignore"):
             for target in targets:
                 ranked = []
-                for c in enumerate_candidates(ds, target):
-                    d = reference_distance(c.values, target.context, znorm=True)
+                for sid, start, d in enumerate_candidates(ds, target, z_distance):
                     if math.isnan(d):
-                        assert (c.series_id, c.start_index) == ("b", 20)
+                        assert (sid, start) == ("b", 20)
                     else:
-                        ranked.append((d, c.series_id, c.start_index))
+                        ranked.append((d, sid, start))
                 assert len(ranked) == 3 * (target.context_start - 7) - 1
                 ranked.sort()
                 for chunk in (1, 4 * (8 + 6) * 3, neighbors._CHUNK_ELEMENTS):
                     for k in (3, 200):
                         with mock.patch.object(neighbors, "_CHUNK_ELEMENTS", chunk):
                             (got, *_) = search(ds, [target, *targets], k, znorm=True)
-                        assert [(d, c.series_id, c.start_index)
-                                for c, d in got.entries] == ranked[:k]
+                        assert [(d, sid, start) for sid, start, d in got] == ranked[:k]
 
 
 class TestFilterPrunes:
@@ -577,7 +573,7 @@ class TestFilterPrunes:
         ds = make_dataset({"a": vals})
         target = window_at(ds, ds.series[0], 180, 8)
         assert self.refined(ds, [target], 5, znorm) == 5
-        assert [d for _, d in nearest(ds, target, 5, znorm).entries] == [0.0] * 5
+        assert [d for _, _, d in nearest(ds, target, 5, znorm)] == [0.0] * 5
 
     def test_each_target_is_filtered_by_its_own_bound(self):
         """Two targets, one with five exact copies of its context and one with

@@ -10,16 +10,13 @@ from hypothesis import strategies as st
 import tsf.prompting as prompting_mod
 
 from tsf.dataset import EvalWindow
-from tsf.errors import EmptyNeighborSet, UnboundPlaceholder
+from tsf.errors import UnboundPlaceholder
 from tsf.llmgateway import BackendConfig, BackendKind
-from tsf.neighbors import CandidateWindow, NeighborSet
 from tsf.prompting import (
     Strategy,
     build_system_prompt,
     load_template,
     neighbor_block,
-    render_neighbor_block,
-    render_sequence,
     render_sequences,
     user_prompt,
 )
@@ -31,10 +28,14 @@ from golden_util import (
     INTERVAL_SECONDS,
     compose,
     golden_bundle,
+    golden_neighbor_windows,
     golden_neighbors,
     golden_path,
+    golden_series,
     golden_window,
     render_bundle,
+    render_neighbor_block,
+    render_sequence,
 )
 
 MOCK_P = BackendConfig(kind=BackendKind.MOCK_PERSISTENCE)
@@ -197,18 +198,13 @@ class TestMetaPatchClock:
 
 class TestNeighborBlock:
     def test_single_neighbor(self):
-        ns = NeighborSet(k=1, entries=((CandidateWindow("a", 0, (1.0, 2.0)), 0.5),))
-        assert render_neighbor_block(ns) == "Neighbor 1: <1, 2>"
+        assert render_neighbor_block([(1.0, 2.0)]) == "Neighbor 1: <1, 2>"
 
     def test_five_lines_ascending(self):
-        block = render_neighbor_block(golden_neighbors())
+        block = render_neighbor_block(golden_neighbor_windows())
         lines = block.split("\n")
         assert len(lines) == 5
         assert [l.split(":")[0] for l in lines] == [f"Neighbor {i}" for i in range(1, 6)]
-
-    def test_empty(self):
-        with pytest.raises(EmptyNeighborSet):
-            render_neighbor_block(NeighborSet(k=5, entries=()))
 
     def test_block_precedes_continue_sentence(self):
         b = golden_bundle(Strategy.NEIGHS)
@@ -225,11 +221,11 @@ class TestRenderSequences:
         assert render_sequences(values, [], 2) == {}
 
     def test_neighbor_block_joins_rendered_sequences(self):
-        ns = golden_neighbors()
-        assert neighbor_block([render_sequence(c.values) for c, _ in ns.entries]) == \
-            render_neighbor_block(ns)
-        with pytest.raises(EmptyNeighborSet):
-            neighbor_block([])
+        values = np.array(golden_series())
+        starts = [start for _, start, _ in golden_neighbors()]
+        texts = render_sequences(values, starts, len(golden_window().context))
+        assert neighbor_block([texts[s] for s in starts]) == \
+            render_neighbor_block(golden_neighbor_windows())
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())

@@ -1,11 +1,13 @@
+import ast
 import json
 import os
+import pathlib
 import random
 import re
 import subprocess
 import sys
 import threading
-from collections import Counter
+from collections import Counter, defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from unittest import mock
@@ -71,6 +73,27 @@ def test_every_module_reachable_from_cli():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+# named only outside the package: bench/workloads.py builds the replay-cli
+# benchmark's fixture file from the bundles it lists
+NAMED_OUTSIDE_PACKAGE = ["runner.bundles_for_run"]
+
+
+def test_every_definition_named_in_the_package():
+    """No top-level function or class of tsf is reached by tests alone: each is
+    named in the package's source somewhere besides its own definition."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(pathlib.Path(tsf.__file__).parent.glob("*.py"))}
+    named = defaultdict(set)  # name -> ids of the Name and Attribute nodes that name it
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                named[node.id if isinstance(node, ast.Name) else node.attr].add(id(node))
+    unnamed = [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not named[node.name] - {id(n) for n in ast.walk(node)}]
+    assert unnamed == NAMED_OUTSIDE_PACKAGE
 
 
 class TestRunner:
@@ -422,8 +445,8 @@ class TestSharedPromptText:
             except EmptyPool:
                 continue
             blocks += 1
-            entries += len(found.entries)
-            shown |= {(c.series_id, c.start_index) for c, _ in found.entries}
+            entries += len(found)
+            shown |= {(sid, start) for sid, start, _ in found}
         assert blocks > 1 and len(windows) > blocks
         assert len(shown) < len(windows) + entries  # some windows are shown twice
         cells = {(sid, start + i) for sid, start in shown for i in range(cfg.context_len)}
@@ -438,11 +461,9 @@ class TestSharedPromptText:
     @staticmethod
     def count_renders(monkeypatch) -> list:
         """Calls of the prompting functions that build text, and each window the
-        renderer returns as "window"; render_sequence and render_neighbor_block,
-        which the plan does not call, are counted too."""
+        renderer returns as "window"."""
         calls = []  # list.append and list.extend are atomic, so workers may share it
-        for name in ("render_sequences", "render_sequence", "render_neighbor_block",
-                     "neighbor_block", "format_value", "system_prompt"):
+        for name in ("render_sequences", "neighbor_block", "format_value", "system_prompt"):
             real = getattr(prompting_mod, name)
 
             def counting(*args, real=real, name=name):
@@ -656,19 +677,27 @@ class TestCli:
     def test_repeated_value_column_exits_2(self, tmp_path, capsys):
         """A header that names a value column twice is an error naming it, with
         exit 2, not a dataset of the first such column read twice; --features
-        that names a column twice is a dataset with a repeated series id."""
+        that names a column twice is a dataset with a repeated series id. So is
+        a header that names the timestamp column twice, not a clock read from
+        the first stamp column, and --features that names the timestamp column,
+        not the clock forecast as a series."""
         csv = tmp_path / "dup.csv"
         csv.write_text("timestamp,a,a\n" + "".join(f"{600 * i},{i % 7},{i % 5}\n"
                                                    for i in range(200)), encoding="utf-8")
+        stamps = tmp_path / "stamps.csv"
+        stamps.write_text("timestamp,a,timestamp\n" + "".join(f"{600 * i},{i % 7},{99999 - i}\n"
+                                                           for i in range(200)), encoding="utf-8")
         once = tmp_path / "once.csv"
         once.write_text("timestamp,a\n" + "".join(f"{600 * i},{i % 7}\n" for i in range(200)),
                         encoding="utf-8")
-        for path, extra in ((csv, []), (once, ["--features", "a,a"])):
+        for path, extra, column in ((csv, [], "a"), (once, ["--features", "a,a"], "a"),
+                                    (stamps, [], "timestamp"),
+                                    (once, ["--features", "timestamp,a"], "timestamp")):
             out = tmp_path / "r.json"
             assert main(["run", "--dataset", str(path), *extra, "--strategy", "zeroshot",
                          "--horizon", "1", "--out", str(out)]) == 2 and not out.exists()
             err = capsys.readouterr().err
-            assert err.startswith("error: ") and "'a'" in err
+            assert err.startswith("error: ") and f"'{column}'" in err
 
     def test_missing_files_exit_2(self, tmp_path, capsys):
         """A missing dataset, replay fixture file or compare report is an error
