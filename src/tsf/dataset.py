@@ -1,4 +1,4 @@
-"""CSV ingestion, evaluation-window slicing, and prompt value formatting."""
+"""CSV ingestion, evaluation-window starts, and prompt value formatting."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import csv
 import functools
 import math
 import operator
-import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
@@ -93,22 +92,6 @@ class Dataset:
     @property
     def feature_count(self) -> int:
         return len(self.series)
-
-
-@dataclass(frozen=True)
-class EvalWindow:
-    """A context slice plus its ground-truth continuation."""
-
-    series_id: str
-    context: tuple[float, ...]
-    context_start: int
-    horizon: int
-    truth: tuple[float, ...]
-    start_timestamp: int  # of context[0], in epoch seconds
-
-    def __post_init__(self):
-        if len(self.truth) != self.horizon:
-            raise ValueError("truth length must equal horizon")
 
 
 @dataclass(frozen=True)
@@ -216,8 +199,7 @@ def _load_rows(path, schema: CsvSchema):
 
 
 _CHUNK_CHARS = 1 << 20  # about 7,000 rows of a 21-column table
-_EPOCH = r"-?[0-9]{1,18}"  # int() reads these exactly, and int64 holds them
-_EPOCH_STAMPS = re.compile(rf"{_EPOCH}(?:,{_EPOCH})*")
+_EPOCH_CHARS = str.maketrans("", "", "0123456789-,")  # the cast alone reads "+5", " 5", "1_0"
 # byte offsets in "YYYY-MM-DD?HH:MM:SS," of its digits, and of its separators
 # "--::," ("?", at 10, is "T" or " "); the days of each month of a common year
 _ISO_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
@@ -267,8 +249,12 @@ def _chunk_stamps(stamps: list[str]):
     stamp is an epoch int, or every stamp an ISO datetime _iso_seconds
     converts: the stamps _parse_timestamp reads, read alike."""
     joined = ",".join(stamps)  # a stamp holds no comma
-    if _EPOCH_STAMPS.fullmatch(joined):
-        return np.array(stamps, dtype=np.int64)
+    # ASCII digits and "-" only; an ISO chunk's first stamp spares the scan of the rest
+    if not stamps[0].translate(_EPOCH_CHARS) and not joined.translate(_EPOCH_CHARS):
+        try:
+            return np.array(stamps, dtype=np.int64)
+        except (ValueError, OverflowError):  # "", "-", "1-2" or beyond int64
+            return None
     return _iso_seconds(joined + ",", len(stamps))
 
 
@@ -382,20 +368,6 @@ def window_starts(dataset: Dataset, context_len: int, horizon: int, stride: int)
             f"dataset {dataset.name!r} has {n} points; needs {context_len + horizon}"
         )
     return range(0, n - context_len - horizon + 1, stride)
-
-
-def eval_window(dataset: Dataset, series: Series, start: int, context_len: int,
-                horizon: int) -> EvalWindow:
-    """The window of series whose context begins at `start`; its truth follows it."""
-    end = start + context_len
-    return EvalWindow(
-        series_id=series.id,
-        context=tuple(series.values[start:end].tolist()),
-        context_start=start,
-        horizon=horizon,
-        truth=tuple(series.values[end : end + horizon].tolist()),
-        start_timestamp=int(dataset.timestamps[start]),
-    )
 
 
 _DECIMALS = 4  # places a prompt value keeps at most

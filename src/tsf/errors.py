@@ -47,7 +47,7 @@ class EmptyPool(TsfError):
 
 
 class LengthMismatch(TsfError):
-    """Sequences that must align differ in length (neighbors, evaluation)."""
+    """Sequences that must align differ in length (a forecast and its truth)."""
 
 
 # --- prompting ---
@@ -71,6 +71,10 @@ class HttpStatusError(TsfError):
 
 class ReplayMiss(TsfError):
     pass
+
+
+class MalformedAnswer(TsfError):
+    """An HTTP 200 answer whose body is not JSON with a string at choices[0].message.content."""
 
 
 # --- parsing ---

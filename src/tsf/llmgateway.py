@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 import requests
 
 from .dataset import format_value
-from .errors import HttpStatusError, ReplayMiss, TransportError
+from .errors import HttpStatusError, MalformedAnswer, ReplayMiss, TransportError
 from .prompting import PromptBundle
 
 API_KEY_ENV = "TSF_API_KEY"
@@ -163,8 +163,13 @@ def _http_complete(bundle: PromptBundle, cfg: BackendConfig) -> LlmResponse:
     latency = time.perf_counter() - start
     if resp.status_code != 200:
         raise HttpStatusError(resp.status_code, resp.text)
-    data = resp.json()
-    text = data["choices"][0]["message"]["content"]
+    try:
+        data = resp.json()
+        text = data["choices"][0]["message"]["content"]
+    except (ValueError, LookupError, TypeError):  # not JSON, or not of that shape
+        text = None
+    if not isinstance(text, str):
+        raise MalformedAnswer(f"no string choices[0].message.content in {resp.text[:500]!r}")
     usage = data.get("usage") or {}
     if "prompt_tokens" in usage and "completion_tokens" in usage:
         return LlmResponse(

@@ -13,8 +13,8 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dataset import Dataset, EvalWindow
-from .errors import EmptyPool, LengthMismatch
+from .dataset import Dataset
+from .errors import EmptyPool
 
 # What bounds the search's transient memory. _CHUNK_ELEMENTS: elements in one
 # chunk's (L + active targets) x candidates arrays while the targets are at most
@@ -38,15 +38,16 @@ def _znorm(x: np.ndarray) -> np.ndarray:
     return np.divide(z, sd, out=z)
 
 
-def search(dataset: Dataset, targets: Sequence[EvalWindow], k: int = 5,
+def search(dataset: Dataset, targets: Sequence[tuple[str, int]], context_len: int, k: int = 5,
            znorm: bool = False) -> list[tuple[tuple[str, int, float], ...] | EmptyPool]:
     """Each target's k nearest candidates, as (series id, start, distance)
     entries, nearest first, ties broken by (series id, start); a target
     without candidates gets an EmptyPool in their place.
 
-    A target's candidates are the length-L windows of every series that end
+    A window is a position, (series id, start), of L = context_len values of
+    its series. A target's candidates are the windows of every series that end
     before its context begins: on the dataset's one clock, the first
-    context_start - L + 1 windows of each series. One window view over the
+    start - L + 1 windows of each series. One window view over the
     prefixes of every series, stacked in id order, is built per call, and read
     in chunks of window starts across all series; with znorm, each chunk is
     z-normalised as it is read.
@@ -72,17 +73,16 @@ def search(dataset: Dataset, targets: Sequence[EvalWindow], k: int = 5,
     in e overflows; where it is not (norms from about 1e153 up), M is inf and
     the target refines the whole chunk. A NaN row (z-normalised cells whose
     sum overflows) is refined, and its NaN distance is never a neighbor."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    L, values = context_len, {s.id: s.values for s in dataset.series}
+    if k < 1 or not all(0 <= start <= len(dataset.timestamps) - L for _, start in targets):
+        raise ValueError(f"k must be >= 1, and every target a whole window of {L} values")
     if not targets:
         return []
-    L = len(targets[0].context)
-    if any(len(t.context) != L for t in targets):
-        raise LengthMismatch("targets of one search must share a context length")
     # targets by falling cut, so the ones a chunk of candidates reaches are a prefix
-    order = sorted(range(len(targets)), key=lambda i: -targets[i].context_start)
-    cuts = np.array([targets[i].context_start - L + 1 for i in order])
-    queries = np.array([targets[i].context for i in order], dtype=float)
+    order = sorted(range(len(targets)), key=lambda i: -targets[i][1])
+    ordered = [targets[i] for i in order]
+    cuts = np.array([start - L + 1 for _, start in ordered])
+    queries = np.stack([values[sid][start:start + L] for sid, start in ordered])
     if znorm:
         queries = _znorm(queries)
     n_max, S = max(int(cuts[0]), 0), len(dataset.series)
@@ -144,9 +144,8 @@ def search(dataset: Dataset, targets: Sequence[EvalWindow], k: int = 5,
     for p, j, start, dist in zip(*first[[0, 2, 3]].astype(np.intp).tolist(), first[1].tolist()):
         found[order[p]].append((ids[j], start, dist))
     return [tuple(entries) if entries else
-            EmptyPool(f"no candidate windows precede target at {t.series_id!r}"
-                      f" start {t.context_start}")
-            for t, entries in zip(targets, found)]
+            EmptyPool(f"no candidate windows precede target at {sid!r} start {start}")
+            for (sid, start), entries in zip(targets, found)]
 
 
 def _first_k(kept: np.ndarray, k: int) -> np.ndarray:

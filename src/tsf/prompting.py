@@ -40,19 +40,6 @@ class Strategy(Enum):
         return self is Strategy.META_TOKENS_PI
 
 
-_TEMPLATE_FILES = {
-    Strategy.ZEROSHOT: "zeroshot.txt",
-    Strategy.PATCH_INSTRUCT: "patch_instruct.txt",
-    Strategy.NEIGHS: "neighs.txt",
-    Strategy.PATCH_INSTRUCT_NEIGHS: "patch_instruct_neighs.txt",
-    Strategy.BASIC_PI: "basic_pi.txt",
-    Strategy.NON_OVERLAPPING_PI: "nonoverlap_pi.txt",
-    Strategy.STR_DECOMPOSE_PI: "str_pi.txt",
-    Strategy.REVERSE_ORDERED_PI: "reverse_pi.txt",
-    Strategy.META_TOKENS_PI: "meta_pi.txt",
-}
-
-
 @dataclass(frozen=True)
 class PromptBundle:
     system: str
@@ -64,10 +51,10 @@ class PromptBundle:
 
 @functools.cache
 def load_template(strategy: Strategy) -> str:
-    """The strategy's system-prompt template, read from disk on first use only."""
+    """The strategy's template, templates/<strategy value>.txt, read on first use only."""
     return (
         resources.files("tsf.templates")
-        .joinpath(_TEMPLATE_FILES[strategy])
+        .joinpath(f"{strategy.value}.txt")
         .read_text(encoding="utf-8")
         .rstrip("\n")
     )

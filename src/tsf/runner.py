@@ -10,11 +10,11 @@ import queue
 import random
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Optional, Sequence, Union
 
 from . import evaluation, neighbors, prompting
-from .dataset import Dataset, EvalWindow, Series, eval_window, window_starts
+from .dataset import Dataset, window_starts
 from .errors import EmptyPool, TsfError, WrongCount
 from .evaluation import RunReport, WindowResult
 from .llmgateway import BackendConfig, BackendKind, Gateway, LlmResponse
@@ -75,7 +75,9 @@ class _Job(NamedTuple):
     """One (strategy, horizon, window) of a run's plan, with its prompt text."""
 
     strategy: Strategy
-    window: EvalWindow
+    horizon: int
+    window_id: str  # "series id:start"
+    truth: tuple[float, ...]  # the horizon values that follow the context
     system: str
     sequence: str  # the rendered context
     neighbors: Union[str, EmptyPool, None]  # the rendered block, or what stood in for it
@@ -90,8 +92,8 @@ def _shown_text(dataset: Dataset, drawn, found, length: int) -> dict[tuple[str, 
     """The rendered text of every window the plan shows, by (series id, start):
     each drawn context and each neighbor, each series' cells formatted once."""
     starts = {s.id: set() for s in dataset.series}
-    for (series, window), entries in zip(drawn, found):
-        starts[series.id].add(window.context_start)
+    for (sid, start), entries in zip(drawn, found):
+        starts[sid].add(start)
         if isinstance(entries, tuple):
             for sid, start, _ in entries:
                 starts[sid].add(start)
@@ -103,54 +105,55 @@ def _plan(dataset: Dataset, cfg: RunConfig) -> list[_Job]:
     """One job per (strategy, horizon, window), in cell order, its text rendered
     here on the calling thread: every window's neighbors in one search, the
     text of every window shown (contexts and neighbors) from each series'
-    cells formatted once, each neighbor block once per window, and each system
-    prompt once per (strategy, horizon, series, and the start clock where the
-    strategy states it). A window without candidates gets the EmptyPool that
-    stands in for its neighbor block."""
+    cells formatted once, each neighbor block, id, start stamp and truth once
+    per window, and each system prompt once per (strategy, horizon, series,
+    and the start clock where the strategy states it). A window without
+    candidates gets the EmptyPool that stands in for its neighbor block."""
     cells = _cells(cfg)
     if not cells:
         return []
-    drawn = eval_windows(dataset, cfg, max(cfg.horizons))
-    found = (neighbors.search(dataset, [w for _, w in drawn], cfg.k, cfg.znorm_neighbors)
+    drawn = list(itertools.product(dataset.series, draw_starts(dataset, cfg)))
+    positions = [(series.id, start) for series, start in drawn]
+    found = (neighbors.search(dataset, positions, cfg.context_len, cfg.k, cfg.znorm_neighbors)
              if any(s.uses_neighbors for s in cfg.strategies) else [None] * len(drawn))
-    texts = _shown_text(dataset, drawn, found, cfg.context_len)
+    texts = _shown_text(dataset, positions, found, cfg.context_len)
     windows = []
-    for (series, window), entries in zip(drawn, found):
-        block = (prompting.neighbor_block([texts[sid, start] for sid, start, _ in entries])
+    for (series, start), entries in zip(drawn, found):
+        block = (prompting.neighbor_block([texts[sid, at] for sid, at, _ in entries])
                  if isinstance(entries, tuple) else entries)
-        at = {h: replace(window, horizon=h, truth=window.truth[:h]) for h in cfg.horizons}
-        windows.append((series, at, texts[series.id, window.context_start], block))
+        end = start + cfg.context_len
+        truth = series.values[end:end + max(cfg.horizons)].tolist()
+        windows.append((series, f"{series.id}:{start}", int(dataset.timestamps[start]),
+                        {h: tuple(truth[:h]) for h in cfg.horizons},
+                        texts[series.id, start], block))
     systems: dict[tuple, str] = {}
     jobs = []
     for strategy, horizon in cells:
-        for series, at, sequence, block in windows:
-            window = at[horizon]
-            start = window.start_timestamp
-            key = (strategy, horizon, series.id, start % 86400 if strategy.states_clock else None)
+        for series, window_id, stamp, truths, sequence, block in windows:
+            key = (strategy, horizon, series.id, stamp % 86400 if strategy.states_clock else None)
             if key not in systems:
                 systems[key] = prompting.system_prompt(
                     strategy, series.description, dataset.interval_seconds, horizon,
-                    cfg.context_len, cfg.patch_window, cfg.patch_stride, cfg.k, start)
-            jobs.append(_Job(strategy, window, systems[key], sequence,
-                             block if strategy.uses_neighbors else None))
+                    cfg.context_len, cfg.patch_window, cfg.patch_stride, cfg.k, stamp)
+            jobs.append(_Job(strategy, horizon, window_id, truths[horizon], systems[key],
+                             sequence, block if strategy.uses_neighbors else None))
     return jobs
 
 
 def _bundle(job: _Job) -> PromptBundle:
-    window = job.window
     return PromptBundle(
         system=job.system,
-        user=prompting.user_prompt(job.sequence, window.horizon, job.neighbors),
+        user=prompting.user_prompt(job.sequence, job.horizon, job.neighbors),
         strategy=job.strategy,
-        window_id=f"{window.series_id}:{window.context_start}",
-        horizon=window.horizon,
+        window_id=job.window_id,
+        horizon=job.horizon,
     )
 
 
-def _failed(window: EvalWindow, error: TsfError, resp: Optional[LlmResponse] = None) -> WindowResult:
+def _failed(job: _Job, error: TsfError, resp: Optional[LlmResponse] = None) -> WindowResult:
     """A window that produced no forecast; its tokens count if it was answered."""
     return WindowResult(
-        window_id=f"{window.series_id}:{window.context_start}",
+        window_id=job.window_id,
         mse=None,
         mae=None,
         input_tokens=resp.input_tokens if resp else 0,
@@ -160,23 +163,21 @@ def _failed(window: EvalWindow, error: TsfError, resp: Optional[LlmResponse] = N
     )
 
 
-def _score(window: EvalWindow, bundle: PromptBundle, resp: LlmResponse, lenient: bool) -> WindowResult:
+def _score(job: _Job, resp: LlmResponse, lenient: bool) -> WindowResult:
     try:
-        values = parse_prediction(resp.text, window.horizon)
-        repaired = False
+        values, status = parse_prediction(resp.text, job.horizon), "ok"
     except WrongCount:
         if not lenient:
             raise
-        values = parse_prediction(resp.text, window.horizon, lenient=True)
-        repaired = True
+        values, status = parse_prediction(resp.text, job.horizon, lenient=True), "ok:repaired"
     return WindowResult(
-        window_id=bundle.window_id,
-        mse=evaluation.mse(values, window.truth),
-        mae=evaluation.mae(values, window.truth),
+        window_id=job.window_id,
+        mse=evaluation.mse(values, job.truth),
+        mae=evaluation.mae(values, job.truth),
         input_tokens=resp.input_tokens,
         output_tokens=resp.output_tokens,
         latency_seconds=resp.latency_seconds,
-        parse_status="ok:repaired" if repaired else "ok",
+        parse_status=status,
     )
 
 
@@ -184,25 +185,21 @@ def _window_result(gateway: Gateway, cfg: RunConfig, job: _Job) -> WindowResult:
     """Join the user message, dispatch and score one job; a TsfError costs this
     window only."""
     if isinstance(job.neighbors, EmptyPool):
-        return _failed(job.window, job.neighbors)
+        return _failed(job, job.neighbors)
     resp = None
     try:
-        bundle = _bundle(job)
-        resp = gateway.complete(bundle)
-        return _score(job.window, bundle, resp, cfg.lenient)
+        resp = gateway.complete(_bundle(job))
+        return _score(job, resp, cfg.lenient)
     except TsfError as e:
-        return _failed(job.window, e, resp)
+        return _failed(job, e, resp)
 
 
-def eval_windows(dataset: Dataset, cfg: RunConfig, horizon: int) -> list[tuple[Series, EvalWindow]]:
-    """Subsampled evaluation windows for every series in the dataset. The
-    subsample draws from the window starts valid at the run's longest
-    horizon, so every horizon scores the same windows; only the kept windows
-    are built. The series share the dataset's clock, so one draw serves them all."""
-    starts = _subsample(window_starts(dataset, cfg.context_len, max(cfg.horizons),
-                                      cfg.eval_stride), cfg.max_windows, cfg.seed)
-    return [(series, eval_window(dataset, series, start, cfg.context_len, horizon))
-            for series in dataset.series for start in starts]
+def draw_starts(dataset: Dataset, cfg: RunConfig) -> Sequence[int]:
+    """The window starts a run scores: one subsample, for every series on the
+    dataset's one clock, of the starts valid at the run's longest horizon, so
+    every horizon scores the same windows."""
+    return _subsample(window_starts(dataset, cfg.context_len, max(cfg.horizons),
+                                    cfg.eval_stride), cfg.max_windows, cfg.seed)
 
 
 def bundles_for_run(dataset: Dataset, cfg: RunConfig) -> list[PromptBundle]:

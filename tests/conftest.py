@@ -29,16 +29,18 @@ def euclidean(a, b) -> float:
     return math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
 
 
-def enumerate_candidates(ds, target, distance=euclidean):
+def enumerate_candidates(ds, target, L, distance=euclidean):
     """(series id, start, distance(window values, target context)) of every
-    length-L window, of every series, that ends before the target context
-    begins, found by checking each start in turn."""
-    L = len(target.context)
+    length-L window, of every series, that ends before the context of target,
+    the window (series id, start) of ds, begins, found by checking each start
+    in turn."""
+    target_id, target_start = target
+    context = window_values(ds, target_id, target_start, L)
     return [
-        (s.id, start, distance(tuple(s.values[start : start + L].tolist()), target.context))
+        (s.id, start, distance(tuple(s.values[start : start + L].tolist()), context))
         for s in ds.series
         for start in range(len(ds.timestamps) - L + 1)
-        if ds.timestamps[start + L - 1] < target.start_timestamp
+        if ds.timestamps[start + L - 1] < ds.timestamps[target_start]
     ]
 
 
@@ -58,25 +60,25 @@ def reference_distance(a, b, znorm):
     return float(np.sqrt(((a - b) ** 2).sum()))
 
 
-def brute_force_neighbors(ds, target, k, znorm=False):
+def brute_force_neighbors(ds, target, L, k, znorm=False):
     """The k nearest (series id, start, distance) of enumerate_candidates by
     reference_distance, sorted by (distance, series id, start). Raises
     EmptyPool when there are none."""
-    candidates = enumerate_candidates(ds, target, lambda a, b: reference_distance(a, b, znorm))
+    candidates = enumerate_candidates(ds, target, L, lambda a, b: reference_distance(a, b, znorm))
     if not candidates:
-        raise EmptyPool(f"no candidates precede {target.series_id}:{target.context_start}")
+        raise EmptyPool(f"no candidates precede {target[0]}:{target[1]}")
     return tuple(sorted(candidates, key=lambda e: (e[2], e[0], e[1]))[:k])
 
 
-def fresh_bundle(cfg, dataset, series, window, strategy):
-    """One job's bundle from a brute-force neighbor search and rendering of its
-    own: the oracle for the bundles a run builds from one shared search and
-    shared text. Raises EmptyPool for a neighbor strategy on a window without
-    candidates."""
-    shown = None
+def fresh_bundle(cfg, dataset, window, horizon, strategy):
+    """The bundle of one job, the window (series id, start) at horizon, from a
+    brute-force neighbor search and rendering of its own: the oracle for the
+    bundles a run builds from one shared search and shared text. Raises
+    EmptyPool for a neighbor strategy on a window without candidates."""
+    L, shown = cfg.context_len, None
     if strategy.uses_neighbors:
-        shown = [window_values(dataset, sid, start, len(window.context))
-                 for sid, start, _ in brute_force_neighbors(dataset, window, cfg.k,
+        shown = [window_values(dataset, sid, start, L)
+                 for sid, start, _ in brute_force_neighbors(dataset, window, L, cfg.k,
                                                             cfg.znorm_neighbors)]
-    return compose(strategy, window, series.description, dataset.interval_seconds,
-                   cfg.patch_window, cfg.patch_stride, cfg.k, shown)
+    return compose(strategy, dataset, window, horizon, L, cfg.patch_window, cfg.patch_stride,
+                   cfg.k, shown)

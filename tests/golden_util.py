@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from tsf.dataset import EvalWindow, format_value
+from tsf.dataset import Dataset, Series, format_value
 from tsf.prompting import PromptBundle, Strategy, neighbor_block, system_prompt, user_prompt
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -21,20 +21,23 @@ def _value(i: int) -> float:
     return ((i * 37) % 100) / 10
 
 
-def golden_window() -> EvalWindow:
-    return EvalWindow(
-        series_id="humidity",
-        context=tuple(_value(i) for i in range(CONTEXT_LEN)),
-        context_start=0,
-        horizon=HORIZON,
-        truth=tuple(_value(i) for i in range(CONTEXT_LEN, CONTEXT_LEN + HORIZON)),
-        start_timestamp=0,
-    )
-
-
 def golden_series() -> tuple[float, ...]:
     """The humidity series the golden window and its neighbors are windows of."""
     return tuple(_value(i) for i in range(CONTEXT_LEN + 5))
+
+
+def golden_dataset() -> Dataset:
+    """golden_series as the one series of a dataset, stamped every
+    INTERVAL_SECONDS from 0 (a midnight)."""
+    values = golden_series()
+    return Dataset("golden", tuple(INTERVAL_SECONDS * i for i in range(len(values))),
+                   (Series("humidity", DESCRIPTION, values),))
+
+
+def golden_window() -> tuple[str, int]:
+    """The golden window, as (series id, start): the first CONTEXT_LEN values
+    of golden_series, followed by its HORIZON values of truth."""
+    return ("humidity", 0)
 
 
 def golden_neighbors() -> tuple[tuple[str, int, float], ...]:
@@ -59,26 +62,30 @@ def render_neighbor_block(windows) -> str:
     return neighbor_block([render_sequence(w) for w in windows])
 
 
-def compose(strategy: Strategy, window: EvalWindow, description: str, interval_seconds: int,
-            patch_window: int = 3, patch_stride: int = 1, k: int = 5,
+def compose(strategy: Strategy, dataset: Dataset, window: tuple[str, int], horizon: int,
+            context_len: int, patch_window: int = 3, patch_stride: int = 1, k: int = 5,
             neighbor_windows=None) -> PromptBundle:
-    """One request's bundle, composed from the prompting functions alone;
-    neighbor_windows holds the values of each neighbor shown, nearest first."""
+    """One request's bundle for the window (series id, start) of dataset,
+    composed from the prompting functions alone; neighbor_windows holds the
+    values of each neighbor shown, nearest first."""
+    series_id, start = window
+    (series,) = [s for s in dataset.series if s.id == series_id]
+    context = series.values[start : start + context_len].tolist()
     block = None if neighbor_windows is None else render_neighbor_block(neighbor_windows)
     return PromptBundle(
-        system=system_prompt(strategy, description, interval_seconds, window.horizon,
-                             len(window.context), patch_window, patch_stride, k,
-                             window.start_timestamp),
-        user=user_prompt(render_sequence(window.context), window.horizon, block),
+        system=system_prompt(strategy, series.description, dataset.interval_seconds, horizon,
+                             len(context), patch_window, patch_stride, k,
+                             int(dataset.timestamps[start])),
+        user=user_prompt(render_sequence(context), horizon, block),
         strategy=strategy,
-        window_id=f"{window.series_id}:{window.context_start}",
-        horizon=window.horizon,
+        window_id=f"{series_id}:{start}",
+        horizon=horizon,
     )
 
 
 def golden_bundle(strategy: Strategy) -> PromptBundle:
     shown = golden_neighbor_windows() if strategy.uses_neighbors else None
-    return compose(strategy, golden_window(), DESCRIPTION, INTERVAL_SECONDS,
+    return compose(strategy, golden_dataset(), golden_window(), HORIZON, CONTEXT_LEN,
                    neighbor_windows=shown)
 
 

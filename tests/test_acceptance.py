@@ -11,7 +11,7 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from tsf.dataset import CsvSchema, EvalWindow, load_csv
+from tsf.dataset import CsvSchema, load_csv
 from tsf.errors import EmptyPool
 from tsf.evaluation import RunReport, improvement, mae, mse, reports_to_json
 from tsf.llmgateway import (
@@ -23,7 +23,7 @@ from tsf.llmgateway import (
 )
 from tsf.neighbors import search
 from tsf.prompting import Strategy
-from tsf.runner import RunConfig, bundles_for_run, eval_windows, run
+from tsf.runner import RunConfig, bundles_for_run, draw_starts, run
 
 from conftest import enumerate_candidates, euclidean, fresh_bundle, make_dataset
 from golden_util import golden_bundle, golden_path, render_bundle
@@ -48,17 +48,10 @@ def test_neighbor_oracle_50_random_datasets():
         ds = make_dataset(cols)
         series = ds.series[rng.randrange(n_series)]
         cstart = rng.randint(L, length - L - 1)
-        target = EvalWindow(
-            series_id=series.id,
-            context=tuple(series.values[cstart : cstart + L].tolist()),
-            context_start=cstart,
-            horizon=1,
-            truth=tuple(series.values[cstart + L : cstart + L + 1].tolist()),
-            start_timestamp=int(ds.timestamps[cstart]),
-        )
-        candidates = enumerate_candidates(ds, target, euclidean)
+        target = (series.id, cstart)
+        candidates = enumerate_candidates(ds, target, L, euclidean)
         assert len(candidates) <= 5000
-        (got,) = search(ds, [target], k=5)
+        (got,) = search(ds, [target], L, k=5)
         expected = sorted(candidates, key=lambda e: (e[2], e[0], e[1]))[:5]
         assert list(got) == expected
     elapsed = time.perf_counter() - start
@@ -177,13 +170,14 @@ def test_token_cost_direction_per_window():
     )
     gateway = Gateway(cfg.backend)
     checked = 0
-    for series, window in eval_windows(ds, cfg, 3):
+    for start in draw_starts(ds, cfg):
+        window = ("v", start)
         try:
-            pin = fresh_bundle(cfg, ds, series, window, Strategy.PATCH_INSTRUCT_NEIGHS)
+            pin = fresh_bundle(cfg, ds, window, 3, Strategy.PATCH_INSTRUCT_NEIGHS)
         except EmptyPool:
             continue
-        zs = fresh_bundle(cfg, ds, series, window, Strategy.ZEROSHOT)
-        pi = fresh_bundle(cfg, ds, series, window, Strategy.PATCH_INSTRUCT)
+        zs = fresh_bundle(cfg, ds, window, 3, Strategy.ZEROSHOT)
+        pi = fresh_bundle(cfg, ds, window, 3, Strategy.PATCH_INSTRUCT)
         it = [gateway.complete(b).input_tokens for b in (zs, pi, pin)]
         assert it[0] < it[1] < it[2]
         checked += 1

@@ -12,13 +12,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tsf import dataset
+from tsf import dataset, prompting, runner
 from tsf.dataset import (
     CsvSchema,
     Dataset,
     Series,
     _parse_timestamp,
-    eval_window,
     format_value,
     load_csv,
     window_starts,
@@ -32,8 +31,12 @@ from tsf.errors import (
     NonUniformSampling,
     SeriesTooShort,
 )
+from tsf.llmgateway import BackendConfig, BackendKind
+from tsf.prompting import Strategy, system_prompt
+from tsf.runner import RunConfig
 
 from conftest import make_dataset
+from golden_util import render_sequence
 
 SCHEMA = CsvSchema(timestamp_column="t")
 
@@ -616,6 +619,42 @@ class TestChunkStamps:
     def test_shorter_stamp_among_others_is_declined(self):
         assert dataset._chunk_stamps(["1970-01-01T00:00:00", "1970-01-01T00:00:1"]) is None
 
+    @given(stamps=st.lists(st.one_of(
+        st.sampled_from(["+5", " 5", "1_0", "\u0663", "", "-", "1-2", "--5", "5-", "-0",
+                         "9" * 19, "-" + "9" * 19, str(2**63 - 1), str(2**63),
+                         str(-2**63), str(-2**63 - 1)]),
+        st.integers(-2**63 - 2**10, 2**63 + 2**10).map(str),
+        st.text(alphabet="0123456789-+_ ", max_size=21)), min_size=1, max_size=5))
+    def test_epoch_stamps_equal_parse_timestamp_or_declines(self, stamps):
+        """Stamps of digits and signs, 19-digit ones on both sides of the int64
+        bound among them, are read as _parse_timestamp reads each, or declined:
+        never read as the int64 cast alone would read them ("+5", " 5", "1_0" and
+        non-ASCII digits, which it takes as int() does)."""
+        got = dataset._chunk_stamps(stamps)
+        if got is not None:
+            assert got.dtype == np.int64
+            assert got.tolist() == parsed(stamps)
+
+    @given(stamps=st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=20))
+    def test_reads_every_int64(self, stamps):
+        """Every int64, as ASCII digits with a leading "-" when negative, is read
+        here, 19-digit ones included."""
+        assert dataset._chunk_stamps([str(t) for t in stamps]).tolist() == stamps
+
+    def test_epoch_check_memory_does_not_grow_per_stamp(self):
+        """30,000 epoch stamps are checked and cast within three times their
+        joined text of tracemalloc peak: the text and the int64 array, and no
+        state kept per stamp."""
+        stamps = [str(1_600_000_000 + 600 * i) for i in range(30_000)]
+        tracemalloc.start()
+        try:
+            got = dataset._chunk_stamps(stamps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tolist() == [1_600_000_000 + 600 * i for i in range(30_000)]
+        assert peak < 3 * len(",".join(stamps))
+
     @pytest.mark.parametrize("stamps, expected", [
         (["0001-01-01T00:00:00"], [-62_135_596_800]),
         (["9999-12-31T23:59:59"], [253_402_300_799]),
@@ -722,7 +761,8 @@ class TestSeriesArrays:
 
 
 class TestSliceWindows:
-    """window_starts and eval_window slice a dataset's evaluation windows."""
+    """window_starts gives a dataset's evaluation windows, and a run's plan
+    slices each from its (series id, start)."""
 
     def test_two_windows(self):
         ds = make_dataset({"s": range(100)})
@@ -738,16 +778,28 @@ class TestSliceWindows:
             window_starts(ds, 96, 3, stride=1)
 
     def test_windows_are_exact_subranges(self):
+        """Each job of the plan carries the id, context text and truth of its
+        window, and its meta-patch prompt is that of the window's start stamp."""
         ds = make_dataset({"a": [((i * 13) % 7) / 3 for i in range(120)],
                            "b": [-i / 4 for i in range(120)]}, start_ts=-6_000)
-        for s in ds.series:
-            for lo in window_starts(ds, 96, 4, stride=5):
-                w = eval_window(ds, s, lo, 96, 4)
-                assert (w.series_id, w.context_start, w.horizon) == (s.id, lo, 4)
-                assert w.context == tuple(s.values[lo : lo + 96].tolist())
-                assert w.truth == tuple(s.values[lo + 96 : lo + 100].tolist())
-                assert w.start_timestamp == ds.timestamps[lo] == -6_000 + 600 * lo
-                assert type(w.start_timestamp) is int
+        cfg = RunConfig(strategies=(Strategy.META_TOKENS_PI,),
+                        backend=BackendConfig(kind=BackendKind.MOCK_PERSISTENCE),
+                        horizons=(1, 4), eval_stride=5)
+        stamps = []
+        with mock.patch.object(prompting, "system_prompt",
+                               lambda *a: stamps.append(a[-1]) or system_prompt(*a)):
+            jobs = iter(runner._plan(ds, cfg))
+        assert all(type(stamp) is int for stamp in stamps) and len(stamps) == 2 * 2 * 5
+        for h in cfg.horizons:
+            for s in ds.series:
+                for lo in window_starts(ds, 96, 4, stride=5):
+                    job = next(jobs)
+                    assert (job.window_id, job.horizon) == (f"{s.id}:{lo}", h)
+                    assert job.sequence == render_sequence(s.values[lo : lo + 96].tolist())
+                    assert job.truth == tuple(s.values[lo + 96 : lo + 96 + h].tolist())
+                    assert job.system == system_prompt(
+                        Strategy.META_TOKENS_PI, s.id, 600, h, 96, 3, 1, 5, -6_000 + 600 * lo)
+        assert next(jobs, None) is None
 
 
 def oracle_round_half_even(x: float, max_decimals: int) -> Fraction:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import tsf.llmgateway as gw
 from tsf.dataset import format_value
-from tsf.errors import HttpStatusError, ReplayMiss, TransportError
+from tsf.errors import HttpStatusError, MalformedAnswer, ReplayMiss, TransportError
 from tsf.llmgateway import (
     BackendConfig,
     BackendKind,
@@ -21,24 +21,19 @@ from tsf.llmgateway import (
 )
 from tsf.prompting import Strategy
 
-from golden_util import compose, golden_bundle, golden_window
+from conftest import make_dataset
+from golden_util import compose, golden_bundle
 
 MOCK_P = BackendConfig(kind=BackendKind.MOCK_PERSISTENCE)
 MOCK_L = BackendConfig(kind=BackendKind.MOCK_LINEAR)
 
 
-def bundle_for(context, horizon, truth=None, strategy=Strategy.ZEROSHOT, neighbor_windows=None):
-    from tsf.dataset import EvalWindow
-
-    w = EvalWindow(
-        series_id="s",
-        context=tuple(float(v) for v in context),
-        context_start=0,
-        horizon=horizon,
-        truth=tuple(truth or [0.0] * horizon),
-        start_timestamp=0,
-    )
-    return compose(strategy, w, "a test series", 600, neighbor_windows=neighbor_windows)
+def bundle_for(context, horizon, strategy=Strategy.ZEROSHOT, neighbor_windows=None):
+    """The bundle of window ("s", 0) of one series: the context, then horizon zeros."""
+    ds = make_dataset({"s": [*context, *[0.0] * horizon]},
+                      descriptions={"s": "a test series"})
+    return compose(strategy, ds, ("s", 0), horizon, len(context),
+                   neighbor_windows=neighbor_windows)
 
 
 class TestEstimateTokens:
@@ -167,6 +162,16 @@ class FakeResponse:
         return self._payload
 
 
+class BodyResponse(FakeResponse):
+    """A response whose json() parses its text, as requests' does."""
+
+    def __init__(self, status_code, text):
+        super().__init__(status_code, text=text)
+
+    def json(self):
+        return json.loads(self.text)
+
+
 HTTP_CFG = BackendConfig(
     kind=BackendKind.HTTP,
     endpoint_url="http://llm.example",
@@ -234,6 +239,21 @@ class TestHttp:
         assert resp.text == "[1]"
         assert len(calls) == 3
         assert sleeps == [1.0, 2.0]  # exponential backoff from 1 s
+
+    @pytest.mark.parametrize("body", [
+        "<html><body>502 Bad Gateway</body></html>", "", "{}", "[1]", '{"choices": []}',
+        '{"choices": [{"message": {}}]}', '{"choices": [{"message": {"content": null}}]}',
+        '{"choices": [{"message": {"content": ["[1]"]}}]}', '{"choices": {"0": 1}}',
+    ])
+    def test_malformed_answer(self, monkeypatch, api_key, body):
+        """A 200 answer whose body is not JSON, or holds no string at
+        choices[0].message.content, is a MalformedAnswer after one request."""
+        calls = []
+        monkeypatch.setattr(gw.requests, "post",
+                            lambda *a, **k: calls.append(1) or BodyResponse(200, body))
+        with pytest.raises(MalformedAnswer):
+            Gateway(HTTP_CFG).complete(bundle_for([1, 2], horizon=1))
+        assert len(calls) == 1
 
     def test_http_error_status(self, monkeypatch, api_key):
         monkeypatch.setattr(

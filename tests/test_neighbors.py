@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsf import neighbors
-from tsf.dataset import EvalWindow
 from tsf.errors import EmptyPool, LengthMismatch
 from tsf.llmgateway import BackendConfig, BackendKind, bundle_hash
 from tsf.neighbors import search
@@ -26,20 +25,9 @@ from conftest import (
 )
 
 
-def window_at(ds, series, start, context_len, horizon=1):
-    return EvalWindow(
-        series_id=series.id,
-        context=tuple(series.values[start : start + context_len].tolist()),
-        context_start=start,
-        horizon=horizon,
-        truth=tuple(series.values[start + context_len : start + context_len + horizon].tolist()),
-        start_timestamp=int(ds.timestamps[start]),
-    )
-
-
-def nearest(ds, target, k=5, znorm=False):
+def nearest(ds, target, L, k=5, znorm=False):
     """One target's search result."""
-    (found,) = search(ds, [target], k, znorm)
+    (found,) = search(ds, [target], L, k, znorm)
     return found
 
 
@@ -98,23 +86,20 @@ class TestBuildPool:
 
     def test_no_past(self):
         ds = make_dataset({"a": range(20)})
-        assert isinstance(nearest(ds, window_at(ds, ds.series[0], 0, 8)), EmptyPool)
+        assert isinstance(nearest(ds, ("a", 0), 8), EmptyPool)
 
     def test_single_past_window(self):
         L = 8
         ds = make_dataset({"a": range(2 * L + 1)})
-        target = window_at(ds, ds.series[0], L, L)
-        assert keys(nearest(ds, target, k=100)) == [("a", 0)]
+        assert keys(nearest(ds, ("a", L), L, k=100)) == [("a", 0)]
 
     def test_pool_spans_all_features(self):
         ds = make_dataset({"a": range(30), "b": range(100, 130)})
-        target = window_at(ds, ds.series[0], 20, 8)
-        assert {sid for sid, _ in keys(nearest(ds, target, k=100))} == {"a", "b"}
+        assert {sid for sid, _ in keys(nearest(ds, ("a", 20), 8, k=100))} == {"a", "b"}
 
     def test_windows_strictly_precede_context(self):
         ds = make_dataset({"a": range(40)})
-        target = window_at(ds, ds.series[0], 25, 8)
-        starts = sorted(start for _, start in keys(nearest(ds, target, k=100)))
+        starts = sorted(start for _, start in keys(nearest(ds, ("a", 25), 8, k=100)))
         assert starts == list(range(25 - 8 + 1))
 
 
@@ -127,17 +112,16 @@ class TestTopK:
         vals = list(range(40))
         vals[10 : 10 + L] = vals[30 : 30 + L]
         ds = make_dataset({"a": vals})
-        target = window_at(ds, ds.series[0], 30, L, horizon=1)
-        (sid, start, d), *_ = nearest(ds, target, k=3)
+        (sid, start, d), *_ = nearest(ds, ("a", 30), L, k=3)
         assert start == 10
         assert d == 0.0
-        assert window_values(ds, sid, start, L) == target.context
+        assert window_values(ds, sid, start, L) == window_values(ds, "a", 30, L)
 
     def test_k_saturation(self):
         ds = make_dataset({"a": range(30)})
-        target = window_at(ds, ds.series[0], 20, 8)
-        found = nearest(ds, target, k=100)
-        assert len(found) == len(enumerate_candidates(ds, target)) < 100
+        target = ("a", 20)
+        found = nearest(ds, target, 8, k=100)
+        assert len(found) == len(enumerate_candidates(ds, target, 8)) < 100
         dists = [d for _, _, d in found]
         assert dists == sorted(dists)
 
@@ -145,9 +129,9 @@ class TestTopK:
         rng = random.Random(7)
         L = 16
         ds = make_dataset({f"s{j}": [rng.uniform(0, 10) for _ in range(120)] for j in range(4)})
-        target = window_at(ds, ds.series[2], 100, L)
-        found = nearest(ds, target, k=5)
-        expected = sorted(enumerate_candidates(ds, target, euclidean),
+        target = ("s2", 100)
+        found = nearest(ds, target, L, k=5)
+        expected = sorted(enumerate_candidates(ds, target, L, euclidean),
                           key=lambda e: (e[2], e[0], e[1]))[:5]
         assert keys(found) == keys(expected)
         for (_, _, d1), (_, _, d2) in zip(found, expected):
@@ -158,16 +142,16 @@ class TestTopK:
         cols = {sid: [rng.uniform(0, 2) for _ in range(60)] for sid in "abcd"}
         ds = make_dataset(cols)
         shuffled = make_dataset({sid: cols[sid] for sid in "cadb"})
-        targets = [window_at(ds, s, 40, 8) for s in ds.series]
-        assert search(ds, targets, 5) == search(shuffled, targets, 5)
+        targets = [(s.id, 40) for s in ds.series]
+        assert search(ds, targets, 8, 5) == search(shuffled, targets, 8, 5)
 
     def test_far_candidate_does_not_change_result(self):
         rng = random.Random(11)
         cols = {"a": [rng.uniform(0, 2) for _ in range(30)]}
         ds = make_dataset(cols)
-        target = window_at(ds, ds.series[0], 20, 8)
-        before = nearest(make_dataset(cols), target)
-        after = nearest(make_dataset({**cols, "z": [1e6] * 30}), target)
+        target = ("a", 20)
+        before = nearest(make_dataset(cols), target, 8)
+        after = nearest(make_dataset({**cols, "z": [1e6] * 30}), target, 8)
         assert before == after
 
     def test_tie_break_lexicographic(self):
@@ -178,7 +162,7 @@ class TestTopK:
         for sid, where in (("b", 5), ("a", 9), ("a", 2)):
             cols[sid][where : where + L] = context
         ds = make_dataset(cols)
-        found = nearest(ds, window_at(ds, ds.series[0], 20, L), k=3)
+        found = nearest(ds, ("m", 20), L, k=3)
         assert keys(found) == [("a", 2), ("a", 9), ("b", 5)]
         assert [d for _, _, d in found] == [0.0] * 3
 
@@ -187,25 +171,25 @@ class TestTopK:
         next start has one candidate per series."""
         L = 8
         ds = make_dataset({"a": range(30), "b": range(30)})
-        targets = [window_at(ds, ds.series[0], L - 1, L), window_at(ds, ds.series[1], L, L)]
-        before, first = search(ds, targets, 5)
+        targets = [("a", L - 1), ("b", L)]
+        before, first = search(ds, targets, L, 5)
         assert isinstance(before, EmptyPool)
         assert keys(first) == [("a", 0), ("b", 0)]
 
     def test_rejects_bad_arguments(self):
         ds = make_dataset({"a": range(30)})
-        targets = [window_at(ds, ds.series[0], 20, 8), window_at(ds, ds.series[0], 20, 6)]
-        assert search(ds, [], 5) == []
+        assert search(ds, [], 8, 5) == []
         with pytest.raises(ValueError):
-            search(ds, targets[:1], 0)
-        with pytest.raises(LengthMismatch):
-            search(ds, targets, 5)
+            search(ds, [("a", 20)], 8, 0)
+        for start in (-1, -30, 23, 30):  # windows of 8 start at 0 to 22
+            with pytest.raises(ValueError, match="whole window of 8 values"):
+                search(ds, [("a", 20), ("a", start)], 8, 5)
 
 
 @st.composite
 def search_cases(draw, values):
-    """(dataset, targets): 1-5 series whose dataset order is a shuffle of their
-    ids, and 1-6 targets with differing context starts, 0 and others too early
+    """(dataset, targets, context length): 1-5 series whose dataset order is a
+    shuffle of their ids, and 1-6 targets with differing context starts, 0 and others too early
     to have candidates among them. Each target's context is copied into up to
     three earlier windows of any series, so that distances tie exactly within
     and across series."""
@@ -222,7 +206,7 @@ def search_cases(draw, values):
                 where = draw(st.integers(0, cstart - L))
                 cols[draw(st.sampled_from(ids))][where : where + L] = context
     ds = make_dataset(cols)
-    return ds, [window_at(ds, ds.series[ids.index(sid)], cstart, L) for sid, cstart in picks]
+    return ds, picks, L
 
 
 FLOATS = st.floats(-1e3, 1e3, allow_nan=False)
@@ -239,10 +223,10 @@ class TestBruteForceOracle:
     def test_top_k_equals_sorted_brute_force(self, case, k, znorm):
         """One search over many targets equals, per target, the sorted brute force
         over every candidate, distances bit for bit."""
-        ds, targets = case
-        for target, got in zip(targets, search(ds, targets, k, znorm), strict=True):
+        ds, targets, L = case
+        for target, got in zip(targets, search(ds, targets, L, k, znorm), strict=True):
             try:
-                expected = brute_force_neighbors(ds, target, k, znorm)
+                expected = brute_force_neighbors(ds, target, L, k, znorm)
             except EmptyPool:
                 assert isinstance(got, EmptyPool)
                 continue
@@ -253,9 +237,9 @@ class TestBruteForceOracle:
     def test_plain_distances_equal_euclidean(self, case, k):
         """On quarter-step values every sum is exact, so the pure-Python
         euclidean oracle is bit-identical whatever order it adds in."""
-        ds, targets = case
-        for target, got in zip(targets, search(ds, targets, k)):
-            ranked = sorted(enumerate_candidates(ds, target, euclidean),
+        ds, targets, L = case
+        for target, got in zip(targets, search(ds, targets, L, k)):
+            ranked = sorted(enumerate_candidates(ds, target, L, euclidean),
                             key=lambda e: (e[2], e[0], e[1]))[:k]
             if not ranked:
                 assert isinstance(got, EmptyPool)
@@ -282,7 +266,7 @@ def nudged(x, ulps):
 
 @st.composite
 def filter_cases(draw, regime, max_length=60):
-    """(dataset, targets) whose distances stress the filter's bounds. On top of
+    """(dataset, targets, context length) whose distances stress the filter's bounds. On top of
     search_cases' shape: cells from one of REGIMES; columns that repeat one short
     pattern (hundreds of exact ties within and across series); constant
     stretches (all-zero rows under z-normalisation); and copies of a target's
@@ -313,7 +297,7 @@ def filter_cases(draw, regime, max_length=60):
             where = draw(st.integers(0, cstart - L))
             cols[draw(st.sampled_from(ids))][where : where + L] = copy
     ds = make_dataset(cols)
-    return ds, [window_at(ds, ds.series[ids.index(sid)], cstart, L) for sid, cstart in picks]
+    return ds, picks, L
 
 
 class TestFilterSafety:
@@ -323,12 +307,12 @@ class TestFilterSafety:
     chunks and refine gathers, and the k-th upper bound carries across them."""
 
     @staticmethod
-    def check(ds, targets, k, znorm, chunk):
+    def check(ds, targets, L, k, znorm, chunk):
         with mock.patch.object(neighbors, "_CHUNK_ELEMENTS", chunk):
-            got = search(ds, targets, k, znorm)
+            got = search(ds, targets, L, k, znorm)
         for target, found in zip(targets, got, strict=True):
             try:
-                expected = brute_force_neighbors(ds, target, k, znorm)
+                expected = brute_force_neighbors(ds, target, L, k, znorm)
             except EmptyPool:
                 assert isinstance(found, EmptyPool)
                 continue
@@ -338,8 +322,7 @@ class TestFilterSafety:
     @given(data=st.data(), regime=st.sampled_from(sorted(REGIMES)), k=st.integers(1, 8),
            znorm=st.booleans(), chunk=st.sampled_from([1, 30, 200, neighbors._CHUNK_ELEMENTS]))
     def test_equals_brute_force(self, data, regime, k, znorm, chunk):
-        ds, targets = data.draw(filter_cases(regime))
-        self.check(ds, targets, k, znorm, chunk)
+        self.check(*data.draw(filter_cases(regime)), k, znorm, chunk)
 
     @pytest.mark.parametrize("regime", sorted(REGIMES))
     @pytest.mark.parametrize("znorm", [False, True], ids=["plain", "znorm"])
@@ -357,10 +340,10 @@ class TestFilterSafety:
                 cols[copy_to][9 * i + 1 : 9 * i + 9] = (
                     context[:3] + [nudged(context[3], ulps)] + context[4:])
         ds = make_dataset(cols)
-        targets = [window_at(ds, s, start, 8) for s, start in zip(ds.series, starts)]
+        targets = [(s.id, start) for s, start in zip(ds.series, starts)]
         for chunk in (1, neighbors._CHUNK_ELEMENTS):
             for k in (1, 2, 5):
-                self.check(ds, targets, k, znorm, chunk)
+                self.check(ds, targets, 8, k, znorm, chunk)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_differences_that_square_below_the_least_double(self, seed):
@@ -377,7 +360,7 @@ class TestFilterSafety:
             cols[sid][9 * i + 1 : 9 * i + 9] = copy
         ds = make_dataset(cols)
         for k in (1, 2):
-            self.check(ds, [window_at(ds, ds.series[0], 30, 8)], k, False, neighbors._CHUNK_ELEMENTS)
+            self.check(ds, [("c", 30)], 8, k, False, neighbors._CHUNK_ELEMENTS)
 
     @settings(max_examples=30, deadline=None)
     @given(case=filter_cases("unit", max_length=20), k=st.integers(50, 300),
@@ -393,10 +376,10 @@ class TestFilterSafety:
         takes the k with the least (series_id, start)."""
         cols = {sid: [(i % 3) / 4 for i in range(150)] for sid in "dbca"}
         ds = make_dataset(cols)
-        targets = [window_at(ds, s, start, 6) for s in ds.series for start in (60, 141)]
+        targets = [(s.id, start) for s in ds.series for start in (60, 141)]
         for chunk in (7, neighbors._CHUNK_ELEMENTS):
-            self.check(ds, targets, 5, znorm, chunk)
-        (first, *_) = search(ds, targets, 5, znorm)
+            self.check(ds, targets, 6, 5, znorm, chunk)
+        (first, *_) = search(ds, targets, 6, 5, znorm)
         assert keys(first) == [("a", 0), ("a", 3), ("a", 6), ("a", 9), ("a", 12)]
 
     def test_exact_distances_that_overflow(self):
@@ -406,12 +389,12 @@ class TestFilterSafety:
         rng = random.Random(4)
         cols = {sid: [rng.choice([-1e200, 0.0, 1e200]) for _ in range(40)] for sid in "ba"}
         ds = make_dataset(cols)
-        targets = [window_at(ds, s, 30, 8) for s in ds.series]
+        targets = [(s.id, 30) for s in ds.series]
         for znorm in (False, True):
             with np.errstate(over="ignore", invalid="ignore"):
-                self.check(ds, targets, 5, znorm, neighbors._CHUNK_ELEMENTS)
+                self.check(ds, targets, 8, 5, znorm, neighbors._CHUNK_ELEMENTS)
             with pytest.warns(RuntimeWarning, match="overflow"):
-                search(ds, targets, 5, znorm)
+                search(ds, targets, 8, 5, znorm)
 
 
     def test_windows_that_z_normalise_to_nan_are_never_neighbors(self):
@@ -423,16 +406,16 @@ class TestFilterSafety:
         cols["a"][10:14] = [1.5e308] * 4
         cols["b"][20:24] = [-1.5e308] * 4
         ds = make_dataset(cols)
-        target = window_at(ds, ds.series[1], 45, 8)
+        target = ("b", 45)
         with np.errstate(over="ignore", invalid="ignore"):
             ranked = []
-            for sid, start, d in enumerate_candidates(ds, target, z_distance):
+            for sid, start, d in enumerate_candidates(ds, target, 8, z_distance):
                 if not math.isnan(d):
                     ranked.append((d, sid, start))
             ranked.sort()
             assert len(ranked) == 2 * (38 - 9)  # 9 windows a series hold 2 or more such cells
             for k in (3, 40, 100):
-                got = nearest(ds, target, k, znorm=True)
+                got = nearest(ds, target, 8, k, znorm=True)
                 assert [(d, sid, start) for sid, start, d in got] == ranked[:k]
 
 
@@ -450,11 +433,11 @@ class TestFilterSafety:
         for sid, where in (("d", 12), ("a", 12), ("c", 13), ("b", 30)):
             cols[sid][where : where + 8] = context
         ds = make_dataset(cols)
-        targets = [window_at(ds, s, 50, 8) for s in ds.series]
+        targets = [(s.id, 50) for s in ds.series]
         for starts in (1, 3, 7):
             for k in (1, 3, 6):
-                self.check(ds, targets, k, znorm, starts * (8 + 4) * 4)
-        found = nearest(ds, window_at(ds, ds.series[1], 50, 8), k=4, znorm=znorm)
+                self.check(ds, targets, 8, k, znorm, starts * (8 + 4) * 4)
+        found = nearest(ds, ("b", 50), 8, k=4, znorm=znorm)
         assert keys(found) == [("a", 12), ("b", 30), ("c", 13), ("d", 12)]
 
     @pytest.mark.parametrize("znorm", [False, True], ids=["plain", "znorm"])
@@ -473,11 +456,10 @@ class TestFilterSafety:
             other = "abc"[("abc".index(sid) + 1) % 3]
             cols[other][cut + 1 : cut + 9] = context
         ds = make_dataset(cols)
-        by_id = {s.id: s for s in ds.series}
-        targets = [window_at(ds, by_id[sid], start, 8) for sid, start in zip(ids, starts)]
+        targets = list(zip(ids, starts))
         for chunk in (10 * (8 + 5) * 3, 10 * (8 + 2) * 3, neighbors._CHUNK_ELEMENTS):
             for k in (1, 4):
-                self.check(ds, targets, k, znorm, chunk)
+                self.check(ds, targets, 8, k, znorm, chunk)
 
     @pytest.mark.parametrize("znorm", [False, True], ids=["plain", "znorm"])
     def test_a_series_a_thousand_times_larger_sets_the_margin(self, znorm):
@@ -494,10 +476,10 @@ class TestFilterSafety:
                 cols[copy_to][9 * i + 1 : 9 * i + 9] = (
                     context[:3] + [nudged(context[3], ulps)] + context[4:])
         ds = make_dataset(cols)
-        targets = [window_at(ds, s, start, 8) for s, start in zip(ds.series, starts)]
+        targets = [(s.id, start) for s, start in zip(ds.series, starts)]
         for chunk in (1, 5 * (8 + 3) * 4, neighbors._CHUNK_ELEMENTS):
             for k in (1, 2, 5):
-                self.check(ds, targets, k, znorm, chunk)
+                self.check(ds, targets, 8, k, znorm, chunk)
 
     def test_large_rows_that_tie_near_a_small_target(self):
         """A unit-scale target with three candidates of its own scale and k up
@@ -515,10 +497,10 @@ class TestFilterSafety:
                 copy[5] = nudged(copy[5], ulps)
                 cols[sid][where : where + 8] = copy
         ds = make_dataset(cols)
-        targets = [window_at(ds, ds.series[0], start, 8) for start in (10, 11, 12)]
+        targets = [("u", start) for start in (10, 11, 12)]
         for chunk in (1, 3 * (8 + 3) * 4, neighbors._CHUNK_ELEMENTS):
             for k in range(4, 9):
-                self.check(ds, targets, k, False, chunk)
+                self.check(ds, targets, 8, k, False, chunk)
 
     def test_a_z_normalised_chunk_with_one_nan_row(self):
         """Two cells of 1.5e308 seven apart make exactly one window (start 20 of
@@ -529,21 +511,21 @@ class TestFilterSafety:
         cols = {sid: [rng.randint(0, 8) / 4 for _ in range(60)] for sid in "cab"}
         cols["b"][20] = cols["b"][27] = 1.5e308
         ds = make_dataset(cols)
-        targets = [window_at(ds, s, start, 8) for s in ds.series for start in (40, 45)]
+        targets = [(s.id, start) for s in ds.series for start in (40, 45)]
         with np.errstate(over="ignore", invalid="ignore"):
             for target in targets:
                 ranked = []
-                for sid, start, d in enumerate_candidates(ds, target, z_distance):
+                for sid, start, d in enumerate_candidates(ds, target, 8, z_distance):
                     if math.isnan(d):
                         assert (sid, start) == ("b", 20)
                     else:
                         ranked.append((d, sid, start))
-                assert len(ranked) == 3 * (target.context_start - 7) - 1
+                assert len(ranked) == 3 * (target[1] - 7) - 1
                 ranked.sort()
                 for chunk in (1, 4 * (8 + 6) * 3, neighbors._CHUNK_ELEMENTS):
                     for k in (3, 200):
                         with mock.patch.object(neighbors, "_CHUNK_ELEMENTS", chunk):
-                            (got, *_) = search(ds, [target, *targets], k, znorm=True)
+                            (got, *_) = search(ds, [target, *targets], 8, k, znorm=True)
                         assert [(d, sid, start) for sid, start, d in got] == ranked[:k]
 
 
@@ -551,13 +533,13 @@ class TestFilterPrunes:
     """The filter keeps the exhaustive scan's result (TestFilterSafety) and
     also prunes: a chunk's own k nearest rows set the bound it is filtered by."""
 
-    def refined(self, ds, targets, k, znorm=False):
+    def refined(self, ds, targets, L, k, znorm=False):
         """How many (target, candidate) pairs got the exact distance."""
         counts = []
         real = neighbors._first_k
         with mock.patch.object(neighbors, "_first_k",
                                lambda kept, k: counts.append(kept.shape[1]) or real(kept, k)):
-            search(ds, targets, k, znorm)
+            search(ds, targets, L, k, znorm)
         return sum(counts)
 
     @pytest.mark.parametrize("znorm", [False, True], ids=["plain", "znorm"])
@@ -571,9 +553,9 @@ class TestFilterPrunes:
         for where in (10, 40, 70, 100, 130):
             vals[where : where + 8] = context
         ds = make_dataset({"a": vals})
-        target = window_at(ds, ds.series[0], 180, 8)
-        assert self.refined(ds, [target], 5, znorm) == 5
-        assert [d for _, _, d in nearest(ds, target, 5, znorm)] == [0.0] * 5
+        target = ("a", 180)
+        assert self.refined(ds, [target], 8, 5, znorm) == 5
+        assert [d for _, _, d in nearest(ds, target, 8, 5, znorm)] == [0.0] * 5
 
     def test_each_target_is_filtered_by_its_own_bound(self):
         """Two targets, one with five exact copies of its context and one with
@@ -585,10 +567,10 @@ class TestFilterPrunes:
         for where in (10, 40, 70, 100, 130):
             cols["b"][where : where + 8] = context
         ds = make_dataset(cols)
-        copied, other = window_at(ds, ds.series[0], 180, 8), window_at(ds, ds.series[1], 185, 8)
-        assert self.refined(ds, [copied], 5) == 5
+        copied, other = ("a", 180), ("b", 185)
+        assert self.refined(ds, [copied], 8, 5) == 5
         for targets in ([copied, other], [other, copied]):
-            TestFilterSafety.check(ds, targets, 5, False, neighbors._CHUNK_ELEMENTS)
+            TestFilterSafety.check(ds, targets, 8, 5, False, neighbors._CHUNK_ELEMENTS)
 
 
 def pinned_dataset():
@@ -640,18 +622,19 @@ class TestChunkWidth:
         n = 96 + 20 * 99 + 97
         ds = make_dataset({f"s{j:02d}": [rng.randint(-40, 40) / 4 for _ in range(n)]
                            for j in range(21)})
-        targets = [window_at(ds, s, 96 + 20 * m, 96) for s in ds.series for m in range(100)]
+        targets = [(s.id, 96 + 20 * m) for s in ds.series for m in range(100)]
         widths = []
         real = neighbors._znorm
         with mock.patch.object(neighbors, "_znorm",
                                lambda x: x.ndim == 3 and widths.append(x.shape[1]) or real(x)):
-            found = search(ds, targets, 5, znorm=True)
+            found = search(ds, targets, 96, 5, znorm=True)
         n_max = 20 * 99 + 1  # the latest target's candidate starts
         assert sum(widths) == n_max and len(widths) < n_max // 4
         sample = random.Random(17).sample(range(len(targets)), 12)
-        assert search(ds, [targets[i] for i in sample], 5, znorm=True) == [found[i] for i in sample]
-        found = search(ds, targets, 5)
-        assert search(ds, [targets[i] for i in sample], 5) == [found[i] for i in sample]
+        assert (search(ds, [targets[i] for i in sample], 96, 5, znorm=True)
+                == [found[i] for i in sample])
+        found = search(ds, targets, 96, 5)
+        assert search(ds, [targets[i] for i in sample], 96, 5) == [found[i] for i in sample]
 
     def test_a_nan_row_does_not_stop_a_chunk_from_pruning(self):
         """A chunk takes in its k smallest only for targets whose nearest row there
@@ -665,10 +648,10 @@ class TestChunkWidth:
         other = [rng.uniform(0, 10) for _ in range(200)]
         other[50:54] = [1.5e308] * 4
         ds = make_dataset({"a": vals, "b": other})
-        target = window_at(ds, ds.series[0], 180, 8)
+        target = ("a", 180)
         cut = 180 - 8 + 1
         windows = np.lib.stride_tricks.sliding_window_view(ds.series[1].values[:cut + 7], 8)
         with np.errstate(over="ignore", invalid="ignore"):
             nan_rows = int(np.isnan(neighbors._znorm(windows)).any(axis=1).sum())
             assert nan_rows > 1
-            assert TestFilterPrunes().refined(ds, [target], 5, znorm=True) == 5 + nan_rows
+            assert TestFilterPrunes().refined(ds, [target], 8, 5, znorm=True) == 5 + nan_rows

@@ -1,5 +1,6 @@
 import re
 from collections import Counter
+from importlib import resources
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 import tsf.prompting as prompting_mod
 
-from tsf.dataset import EvalWindow
 from tsf.errors import UnboundPlaceholder
 from tsf.llmgateway import BackendConfig, BackendKind
 from tsf.prompting import (
@@ -24,15 +24,16 @@ from tsf.runner import RunConfig, bundles_for_run, run
 
 from conftest import make_dataset
 from golden_util import (
+    CONTEXT_LEN,
     DESCRIPTION,
     INTERVAL_SECONDS,
     compose,
     golden_bundle,
+    golden_dataset,
     golden_neighbor_windows,
     golden_neighbors,
     golden_path,
     golden_series,
-    golden_window,
     render_bundle,
     render_neighbor_block,
     render_sequence,
@@ -41,41 +42,33 @@ from golden_util import (
 MOCK_P = BackendConfig(kind=BackendKind.MOCK_PERSISTENCE)
 
 
-def tiny_window(context, horizon=1, truth=None, start_ts=0):
-    return EvalWindow(
-        series_id="s",
-        context=tuple(float(v) for v in context),
-        context_start=0,
-        horizon=horizon,
-        truth=tuple(truth or [0.0] * horizon),
-        start_timestamp=start_ts,
-    )
+def tiny_dataset(context, horizon=1, start_ts=0):
+    """One series "s" of the context values and a continuation of horizon
+    zeros; its window ("s", 0) is the context."""
+    return make_dataset({"s": [*context, *[0.0] * horizon]}, interval=INTERVAL_SECONDS,
+                        start_ts=start_ts, descriptions={"s": DESCRIPTION})
 
 
-def user(window: EvalWindow) -> str:
-    return user_prompt(render_sequence(window.context), window.horizon)
+def user(context, horizon: int) -> str:
+    return user_prompt(render_sequence([float(v) for v in context]), horizon)
 
 
 class TestUserPrompt:
     def test_h1_example(self):
-        w = tiny_window([1, 2, 3], horizon=1)
-        assert user(w) == (
+        assert user([1, 2, 3], horizon=1) == (
             "Continue the following sequence without producing any additional text."
             " Sequence: <1, 2, 3>. Predict the next 1 values."
         )
 
     def test_h3_suffix(self):
-        w = tiny_window([1, 2, 3], horizon=3)
-        assert user(w).endswith("Predict the next 3 values.")
+        assert user([1, 2, 3], horizon=3).endswith("Predict the next 3 values.")
 
     def test_values_rendered_via_format_value(self):
-        w = tiny_window([0.80325], horizon=1)
-        assert "<0.8032>" in user(w)
+        assert "<0.8032>" in user([0.80325], horizon=1)
 
     def test_value_count_equals_context_len(self):
-        w = golden_window()
-        inner = re.search(r"<([^>]*)>", user(w)).group(1)
-        assert len(inner.split(", ")) == len(w.context)
+        inner = re.search(r"<([^>]*)>", golden_bundle(Strategy.ZEROSHOT).user).group(1)
+        assert len(inner.split(", ")) == CONTEXT_LEN
 
 
 class TestSystemPrompt:
@@ -127,8 +120,7 @@ class TestSystemPrompt:
             "[[T{a},R{a}], [T{b},R{b}], [T{n},R{n}]]",  # str-patch's last patch
         )
         at_96 = golden_bundle(strategy).system
-        window = tiny_window(range(48), horizon=3)
-        at_48 = compose(strategy, window, DESCRIPTION, INTERVAL_SECONDS).system
+        at_48 = compose(strategy, tiny_dataset(range(48), horizon=3), ("s", 0), 3, 48).system
         expected = at_96
         for phrase in phrases:
             expected = expected.replace(phrase.format(n=96, a=94, b=95),
@@ -145,8 +137,8 @@ class TestSystemPrompt:
 
 
 def meta_system(start_ts: int) -> str:
-    window = tiny_window(range(12), horizon=3, start_ts=start_ts)
-    return compose(Strategy.META_TOKENS_PI, window, DESCRIPTION, INTERVAL_SECONDS).system
+    ds = tiny_dataset(range(12), horizon=3, start_ts=start_ts)
+    return compose(Strategy.META_TOKENS_PI, ds, ("s", 0), 3, 12).system
 
 
 class TestMetaPatchClock:
@@ -223,7 +215,7 @@ class TestRenderSequences:
     def test_neighbor_block_joins_rendered_sequences(self):
         values = np.array(golden_series())
         starts = [start for _, start, _ in golden_neighbors()]
-        texts = render_sequences(values, starts, len(golden_window().context))
+        texts = render_sequences(values, starts, CONTEXT_LEN)
         assert neighbor_block([texts[s] for s in starts]) == \
             render_neighbor_block(golden_neighbor_windows())
 
@@ -272,12 +264,10 @@ class TestAssemble:
         assert actual == expected
 
     def test_run_plan_renders_the_goldens(self):
-        """The run's own composition, on a one-series dataset of the golden values
-        (99 points: one window of context 96 and h 3), gives the seven goldens of
+        """The run's own composition, on the golden dataset (101 points: one window
+        of context 96 and h 3 at the default stride), gives the seven goldens of
         the strategies without neighbors byte for byte."""
-        w = golden_window()
-        ds = make_dataset({"humidity": w.context + w.truth}, name="golden",
-                          interval=INTERVAL_SECONDS, descriptions={"humidity": DESCRIPTION})
+        ds = golden_dataset()
         strategies = tuple(s for s in Strategy if not s.uses_neighbors)
         cfg = RunConfig(strategies=strategies, backend=MOCK_P, horizons=(3,), context_len=96)
         bundles = bundles_for_run(ds, cfg)
@@ -289,6 +279,12 @@ class TestAssemble:
         for strategy in Strategy:
             text = load_template(strategy)
             assert isinstance(text, str) and not text.endswith("\n")
+
+    def test_template_files_are_named_by_strategy(self):
+        """templates/ holds one <strategy value>.txt per strategy, and no other file."""
+        files = sorted(f.name for f in resources.files("tsf.templates").iterdir()
+                       if f.is_file() and f.name != "__init__.py")
+        assert files == sorted(f"{s.value}.txt" for s in Strategy)
 
     def test_templates_loaded_once(self):
         for strategy in Strategy:

@@ -22,7 +22,7 @@ import tsf.neighbors as neighbors_mod
 import tsf.prompting as prompting_mod
 import tsf.runner as runner_mod
 from tsf.cli import main
-from tsf.dataset import CsvSchema, eval_window, load_csv, window_starts
+from tsf.dataset import CsvSchema, load_csv, window_starts
 from tsf.errors import EmptyPool, SeriesTooShort
 from tsf.evaluation import compare_reports, render_comparison_markdown, reports_from_json
 from tsf.llmgateway import BackendConfig, BackendKind, Gateway, bundle_hash, save_fixtures
@@ -30,12 +30,12 @@ from tsf.prompting import Strategy
 from tsf.runner import (
     RunConfig,
     bundles_for_run,
-    eval_windows,
+    draw_starts,
     run,
 )
 
 from conftest import brute_force_neighbors, fresh_bundle, make_dataset
-from test_gateway import FakeResponse, ok_payload
+from test_gateway import BodyResponse, FakeResponse, ok_payload
 
 MOCK_P = BackendConfig(kind=BackendKind.MOCK_PERSISTENCE)
 
@@ -286,32 +286,34 @@ class TestEvalWindows:
     def test_selection_equals_slice_then_subsample(
         self, context_len, horizon, extra, stride, max_windows, seed
     ):
+        """The draw is a seeded subsample of window_starts, and the plan scores
+        each drawn (series id, start) against the values that follow it."""
         length = context_len + horizon + extra
         ds = make_dataset({"a": range(length), "b": [-v for v in range(length)]})
         cfg = small_config(
             [Strategy.ZEROSHOT], horizons=(horizon,), context_len=context_len,
             eval_stride=stride, max_windows=max_windows, seed=seed,
         )
-        expected = []
-        for series in ds.series:
-            starts = window_starts(ds, context_len, horizon, stride)
-            if len(starts) > max_windows:
-                keep = sorted(random.Random(seed).sample(range(len(starts)), max_windows))
-                starts = [starts[i] for i in keep]
-            expected += [(series, eval_window(ds, series, start, context_len, horizon))
-                         for start in starts]
-        assert eval_windows(ds, cfg, horizon) == expected
+        starts = window_starts(ds, context_len, horizon, stride)
+        if len(starts) > max_windows:
+            keep = sorted(random.Random(seed).sample(range(len(starts)), max_windows))
+            starts = [starts[i] for i in keep]
+        assert list(draw_starts(ds, cfg)) == list(starts)
+        assert [(j.window_id, j.horizon, j.truth) for j in runner_mod._plan(ds, cfg)] == [
+            (f"{s.id}:{start}", horizon,
+             tuple(s.values[start + context_len : start + context_len + horizon].tolist()))
+            for s in ds.series for start in starts]
 
     def test_too_short_series(self):
         ds = make_dataset({"a": range(50)})
         with pytest.raises(SeriesTooShort):
-            eval_windows(ds, small_config([Strategy.ZEROSHOT]), 1)
+            draw_starts(ds, small_config([Strategy.ZEROSHOT]))
 
     @settings(max_examples=100, deadline=None)
     @given(max_windows=st.integers(1, 30), seed=st.integers(0, 2**32),
            stride=st.integers(1, 40), n_series=st.integers(1, 6))
     def test_one_draw_serves_every_series(self, max_windows, seed, stride, n_series):
-        """The subsample is drawn once per call, and every series keeps the
+        """The subsample is drawn once per plan, and every series keeps the
         starts that a draw of its own, with the same seed, keeps."""
         ds = make_dataset({f"s{j}": [float(i * (j + 1) % 13) for i in range(300)]
                            for j in range(n_series)})
@@ -325,10 +327,10 @@ class TestEvalWindows:
         real = runner_mod._subsample
         with mock.patch.object(runner_mod, "_subsample",
                                lambda *a: draws.append(a) or real(*a)):
-            pairs = eval_windows(ds, cfg, 1)
+            jobs = runner_mod._plan(ds, cfg)
         assert len(draws) == 1
-        assert [(s.id, w.context_start) for s, w in pairs] == [
-            (s.id, start) for s in ds.series for start in starts]
+        assert [j.window_id for j in jobs] == [
+            f"{s.id}:{start}" for _ in cfg.horizons for s in ds.series for start in starts]
 
 
 NEIGHBOR_DS = make_dataset({
@@ -344,20 +346,17 @@ class TestNeighborSearch:
         calls = []
         real_search = neighbors_mod.search
 
-        def counting_search(dataset, targets, k=5, znorm=False):
-            calls.append([(t.series_id, t.context_start) for t in targets])
-            return real_search(dataset, targets, k, znorm)
+        def counting_search(dataset, targets, context_len, k=5, znorm=False):
+            calls.append(list(targets))
+            return real_search(dataset, targets, context_len, k, znorm)
 
         monkeypatch.setattr(neighbors_mod, "search", counting_search)
         cfg = small_config(
             [Strategy.NEIGHS, Strategy.PATCH_INSTRUCT_NEIGHS], horizons=(1, 2, 3),
             eval_stride=8, max_windows=6,
         )
-        windows = sorted({
-            (w.series_id, w.context_start)
-            for h in cfg.horizons
-            for _, w in eval_windows(NEIGHBOR_DS, cfg, h)
-        })
+        windows = sorted((s.id, start) for s in NEIGHBOR_DS.series
+                         for start in draw_starts(NEIGHBOR_DS, cfg))
         outcome = run(NEIGHBOR_DS, cfg)
         assert outcome.reports
         assert [sorted(c) for c in calls] == [windows]
@@ -381,11 +380,12 @@ class TestNeighborSearch:
         fresh = []
         for strategy in cfg.strategies:
             for h in cfg.horizons:
-                for series, w in eval_windows(NEIGHBOR_DS, cfg, h):
-                    try:
-                        fresh.append(fresh_bundle(cfg, NEIGHBOR_DS, series, w, strategy))
-                    except EmptyPool:
-                        pass
+                for s in NEIGHBOR_DS.series:
+                    for start in draw_starts(NEIGHBOR_DS, cfg):
+                        try:
+                            fresh.append(fresh_bundle(cfg, NEIGHBOR_DS, (s.id, start), h, strategy))
+                        except EmptyPool:
+                            pass
         assert len({b.strategy for b in fresh}) == 9
         assert bundles_for_run(NEIGHBOR_DS, cfg) == fresh
         sent = dispatched_bundles(monkeypatch)
@@ -435,13 +435,12 @@ class TestSharedPromptText:
         each of their cells once; one neighbor block per window with neighbors; one
         system prompt per (strategy, horizon, series), and per start clock for
         meta-patch."""
-        windows = {(w.series_id, w.context_start): w
-                   for h in cfg.horizons for _, w in eval_windows(ds, cfg, h)}
+        windows = [(s.id, start) for s in ds.series for start in draw_starts(ds, cfg)]
         shown = set(windows)
         blocks = entries = 0
-        for w in windows.values():
+        for w in windows:
             try:
-                found = brute_force_neighbors(ds, w, cfg.k, cfg.znorm_neighbors)
+                found = brute_force_neighbors(ds, w, cfg.context_len, cfg.k, cfg.znorm_neighbors)
             except EmptyPool:
                 continue
             blocks += 1
@@ -451,9 +450,9 @@ class TestSharedPromptText:
         assert len(shown) < len(windows) + entries  # some windows are shown twice
         cells = {(sid, start + i) for sid, start in shown for i in range(cfg.context_len)}
         assert len(cells) < len(shown) * cfg.context_len  # and some windows overlap
-        systems = {(s, h, w.series_id,
-                    w.start_timestamp % 86400 if s is Strategy.META_TOKENS_PI else None)
-                   for s in cfg.strategies for h in cfg.horizons for w in windows.values()}
+        systems = {(s, h, sid,
+                    int(ds.timestamps[start]) % 86400 if s is Strategy.META_TOKENS_PI else None)
+                   for s in cfg.strategies for h in cfg.horizons for sid, start in windows}
         assert len(systems) > len(cfg.strategies) * len(cfg.horizons) * len(ds.series)
         return Counter(sequences=len(ds.series), window=len(shown), format_value=len(cells),
                        neighbor_block=blocks, system_prompt=len(systems))
@@ -554,7 +553,8 @@ class TestDispatchFailures:
                              model_name="m", max_retries=1, parallelism=3)
         cfg = small_config([Strategy.ZEROSHOT], horizons=(1,), eval_stride=1, max_windows=10,
                            backend=http)
-        pairs = eval_windows(ds, cfg, 1)
+        truths = [ds.series[0].values[start + cfg.context_len].item()
+                  for start in draw_starts(ds, cfg)]
         failing = bundles_for_run(ds, cfg)[6].user
 
         def fake_post(url, json=None, headers=None, timeout=None):
@@ -567,8 +567,38 @@ class TestDispatchFailures:
         assert outcome.ok
         (rep,) = outcome.reports
         assert (rep.n_windows, rep.n_parsed) == (10, 9)
-        kept = [w.truth[0] ** 2 for i, (_, w) in enumerate(pairs) if i != 6]
+        kept = [t ** 2 for i, t in enumerate(truths) if i != 6]
         assert rep.mean_mse == pytest.approx(sum(kept) / 9, rel=1e-12)
+
+    def test_malformed_answer_costs_one_window(self, monkeypatch):
+        """Among good answers, a 200 answer with an HTML body and one of JSON
+        without content each cost their own window, as failed:MalformedAnswer,
+        after one request each."""
+        monkeypatch.setenv(gw.API_KEY_ENV, "test-key")
+        ds = varying_dataset()
+        cfg = small_config([Strategy.ZEROSHOT], horizons=(1,), eval_stride=1, max_windows=10,
+                           backend=http_backend(parallelism=3))
+        users = [b.user for b in bundles_for_run(ds, cfg)]
+        bad = {users[2]: "<html><body>502 Bad Gateway</body></html>",
+               users[7]: '{"choices": [{"message": {"role": "assistant"}}]}'}
+        calls = Counter()
+
+        def fake_post(url, json=None, headers=None, timeout=None):
+            user = json["messages"][1]["content"]
+            calls[user] += 1
+            if user in bad:
+                return BodyResponse(200, bad[user])
+            return FakeResponse(200, ok_payload("[0]", it=7, ot=1))
+
+        monkeypatch.setattr(gw.requests, "post", fake_post)
+        outcome = run(ds, cfg)
+        assert outcome.ok
+        (rep,) = outcome.reports
+        assert (rep.n_windows, rep.n_parsed) == (10, 8)
+        assert sorted(calls) == sorted(users) and set(calls.values()) == {1}
+        gateway, jobs = Gateway(cfg.backend), runner_mod._plan(ds, cfg)
+        assert [runner_mod._window_result(gateway, cfg, jobs[i]).parse_status
+                for i in (2, 7)] == ["failed:MalformedAnswer"] * 2
 
     def test_replay_cli_reports_the_other_windows(self, tmp_path):
         csv = tmp_path / "data.csv"
@@ -654,7 +684,7 @@ class TestCli:
 
     @pytest.mark.parametrize("flag", ["--context-len", "--horizon", "--stride", "--k",
                                       "--max-windows", "--patch-window", "--patch-stride",
-                                      "--parallel"])
+                                      "--parallel", "--timeout"])
     @pytest.mark.parametrize("value", ["0", "-1"])
     @pytest.mark.parametrize("source", ["argv", "ini"])
     def test_counts_must_be_positive(self, tmp_path, capsys, flag, value, source):
