@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 
@@ -32,6 +33,16 @@ def _count(raw: str) -> int:
     return int(raw)
 
 
+def _temperature(raw: str) -> float:
+    """A finite number >= 0, the type of --temperature."""
+    try:
+        if 0 <= float(raw) < math.inf:
+            return float(raw)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{raw!r} is not a finite number >= 0")
+
+
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="INI config file; flags override it")
     p.add_argument("--dataset", help="CSV dataset path")
@@ -49,7 +60,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
                    choices=[k.value for k in BackendKind])
     p.add_argument("--endpoint", help="base URL for the http backend")
     p.add_argument("--model", help="model name for the http backend")
-    p.add_argument("--temperature", type=float, default=0.0)
+    p.add_argument("--temperature", type=_temperature, default=0.0)
     p.add_argument("--timeout", type=_count, default=60, help="seconds per http request")
     p.add_argument("--retries", type=int, default=3)
     p.add_argument("--parallel", type=_count, default=1,
@@ -163,16 +174,6 @@ def _run_config(args, backend: BackendConfig) -> RunConfig:
     )
 
 
-def _emit(reports, out: str) -> None:
-    if out.endswith(".csv"):
-        fmt = "csv"
-    elif out.endswith(".md"):
-        fmt = "markdown"
-    else:
-        fmt = "json"
-    emit_report(reports, fmt, out)
-
-
 def _cmd_run(args, argv: list[str]) -> int:
     """run, replay and record alike: one run on the backend the command names or forces."""
     descriptions = _apply_config_file(args, argv)
@@ -184,7 +185,7 @@ def _cmd_run(args, argv: list[str]) -> int:
     dataset = _load_dataset(args, descriptions)
     cfg = _run_config(args, backend)
     outcome = run(dataset, cfg)
-    _emit(outcome.reports, out)
+    emit_report(outcome.reports, path=out)  # by name: bench/tracing.py sizes the file
     write_manifest(cfg, dataset, out + ".manifest.json")
     print(f"wrote {len(outcome.reports)} reports to {out}")
     for f in outcome.failures:

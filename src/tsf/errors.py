@@ -74,7 +74,8 @@ class ReplayMiss(TsfError):
 
 
 class MalformedAnswer(TsfError):
-    """An HTTP 200 answer whose body is not JSON with a string at choices[0].message.content."""
+    """An HTTP 200 answer whose body is not JSON with a string at choices[0].message.content,
+    or whose usage is not an object of token counts that are integers >= 0."""
 
 
 # --- parsing ---

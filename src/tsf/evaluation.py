@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv as csv_mod
 import io
 import json
+import os
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
@@ -81,16 +82,16 @@ def aggregate(
     backend_id: str,
     config: Optional[dict] = None,
 ) -> RunReport:
-    """Means over parsed windows; token totals over every window issued.
-    Input order does not affect the report."""
-    if not results:
-        raise ValueError("no results to aggregate")
+    """Means over parsed windows; token totals over every window issued. The
+    windows are summed in window id order, so input order does not change a
+    byte of the report. A cell with no parsed window, none at all among them,
+    raises NoParsedWindows: this is the one check for an empty cell."""
     ordered = sorted(results, key=lambda r: r.window_id)
     parsed = [r for r in ordered if r.parsed]
     if not parsed:
         raise NoParsedWindows(
-            f"all {len(ordered)} windows failed to parse"
-            f" ({dataset}, {strategy}, h={horizon})"
+            f"all {len(ordered)} windows failed to parse ({dataset}, {strategy}, h={horizon})"
+            if ordered else "no evaluation windows"
         )
     n = len(ordered)
     total_it = sum(r.input_tokens for r in ordered)
@@ -127,20 +128,12 @@ def improvement(baseline: RunReport, ours: RunReport) -> float:
     return 100.0 * (baseline.mean_mse - ours.mean_mse) / baseline.mean_mse
 
 
-def report_to_dict(report: RunReport) -> dict:
-    return asdict(report)
-
-
-def report_from_dict(d: dict) -> RunReport:
-    return RunReport(**d)
-
-
 def reports_to_json(reports: Sequence[RunReport]) -> str:
-    return json.dumps([report_to_dict(r) for r in reports], indent=2, sort_keys=True)
+    return json.dumps([asdict(r) for r in reports], indent=2, sort_keys=True)
 
 
 def reports_from_json(text: str) -> list[RunReport]:
-    return [report_from_dict(d) for d in json.loads(text)]
+    return [RunReport(**d) for d in json.loads(text)]
 
 
 def _fmt(x) -> str:
@@ -251,9 +244,11 @@ def render_comparison_csv(rows) -> str:
     )
 
 
-def emit_report(reports: Sequence[RunReport], fmt: str, path) -> None:
-    renderers = {"json": reports_to_json, "csv": render_csv, "markdown": render_markdown}
-    if fmt not in renderers:
-        raise ValueError(f"unknown report format {fmt!r}")
+def emit_report(reports: Sequence[RunReport], path) -> None:
+    """Write the reports to path in the format its suffix names: CSV for .csv,
+    the Markdown table for .md, and JSON for any other."""
+    name = os.fspath(path)
+    render = (render_csv if name.endswith(".csv") else
+              render_markdown if name.endswith(".md") else reports_to_json)
     with open(path, "w", encoding="utf-8") as f:
-        f.write(renderers[fmt](reports))
+        f.write(render(reports))

@@ -170,16 +170,15 @@ def _http_complete(bundle: PromptBundle, cfg: BackendConfig) -> LlmResponse:
         text = None
     if not isinstance(text, str):
         raise MalformedAnswer(f"no string choices[0].message.content in {resp.text[:500]!r}")
-    usage = data.get("usage") or {}
-    if "prompt_tokens" in usage and "completion_tokens" in usage:
-        return LlmResponse(
-            text=text,
-            input_tokens=usage["prompt_tokens"],
-            output_tokens=usage["completion_tokens"],
-            latency_seconds=latency,
-            token_source=TokenSource.REPORTED,
-        )
-    return _estimated_response(text, bundle, latency)
+    usage = {} if data.get("usage") is None else data["usage"]  # null is absent
+    if not isinstance(usage, dict):
+        raise MalformedAnswer(f"usage {usage!r:.500} is not an object")
+    counts = [usage[k] for k in ("prompt_tokens", "completion_tokens") if k in usage]
+    if any(type(c) is not int or c < 0 for c in counts):  # a bool is not a count
+        raise MalformedAnswer(f"usage {usage!r:.500} has a count that is not an integer >= 0")
+    if len(counts) < 2:  # a count is absent
+        return _estimated_response(text, bundle, latency)
+    return LlmResponse(text, *counts, latency, TokenSource.REPORTED)
 
 
 class Gateway:

@@ -33,12 +33,9 @@ def _bracket_groups(text: str) -> list[str]:
 
 
 def _parse_flat(group: str) -> Optional[list[float]]:
-    """Parse "[a, b, c]" into floats; None when the group is nested or any
-    element is non-numeric."""
-    inner = group[1:-1]
-    if "[" in inner or "]" in inner:
-        return None
-    tokens = [t.strip().rstrip(".") for t in inner.split(",")]
+    """Parse a flat "[a, b, c]" into floats; None when any element is
+    non-numeric."""
+    tokens = [t.strip().rstrip(".") for t in group[1:-1].split(",")]
     if not tokens or tokens == [""]:
         return None
     values = []

@@ -11,13 +11,13 @@ import random
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from . import evaluation, neighbors, prompting
 from .dataset import Dataset, window_starts
 from .errors import EmptyPool, TsfError, WrongCount
 from .evaluation import RunReport, WindowResult
-from .llmgateway import BackendConfig, BackendKind, Gateway, LlmResponse
+from .llmgateway import BackendConfig, BackendKind, Gateway
 from .parsing import parse_prediction
 from .prompting import TEMPLATE_VERSION, PromptBundle, Strategy
 
@@ -150,48 +150,38 @@ def _bundle(job: _Job) -> PromptBundle:
     )
 
 
-def _failed(job: _Job, error: TsfError, resp: Optional[LlmResponse] = None) -> WindowResult:
-    """A window that produced no forecast; its tokens count if it was answered."""
+def _window_result(gateway: Gateway, cfg: RunConfig, job: _Job) -> WindowResult:
+    """The one place a window's result is built: join the user message, dispatch,
+    parse and score one job. A TsfError costs this window only, as
+    failed:<its name>; an answered window's tokens and latency count either way.
+    A window without candidates fails by its EmptyPool, read and never raised:
+    one instance stands in for the window at every strategy and horizon, so
+    raising it from several workers would chain their tracebacks onto it."""
+    resp, error, status, mse, mae = None, None, "ok", None, None
+    if isinstance(job.neighbors, EmptyPool):
+        error = job.neighbors
+    else:
+        try:
+            resp = gateway.complete(_bundle(job))
+            try:
+                values = parse_prediction(resp.text, job.horizon)
+            except WrongCount:
+                if not cfg.lenient:
+                    raise
+                values = parse_prediction(resp.text, job.horizon, lenient=True)
+                status = "ok:repaired"
+            mse, mae = evaluation.mse(values, job.truth), evaluation.mae(values, job.truth)
+        except TsfError as e:
+            error = e
     return WindowResult(
         window_id=job.window_id,
-        mse=None,
-        mae=None,
+        mse=mse,
+        mae=mae,
         input_tokens=resp.input_tokens if resp else 0,
         output_tokens=resp.output_tokens if resp else 0,
         latency_seconds=resp.latency_seconds if resp else 0.0,
-        parse_status=f"failed:{type(error).__name__}",
+        parse_status=status if error is None else f"failed:{type(error).__name__}",
     )
-
-
-def _score(job: _Job, resp: LlmResponse, lenient: bool) -> WindowResult:
-    try:
-        values, status = parse_prediction(resp.text, job.horizon), "ok"
-    except WrongCount:
-        if not lenient:
-            raise
-        values, status = parse_prediction(resp.text, job.horizon, lenient=True), "ok:repaired"
-    return WindowResult(
-        window_id=job.window_id,
-        mse=evaluation.mse(values, job.truth),
-        mae=evaluation.mae(values, job.truth),
-        input_tokens=resp.input_tokens,
-        output_tokens=resp.output_tokens,
-        latency_seconds=resp.latency_seconds,
-        parse_status=status,
-    )
-
-
-def _window_result(gateway: Gateway, cfg: RunConfig, job: _Job) -> WindowResult:
-    """Join the user message, dispatch and score one job; a TsfError costs this
-    window only."""
-    if isinstance(job.neighbors, EmptyPool):
-        return _failed(job, job.neighbors)
-    resp = None
-    try:
-        resp = gateway.complete(_bundle(job))
-        return _score(job, resp, cfg.lenient)
-    except TsfError as e:
-        return _failed(job, e, resp)
 
 
 def draw_starts(dataset: Dataset, cfg: RunConfig) -> Sequence[int]:
@@ -212,8 +202,6 @@ def _aggregate(
     dataset: Dataset, cfg: RunConfig, cell: tuple[Strategy, int], results: list[WindowResult]
 ) -> Union[RunReport, RunFailure]:
     strategy, horizon = cell
-    if not results:
-        return RunFailure(strategy.value, horizon, "no evaluation windows")
     try:
         return evaluation.aggregate(
             results,

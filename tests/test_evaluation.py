@@ -123,6 +123,10 @@ class TestAggregate:
         with pytest.raises(NoParsedWindows):
             self.agg([result("a", status="failed:NoListFound")])
 
+    def test_no_windows(self):
+        with pytest.raises(NoParsedWindows, match="^no evaluation windows$"):
+            self.agg([])
+
     def test_token_totals(self):
         rep = self.agg([result("a", it=10, ot=2), result("b", it=30, ot=4)])
         assert rep.total_input_tokens == 40
@@ -155,7 +159,7 @@ class TestEmitReport:
     def test_json_round_trip(self, tmp_path):
         reports = [report(), report(strategy="zeroshot", horizon=3)]
         p = tmp_path / "r.json"
-        emit_report(reports, "json", p)
+        emit_report(reports, p)
         loaded = reports_from_json(p.read_text())
         assert loaded == reports
 
@@ -179,8 +183,10 @@ class TestEmitReport:
         assert reports_to_json(reports) == reports_to_json(reports)
 
     def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit_report([], "xml", tmp_path / "r.xml")
+        """A path whose suffix is neither .csv nor .md gets JSON."""
+        reports = [report()]
+        emit_report(reports, tmp_path / "r.xml")
+        assert (tmp_path / "r.xml").read_text() == reports_to_json(reports)
 
 
 def cell(dataset, strategy, horizon, mse_, mae_, **kw):

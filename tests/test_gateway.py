@@ -223,6 +223,49 @@ class TestHttp:
         resp = Gateway(HTTP_CFG).complete(bundle_for([1, 2], horizon=1))
         assert resp.token_source is TokenSource.ESTIMATED
 
+    def test_zero_counts_are_reported(self, monkeypatch, api_key):
+        monkeypatch.setattr(gw.requests, "post",
+                            lambda *a, **k: FakeResponse(200, ok_payload("[1]", it=0, ot=0)))
+        resp = Gateway(HTTP_CFG).complete(bundle_for([1, 2], horizon=1))
+        assert (resp.input_tokens, resp.output_tokens, resp.token_source) == (
+            0, 0, TokenSource.REPORTED)
+
+    @pytest.mark.parametrize("usage", [None, {}, {"prompt_tokens": 4}, {"completion_tokens": 2},
+                                       {"total_tokens": 6}])
+    def test_absent_counts_are_estimated(self, monkeypatch, api_key, usage):
+        """A null usage, or one without both counts, estimates the tokens."""
+        payload = {"choices": [{"message": {"content": "[1]"}}], "usage": usage}
+        monkeypatch.setattr(gw.requests, "post", lambda *a, **k: FakeResponse(200, payload))
+        resp = Gateway(HTTP_CFG).complete(bundle_for([1, 2], horizon=1))
+        assert resp.token_source is TokenSource.ESTIMATED
+
+    @pytest.mark.parametrize("usage", [
+        {"prompt_tokens": "12", "completion_tokens": 1},
+        "prompt_tokens: 12, completion_tokens: 1",
+        "n/a",
+        [12, 1],
+        {"prompt_tokens": -5, "completion_tokens": 1},
+        {"prompt_tokens": 12, "completion_tokens": True},
+        {"prompt_tokens": 1.5, "completion_tokens": 1},
+        {"prompt_tokens": 12.0, "completion_tokens": 1},
+        {"prompt_tokens": None, "completion_tokens": 1},
+        {"prompt_tokens": "12"},
+    ], ids=["string count", "string usage", "other string usage", "list usage", "negative",
+            "bool", "float", "whole float", "null count", "string count alone"])
+    def test_malformed_token_counts(self, monkeypatch, api_key, tmp_path, usage):
+        """usage must be an object, and each count it holds a non-negative int that
+        is not a bool: anything else is a MalformedAnswer after one request,
+        recorded to no fixture file."""
+        calls = []
+        payload = {"choices": [{"message": {"content": "[1]"}}], "usage": usage}
+        monkeypatch.setattr(gw.requests, "post",
+                            lambda *a, **k: calls.append(1) or FakeResponse(200, payload))
+        fx = tmp_path / "fx.jsonl"
+        gateway = Gateway(replace(HTTP_CFG, fixture_path=str(fx)))
+        with pytest.raises(MalformedAnswer, match="usage"):
+            gateway.complete(bundle_for([1, 2], horizon=1))
+        assert len(calls) == 1 and fx.read_text(encoding="utf-8") == ""
+
     def test_retry_on_429_then_success(self, monkeypatch, api_key):
         calls = []
         sleeps = []

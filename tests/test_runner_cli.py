@@ -24,7 +24,15 @@ import tsf.runner as runner_mod
 from tsf.cli import main
 from tsf.dataset import CsvSchema, load_csv, window_starts
 from tsf.errors import EmptyPool, SeriesTooShort
-from tsf.evaluation import compare_reports, render_comparison_markdown, reports_from_json
+from tsf.evaluation import (
+    CSV_COLUMNS,
+    compare_reports,
+    render_comparison_csv,
+    render_comparison_markdown,
+    render_csv,
+    render_markdown,
+    reports_from_json,
+)
 from tsf.llmgateway import BackendConfig, BackendKind, Gateway, bundle_hash, save_fixtures
 from tsf.prompting import Strategy
 from tsf.runner import (
@@ -600,6 +608,81 @@ class TestDispatchFailures:
         assert [runner_mod._window_result(gateway, cfg, jobs[i]).parse_status
                 for i in (2, 7)] == ["failed:MalformedAnswer"] * 2
 
+    @pytest.mark.parametrize("usage", [
+        {"prompt_tokens": "12", "completion_tokens": 1}, "prompt_tokens, completion_tokens",
+        {"prompt_tokens": -5, "completion_tokens": 1},
+        {"prompt_tokens": True, "completion_tokens": 1},
+        {"prompt_tokens": 1.5, "completion_tokens": 1},
+    ], ids=["string count", "string usage", "negative", "bool", "float"])
+    def test_malformed_token_counts_cost_one_window(self, tmp_path, monkeypatch, usage):
+        """An answer whose usage is not an object of non-negative int counts costs
+        its own window, as failed:MalformedAnswer, and is not recorded; the run
+        goes on and its totals count the other windows only."""
+        monkeypatch.setenv(gw.API_KEY_ENV, "test-key")
+        ds = varying_dataset()
+        fx = tmp_path / "fx.jsonl"
+        cfg = small_config([Strategy.ZEROSHOT], horizons=(1,), eval_stride=1, max_windows=3,
+                           backend=replace(http_backend(), fixture_path=str(fx)))
+        bad = bundles_for_run(ds, cfg)[1].user
+
+        def fake_post(url, json=None, headers=None, timeout=None):
+            payload = ok_payload("[0]", it=7, ot=1)
+            if json["messages"][1]["content"] == bad:
+                payload["usage"] = usage
+            return FakeResponse(200, payload)
+
+        monkeypatch.setattr(gw.requests, "post", fake_post)
+        outcome = run(ds, cfg)
+        assert outcome.ok
+        (rep,) = outcome.reports
+        assert (rep.n_windows, rep.n_parsed) == (3, 2)
+        assert (rep.total_input_tokens, rep.total_output_tokens) == (14, 2)
+        assert len(fx.read_text(encoding="utf-8").splitlines()) == 2
+        gateway = Gateway(replace(cfg.backend, fixture_path=None))
+        assert (runner_mod._window_result(gateway, cfg, runner_mod._plan(ds, cfg)[1]).parse_status
+                == "failed:MalformedAnswer")
+
+    @pytest.mark.parametrize("lenient", [False, True])
+    def test_wrong_count_answer(self, tmp_path, lenient):
+        """Answers of h + 2 and h - 1 values, h = 3, among answers of h: strict, each
+        costs its window as failed:WrongCount, its tokens still counted; lenient,
+        each is ok:repaired and scored on its first h values, or on its values
+        padded with the last one."""
+        ds = varying_dataset()
+        cfg = small_config([Strategy.ZEROSHOT], horizons=(3,), eval_stride=1, max_windows=4,
+                           lenient=lenient)
+        bundles = bundles_for_run(ds, cfg)
+        answers = [[1.0, 2.0, 3.0], [0.25, 0.5, 1.0, 8.0, 9.0], [2.5, 0.75], [0.0, 0.5, 1.5]]
+        fx = tmp_path / "fx.jsonl"
+        save_fixtures([{"hash": bundle_hash(b), "text": str(a), "input_tokens": 10 + i,
+                        "output_tokens": len(a), "latency_seconds": 0.5 * (i + 1)}
+                       for i, (b, a) in enumerate(zip(bundles, answers))], fx)
+        cfg = replace(cfg, backend=BackendConfig(kind=BackendKind.REPLAY, fixture_path=str(fx)))
+        outcome = run(ds, cfg)
+        assert outcome.ok
+        (rep,) = outcome.reports
+        gateway = Gateway(cfg.backend)
+        statuses = [runner_mod._window_result(gateway, cfg, job).parse_status
+                    for job in runner_mod._plan(ds, cfg)]
+        values = ds.series[0].values
+        truths = [values[s + 96:s + 99].tolist() for s in draw_starts(ds, cfg)]
+        if lenient:
+            assert statuses == ["ok", "ok:repaired", "ok:repaired", "ok"]
+            scored = [0, 1, 2, 3]
+            preds = [answers[0], [0.25, 0.5, 1.0], [2.5, 0.75, 0.75], answers[3]]
+        else:
+            assert statuses == ["ok", "failed:WrongCount", "failed:WrongCount", "ok"]
+            scored = [0, 3]
+            preds = [answers[0], None, None, answers[3]]
+        assert (rep.n_windows, rep.n_parsed) == (4, len(scored))
+        assert (rep.total_input_tokens, rep.total_output_tokens) == (46, 13)
+        mse = [sum((p - t) ** 2 for p, t in zip(preds[i], truths[i])) / 3 for i in scored]
+        mae = [sum(abs(p - t) for p, t in zip(preds[i], truths[i])) / 3 for i in scored]
+        assert rep.mean_mse == pytest.approx(sum(mse) / len(scored), rel=1e-12)
+        assert rep.mean_mae == pytest.approx(sum(mae) / len(scored), rel=1e-12)
+        assert rep.mean_latency_s == pytest.approx(sum(0.5 * (i + 1) for i in scored)
+                                                   / len(scored))
+
     def test_replay_cli_reports_the_other_windows(self, tmp_path):
         csv = tmp_path / "data.csv"
         csv.write_text(
@@ -703,6 +786,38 @@ class TestCli:
             main(argv)
         assert exc.value.code == 2 and not out.exists()
         assert f"argument {flag}: '{value}' is not a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("source", ["argv", "ini"])
+    def test_temperature_must_be_finite_and_non_negative(self, tmp_path, capsys, value, source):
+        """A temperature that is not a finite number >= 0, as a flag or as its [run]
+        key, exits 2 naming the flag and writes no report."""
+        csv = write_dataset_csv(tmp_path)
+        out = tmp_path / "r.json"
+        argv = ["run", "--dataset", str(csv), "--strategy", "zeroshot", "--out", str(out)]
+        if source == "argv":
+            argv += [f"--temperature={value}"]
+        else:
+            ini = tmp_path / "run.ini"
+            ini.write_text(f"[run]\ntemperature = {value}\n", encoding="utf-8")
+            argv += ["--config", str(ini)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2 and not out.exists()
+        assert (f"argument --temperature: '{value}' is not a finite number >= 0"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("value", ["0", "0.7"])
+    def test_temperature_is_sent(self, tmp_path, monkeypatch, value):
+        """0 and 0.7 pass, and reach every request body."""
+        llm = FakeLlm(monkeypatch)
+        sent = []
+        monkeypatch.setattr(gw.requests, "post", lambda url, **kw:
+                            sent.append(kw["json"]["temperature"]) or llm(url, **kw))
+        rc = main(["record", "--dataset", str(live_csv(tmp_path)), *RECORD_FLAGS,
+                   "--temperature", value, "--fixtures", str(tmp_path / "fx.jsonl"),
+                   "--out", str(tmp_path / "r.json")])
+        assert rc == 0 and sent == [float(value)] * 10
 
     def test_repeated_value_column_exits_2(self, tmp_path, capsys):
         """A header that names a value column twice is an error naming it, with
@@ -908,6 +1023,55 @@ class TestCli:
         )
         assert rc == 0
         assert out.read_text().startswith("dataset,strategy,horizon")
+
+    def test_out_suffix_picks_the_format(self, tmp_path):
+        """--out r.md writes the Markdown table, r.csv the CSV_COLUMNS rows, and any
+        other suffix, r.txt among them, JSON: each of the same reports."""
+        csv = write_dataset_csv(tmp_path, varying=True)
+        argv = ["run", "--dataset", str(csv), "--strategy", "zeroshot", "--strategy",
+                "patch-instruct", "--horizon", "1", "--horizon", "3", "--stride", "1",
+                "--max-windows", "3"]
+        for name in ("r.json", "r.md", "r.csv", "r.txt"):
+            assert main([*argv, "--out", str(tmp_path / name)]) == 0
+        reports = reports_from_json((tmp_path / "r.json").read_text())
+        assert len(reports) == 4
+        assert (tmp_path / "r.md").read_bytes() == render_markdown(reports).encode()
+        assert (tmp_path / "r.csv").read_bytes() == render_csv(reports).encode()
+        assert (tmp_path / "r.csv").read_text().splitlines()[0] == ",".join(CSV_COLUMNS)
+        assert (tmp_path / "r.txt").read_bytes() == (tmp_path / "r.json").read_bytes()
+
+    def test_failed_cell_exits_1_and_writes_the_others(self, tmp_path, capsys):
+        """No window of 140 rows has a whole earlier window as a neighbor: the neighs
+        cell fails with a FAILED line on stderr and exit 1, and the zeroshot
+        report is still written."""
+        csv = write_dataset_csv(tmp_path, n=140, varying=True)
+        out = tmp_path / "r.json"
+        rc = main(["run", "--dataset", str(csv), "--name", "d", "--strategy", "zeroshot",
+                   "--strategy", "neighs", "--horizon", "1", "--stride", "1",
+                   "--max-windows", "2", "--out", str(out)])
+        assert rc == 1
+        printed = capsys.readouterr()
+        assert printed.err == "FAILED neighs h=1: all 2 windows failed to parse (d, neighs, h=1)\n"
+        assert printed.out == f"wrote 1 reports to {out}\n"
+        (rep,) = reports_from_json(out.read_text())
+        assert (rep.strategy, rep.horizon, rep.n_windows, rep.n_parsed) == ("zeroshot", 1, 2, 2)
+
+    def test_compare_out_writes_the_file_and_prints_nothing(self, tmp_path, capsys):
+        """compare --out c.csv writes the CSV comparison, and --out c.md the Markdown."""
+        csv = write_dataset_csv(tmp_path, varying=True)
+        sides = []
+        for backend in ("mock-persistence", "mock-linear"):
+            sides.append(str(tmp_path / f"{backend}.json"))
+            assert main(["run", "--dataset", str(csv), "--strategy", "zeroshot", "--horizon", "1",
+                         "--horizon", "3", "--stride", "1", "--max-windows", "3",
+                         "--backend", backend, "--out", sides[-1]]) == 0
+        rows = compare_reports(*(reports_from_json(pathlib.Path(p).read_text()) for p in sides))
+        capsys.readouterr()
+        for name, render in (("c.csv", render_comparison_csv),
+                             ("c.md", render_comparison_markdown)):
+            assert main(["compare", *sides, "--out", str(tmp_path / name)]) == 0
+            assert capsys.readouterr().out == ""
+            assert (tmp_path / name).read_bytes() == render(rows).encode()
 
     def test_replay_command_round_trip(self, tmp_path, capsys):
         csv = write_dataset_csv(tmp_path, value=3.25)
