@@ -7,6 +7,7 @@ import csv as csv_mod
 import io
 import json
 import os
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
@@ -85,13 +86,17 @@ def aggregate(
     """Means over parsed windows; token totals over every window issued. The
     windows are summed in window id order, so input order does not change a
     byte of the report. A cell with no parsed window, none at all among them,
-    raises NoParsedWindows: this is the one check for an empty cell."""
+    raises NoParsedWindows, which counts its windows by parse status: this is
+    the one check for an empty cell."""
     ordered = sorted(results, key=lambda r: r.window_id)
     parsed = [r for r in ordered if r.parsed]
+    if not ordered:
+        raise NoParsedWindows("no evaluation windows")
     if not parsed:
+        reasons = Counter(r.parse_status for r in ordered)
         raise NoParsedWindows(
-            f"all {len(ordered)} windows failed to parse ({dataset}, {strategy}, h={horizon})"
-            if ordered else "no evaluation windows"
+            f"all {len(ordered)} windows failed ({dataset}, {strategy}, h={horizon}): "
+            + ", ".join(f"{reasons[s]} {s}" for s in sorted(reasons))
         )
     n = len(ordered)
     total_it = sum(r.input_tokens for r in ordered)

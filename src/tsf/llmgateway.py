@@ -5,14 +5,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
-
-import requests
 
 from .dataset import format_value
 from .errors import HttpStatusError, MalformedAnswer, ReplayMiss, TransportError
@@ -52,6 +51,8 @@ class BackendConfig:
             raise ValueError("http backend requires endpoint_url and model_name")
         if self.kind is BackendKind.REPLAY and not self.fixture_path:
             raise ValueError("replay backend requires fixture_path")
+        if not 0 <= self.temperature < math.inf:  # nan and inf included
+            raise ValueError(f"temperature {self.temperature!r} is not a finite number >= 0")
 
     @property
     def backend_id(self) -> str:
@@ -134,6 +135,8 @@ def save_fixtures(records: Iterable[dict], path) -> None:
 
 
 def _http_complete(bundle: PromptBundle, cfg: BackendConfig) -> LlmResponse:
+    import requests  # here, not at the top: offline runs never load the HTTP stack
+
     api_key = os.environ.get(API_KEY_ENV)
     if not api_key:
         raise TransportError(f"{API_KEY_ENV} is not set")

@@ -9,7 +9,6 @@ import json
 import queue
 import random
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Sequence, Union
 
@@ -256,6 +255,8 @@ def run(dataset: Dataset, cfg: RunConfig) -> RunOutcome:
 
     # the calling thread is one worker; only http waits on I/O, so only it gets more
     helpers = max(1, cfg.backend.parallelism) - 1 if cfg.backend.kind is BackendKind.HTTP else 0
+    if helpers:  # imported here, so an offline run never loads concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=helpers) if helpers else contextlib.nullcontext() as ex:
         futures = [ex.submit(work) for _ in range(helpers)]
         work()

@@ -3,6 +3,7 @@ import re
 from dataclasses import replace
 
 import pytest
+import requests
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -197,6 +198,17 @@ class TestHttp:
         with pytest.raises(ValueError):
             BackendConfig(kind=BackendKind.HTTP)
 
+    @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), -1.0])
+    def test_temperature_must_be_finite_and_non_negative(self, temperature):
+        """A library caller's bad temperature fails at construction, not as
+        retried transport errors on every window."""
+        with pytest.raises(ValueError, match="is not a finite number >= 0"):
+            replace(HTTP_CFG, temperature=temperature)
+
+    @pytest.mark.parametrize("temperature", [0, 0.7])
+    def test_temperature_in_range_constructs(self, temperature):
+        assert replace(HTTP_CFG, temperature=temperature).temperature == temperature
+
     def test_success_reports_usage(self, monkeypatch, api_key):
         seen = {}
 
@@ -204,7 +216,7 @@ class TestHttp:
             seen.update(url=url, body=json, headers=headers)
             return FakeResponse(200, ok_payload("[2.5]", it=42, ot=3))
 
-        monkeypatch.setattr(gw.requests, "post", fake_post)
+        monkeypatch.setattr(requests, "post", fake_post)
         b = bundle_for([1, 2], horizon=1)
         resp = Gateway(HTTP_CFG).complete(b)
         assert resp.text == "[2.5]"
@@ -219,12 +231,12 @@ class TestHttp:
 
     def test_missing_usage_estimated(self, monkeypatch, api_key):
         payload = {"choices": [{"message": {"content": "[1]"}}]}
-        monkeypatch.setattr(gw.requests, "post", lambda *a, **k: FakeResponse(200, payload))
+        monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse(200, payload))
         resp = Gateway(HTTP_CFG).complete(bundle_for([1, 2], horizon=1))
         assert resp.token_source is TokenSource.ESTIMATED
 
     def test_zero_counts_are_reported(self, monkeypatch, api_key):
-        monkeypatch.setattr(gw.requests, "post",
+        monkeypatch.setattr(requests, "post",
                             lambda *a, **k: FakeResponse(200, ok_payload("[1]", it=0, ot=0)))
         resp = Gateway(HTTP_CFG).complete(bundle_for([1, 2], horizon=1))
         assert (resp.input_tokens, resp.output_tokens, resp.token_source) == (
@@ -235,7 +247,7 @@ class TestHttp:
     def test_absent_counts_are_estimated(self, monkeypatch, api_key, usage):
         """A null usage, or one without both counts, estimates the tokens."""
         payload = {"choices": [{"message": {"content": "[1]"}}], "usage": usage}
-        monkeypatch.setattr(gw.requests, "post", lambda *a, **k: FakeResponse(200, payload))
+        monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse(200, payload))
         resp = Gateway(HTTP_CFG).complete(bundle_for([1, 2], horizon=1))
         assert resp.token_source is TokenSource.ESTIMATED
 
@@ -258,7 +270,7 @@ class TestHttp:
         recorded to no fixture file."""
         calls = []
         payload = {"choices": [{"message": {"content": "[1]"}}], "usage": usage}
-        monkeypatch.setattr(gw.requests, "post",
+        monkeypatch.setattr(requests, "post",
                             lambda *a, **k: calls.append(1) or FakeResponse(200, payload))
         fx = tmp_path / "fx.jsonl"
         gateway = Gateway(replace(HTTP_CFG, fixture_path=str(fx)))
@@ -276,7 +288,7 @@ class TestHttp:
                 return FakeResponse(429, {}, text="rate limited")
             return FakeResponse(200, ok_payload())
 
-        monkeypatch.setattr(gw.requests, "post", fake_post)
+        monkeypatch.setattr(requests, "post", fake_post)
         monkeypatch.setattr(gw, "_sleep", sleeps.append)
         resp = Gateway(HTTP_CFG).complete(bundle_for([1, 2], horizon=1))
         assert resp.text == "[1]"
@@ -292,7 +304,7 @@ class TestHttp:
         """A 200 answer whose body is not JSON, or holds no string at
         choices[0].message.content, is a MalformedAnswer after one request."""
         calls = []
-        monkeypatch.setattr(gw.requests, "post",
+        monkeypatch.setattr(requests, "post",
                             lambda *a, **k: calls.append(1) or BodyResponse(200, body))
         with pytest.raises(MalformedAnswer):
             Gateway(HTTP_CFG).complete(bundle_for([1, 2], horizon=1))
@@ -300,7 +312,7 @@ class TestHttp:
 
     def test_http_error_status(self, monkeypatch, api_key):
         monkeypatch.setattr(
-            gw.requests, "post", lambda *a, **k: FakeResponse(500, {}, text="boom")
+            requests, "post", lambda *a, **k: FakeResponse(500, {}, text="boom")
         )
         with pytest.raises(HttpStatusError) as exc:
             Gateway(HTTP_CFG).complete(bundle_for([1, 2], horizon=1))
@@ -312,9 +324,9 @@ class TestHttp:
 
         def fail(*a, **k):
             calls.append(1)
-            raise gw.requests.ConnectionError("down")
+            raise requests.ConnectionError("down")
 
-        monkeypatch.setattr(gw.requests, "post", fail)
+        monkeypatch.setattr(requests, "post", fail)
         monkeypatch.setattr(gw, "_sleep", sleeps.append)
         with pytest.raises(TransportError):
             Gateway(HTTP_CFG).complete(bundle_for([1, 2], horizon=1))
@@ -332,10 +344,10 @@ class TestHttp:
         def flaky(*a, **k):
             calls.append(1)
             if len(calls) % 2:
-                raise gw.requests.Timeout("slow")
+                raise requests.Timeout("slow")
             return FakeResponse(429, {}, text="rate limited")
 
-        monkeypatch.setattr(gw.requests, "post", flaky)
+        monkeypatch.setattr(requests, "post", flaky)
         monkeypatch.setattr(gw, "_sleep", sleeps.append)
         cfg = replace(HTTP_CFG, max_retries=max_retries)
         with pytest.raises(TransportError if attempts % 2 else HttpStatusError):
@@ -354,7 +366,7 @@ class TestRecordFixtures:
         """An http gateway with a fixture path records each answer; a replay
         gateway over that file answers the same, every time."""
         monkeypatch.setattr(
-            gw.requests, "post", lambda *a, **k: FakeResponse(200, ok_payload("[9]", 11, 1))
+            requests, "post", lambda *a, **k: FakeResponse(200, ok_payload("[9]", 11, 1))
         )
         bundles = [bundle_for([1, 2], horizon=1), bundle_for([3, 4], horizon=1)]
         path = tmp_path / "fx.jsonl"

@@ -1,18 +1,20 @@
 import ast
+import concurrent.futures
 import json
 import os
 import pathlib
 import random
 import re
+import socket
 import subprocess
 import sys
 import threading
 from collections import Counter, defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from unittest import mock
 
 import pytest
+import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -81,6 +83,54 @@ def test_every_module_reachable_from_cli():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+HTTP_STACK = ["requests", "urllib3", "http.client", "concurrent.futures"]
+FOOTPRINT = """
+import json, sys, tsf.cli
+offline, http, stack = json.loads(sys.argv[1])
+codes = [tsf.cli.main(argv) for argv in offline]
+before = [m for m in stack if m in sys.modules]
+code = tsf.cli.main(http)
+print(json.dumps([codes, before, code, [m for m in stack if m in sys.modules]]))
+"""
+
+
+def test_only_an_http_run_loads_the_http_stack(tmp_path):
+    """In a fresh interpreter, the CLI's import, a mock run, a replay run and
+    compare load neither requests nor the thread pool's module; an http run at
+    --parallel 4 then loads both, and each refused request fails its window."""
+    csv = tmp_path / "data.csv"
+    csv.write_text("timestamp,v\n" + "".join(f"{600 * i},{(i % 13) / 4}\n" for i in range(106)),
+                   encoding="utf-8")
+    ds = load_csv(csv, CsvSchema(timestamp_column="timestamp"))
+    cfg = small_config([Strategy.ZEROSHOT], horizons=(1,), eval_stride=1, max_windows=10)
+    fx = tmp_path / "fx.jsonl"
+    save_fixtures(fixture_records(bundles_for_run(ds, cfg)), fx)
+    with socket.socket() as s:  # a loopback port nothing listens on once it is closed
+        s.bind(("127.0.0.1", 0))
+        port = s.getsockname()[1]
+    flags = ["--dataset", str(csv), "--strategy", "zeroshot", "--horizon", "1",
+             "--stride", "1", "--max-windows", "10"]
+    a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    offline = [["run", *flags, "--out", a],
+               ["replay", *flags, "--fixtures", str(fx), "--out", b],
+               ["compare", a, b]]
+    http = ["run", *flags, "--backend", "http", "--endpoint", f"http://127.0.0.1:{port}",
+            "--model", "m", "--parallel", "4", "--retries", "1",
+            "--out", str(tmp_path / "h.json")]
+    src = os.path.dirname(os.path.dirname(tsf.__file__))
+    env = {**os.environ, "TSF_API_KEY": "x",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT, json.dumps([offline, http, HTTP_STACK])],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    codes, before, code, after = json.loads(done.stdout.splitlines()[-1])
+    assert (codes, before) == ([0, 0, 0], [])
+    assert code == 1 and after == HTTP_STACK
+    assert done.stderr == ("FAILED zeroshot h=1: all 10 windows failed"
+                           f" ({csv}, zeroshot, h=1): 10 failed:TransportError\n")
 
 
 # named only outside the package: bench/workloads.py builds the replay-cli
@@ -197,12 +247,12 @@ class TestRunner:
     def test_one_executor_per_run(self, monkeypatch):
         created = []
 
-        class CountingExecutor(ThreadPoolExecutor):
+        class CountingExecutor(concurrent.futures.ThreadPoolExecutor):
             def __init__(self, *args, **kwargs):
                 created.append(1)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(runner_mod, "ThreadPoolExecutor", CountingExecutor)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingExecutor)
         FakeLlm(monkeypatch, persist=True)
         ds = make_dataset({"v": [float(i % 7) for i in range(140)]})
         cfg = small_config([Strategy.ZEROSHOT, Strategy.PATCH_INSTRUCT], horizons=(1, 3),
@@ -272,7 +322,7 @@ class TestRunner:
         outcome = run(ds, small_config([Strategy.NEIGHS], max_windows=2))
         assert outcome.reports == []
         assert [f.error for f in outcome.failures] == [
-            f"all 2 windows failed to parse (synthetic, neighs, h={h})" for h in (1, 3)
+            f"all 2 windows failed (synthetic, neighs, h={h}): 2 failed:EmptyPool" for h in (1, 3)
         ]
 
     def test_subsample_deterministic(self):
@@ -570,7 +620,7 @@ class TestDispatchFailures:
                 return FakeResponse(500, text="server error")
             return FakeResponse(200, ok_payload("[0]", it=7, ot=1))
 
-        monkeypatch.setattr(gw.requests, "post", fake_post)
+        monkeypatch.setattr(requests, "post", fake_post)
         outcome = run(ds, cfg)
         assert outcome.ok
         (rep,) = outcome.reports
@@ -598,7 +648,7 @@ class TestDispatchFailures:
                 return BodyResponse(200, bad[user])
             return FakeResponse(200, ok_payload("[0]", it=7, ot=1))
 
-        monkeypatch.setattr(gw.requests, "post", fake_post)
+        monkeypatch.setattr(requests, "post", fake_post)
         outcome = run(ds, cfg)
         assert outcome.ok
         (rep,) = outcome.reports
@@ -631,7 +681,7 @@ class TestDispatchFailures:
                 payload["usage"] = usage
             return FakeResponse(200, payload)
 
-        monkeypatch.setattr(gw.requests, "post", fake_post)
+        monkeypatch.setattr(requests, "post", fake_post)
         outcome = run(ds, cfg)
         assert outcome.ok
         (rep,) = outcome.reports
@@ -718,10 +768,10 @@ class TestHttpTimeout:
 
         def fake_post(url, json=None, headers=None, timeout=None):
             if json["messages"][1]["content"] == failing:
-                raise gw.requests.Timeout("read timed out")
+                raise requests.Timeout("read timed out")
             return FakeResponse(200, ok_payload("[0]", it=7, ot=1))
 
-        monkeypatch.setattr(gw.requests, "post", fake_post)
+        monkeypatch.setattr(requests, "post", fake_post)
         monkeypatch.setattr(gw, "_sleep", sleeps.append)
         outcome = run(ds, cfg)
         assert outcome.ok
@@ -812,7 +862,7 @@ class TestCli:
         """0 and 0.7 pass, and reach every request body."""
         llm = FakeLlm(monkeypatch)
         sent = []
-        monkeypatch.setattr(gw.requests, "post", lambda url, **kw:
+        monkeypatch.setattr(requests, "post", lambda url, **kw:
                             sent.append(kw["json"]["temperature"]) or llm(url, **kw))
         rc = main(["record", "--dataset", str(live_csv(tmp_path)), *RECORD_FLAGS,
                    "--temperature", value, "--fixtures", str(tmp_path / "fx.jsonl"),
@@ -1051,7 +1101,7 @@ class TestCli:
                    "--max-windows", "2", "--out", str(out)])
         assert rc == 1
         printed = capsys.readouterr()
-        assert printed.err == "FAILED neighs h=1: all 2 windows failed to parse (d, neighs, h=1)\n"
+        assert printed.err == "FAILED neighs h=1: all 2 windows failed (d, neighs, h=1): 2 failed:EmptyPool\n"
         assert printed.out == f"wrote 1 reports to {out}\n"
         (rep,) = reports_from_json(out.read_text())
         assert (rep.strategy, rep.horizon, rep.n_windows, rep.n_parsed) == ("zeroshot", 1, 2, 2)
@@ -1140,7 +1190,7 @@ class FakeLlm:
         self.persist = persist
         self._lock = threading.Lock()
         monkeypatch.setenv(gw.API_KEY_ENV, "test-key")
-        monkeypatch.setattr(gw.requests, "post", self)
+        monkeypatch.setattr(requests, "post", self)
 
     def __call__(self, url, json=None, headers=None, timeout=None):
         with self._lock:
@@ -1211,7 +1261,7 @@ class TestRecord:
                 together.wait()
             return llm(*args, **kwargs)
 
-        monkeypatch.setattr(gw.requests, "post", post)
+        monkeypatch.setattr(requests, "post", post)
         assert self.record(tmp_path) == 0
         assert len(arrived) == 10 and len(set(arrived[:4])) == 4
         assert len(read_records(tmp_path / "fx.jsonl")) == 10
@@ -1249,7 +1299,7 @@ class TestRecord:
                 raise RuntimeError("process stopped")
             return llm(*args, **kwargs)
 
-        monkeypatch.setattr(gw.requests, "post", post)
+        monkeypatch.setattr(requests, "post", post)
         fx = tmp_path / "fx.jsonl"
         http = BackendConfig(kind=BackendKind.HTTP, endpoint_url="http://llm.example",
                              model_name="m", fixture_path=str(fx))
