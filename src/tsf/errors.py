@@ -78,6 +78,11 @@ class MalformedAnswer(TsfError):
     or whose usage is not an object of token counts that are integers >= 0."""
 
 
+class MalformedFixture(TsfError):
+    """A line of a replay fixture file that is not a JSON object with string hash
+    and text, integer token counts >= 0 and a finite latency >= 0."""
+
+
 # --- parsing ---
 
 class NoListFound(TsfError):

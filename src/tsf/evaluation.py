@@ -9,7 +9,7 @@ import json
 import os
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import LengthMismatch, MismatchedRuns, NoOverlap, NoParsedWindows, ZeroBaseline
 
@@ -27,8 +27,7 @@ CSV_COLUMNS = [
 ]
 
 
-@dataclass(frozen=True)
-class WindowResult:
+class WindowResult(NamedTuple):
     window_id: str
     mse: Optional[float]
     mae: Optional[float]
@@ -65,13 +64,13 @@ class RunReport:
 def mse(pred: Sequence[float], truth: Sequence[float]) -> float:
     if len(pred) != len(truth) or not pred:
         raise LengthMismatch(f"{len(pred)} vs {len(truth)}")
-    return sum((p - t) ** 2 for p, t in zip(pred, truth)) / len(pred)
+    return sum([(p - t) ** 2 for p, t in zip(pred, truth)]) / len(pred)
 
 
 def mae(pred: Sequence[float], truth: Sequence[float]) -> float:
     if len(pred) != len(truth) or not pred:
         raise LengthMismatch(f"{len(pred)} vs {len(truth)}")
-    return sum(abs(p - t) for p, t in zip(pred, truth)) / len(pred)
+    return sum([abs(p - t) for p, t in zip(pred, truth)]) / len(pred)
 
 
 def aggregate(

@@ -11,10 +11,11 @@ import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .dataset import format_value
-from .errors import HttpStatusError, MalformedAnswer, ReplayMiss, TransportError
+from .errors import (HttpStatusError, MalformedAnswer, MalformedFixture, ReplayMiss,
+                     TransportError)
 from .prompting import PromptBundle
 
 API_KEY_ENV = "TSF_API_KEY"
@@ -61,8 +62,7 @@ class BackendConfig:
         return self.kind.value
 
 
-@dataclass(frozen=True)
-class LlmResponse:
+class LlmResponse(NamedTuple):
     text: str
     input_tokens: int
     output_tokens: int
@@ -71,8 +71,9 @@ class LlmResponse:
 
 
 def estimate_tokens(text: str) -> int:
-    """Crude fallback estimate: ceil(utf-8 bytes / 4)."""
-    return (len(text.encode("utf-8")) + 3) // 4
+    """Crude fallback estimate: ceil(utf-8 bytes / 4). ASCII text, one byte a
+    character, is not encoded."""
+    return ((len(text) if text.isascii() else len(text.encode("utf-8"))) + 3) // 4
 
 
 def bundle_hash(bundle: PromptBundle) -> str:
@@ -92,34 +93,54 @@ def _context_tail(bundle: PromptBundle) -> list[float]:
 
 
 def _mock_text(bundle: PromptBundle, kind: BackendKind) -> str:
+    """The mock's answer from the context tail: persistence repeats the last
+    value, formatted once; linear extrapolates the last slope."""
     values = _context_tail(bundle)
     h = bundle.horizon
     if kind is BackendKind.MOCK_PERSISTENCE:
-        preds = [values[-1]] * h
-    else:
-        slope = values[-1] - values[-2] if len(values) >= 2 else 0.0
-        preds = [values[-1] + (i + 1) * slope for i in range(h)]
-    return "[" + ", ".join(format_value(p) for p in preds) + "]"
+        return "[" + ", ".join([format_value(values[-1])] * h) + "]"
+    slope = values[-1] - values[-2] if len(values) >= 2 else 0.0
+    return "[" + ", ".join([format_value(values[-1] + (i + 1) * slope) for i in range(h)]) + "]"
 
 
 def _estimated_response(text: str, bundle: PromptBundle, latency: float = 0.0) -> LlmResponse:
-    return LlmResponse(
-        text=text,
-        input_tokens=estimate_tokens(bundle.system) + estimate_tokens(bundle.user),
-        output_tokens=estimate_tokens(text),
-        latency_seconds=latency,
-        token_source=TokenSource.ESTIMATED,
-    )
+    return LlmResponse(text, estimate_tokens(bundle.system) + estimate_tokens(bundle.user),
+                       estimate_tokens(text), latency, TokenSource.ESTIMATED)
+
+
+def _fixture_fault(rec) -> Optional[str]:
+    """What keeps one parsed line of a fixture file from being a record, or None."""
+    if type(rec) is not dict:
+        return "not a JSON object"
+    for key in ("hash", "text"):
+        if type(rec.get(key)) is not str:
+            return f"{key!r} is not a string"
+    for key in ("input_tokens", "output_tokens"):
+        if type(rec.get(key)) is not int or rec[key] < 0:  # a bool is not a count
+            return f"{key!r} is not an integer >= 0"
+    latency = rec.get("latency_seconds")
+    if type(latency) not in (int, float) or not 0 <= latency < math.inf:  # nan and inf included
+        return "'latency_seconds' is not a finite number >= 0"
+    return None
 
 
 def load_fixtures(path) -> dict:
+    """The records of a fixture file by hash, the last of each. Each non-blank
+    line is checked as it is read; the first that is not a record raises
+    MalformedFixture, naming the file and the line."""
     fixtures = {}
     with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
+        for number, line in enumerate(f, start=1):
+            if not line.strip():
                 continue
-            rec = json.loads(line)
+            try:
+                rec = json.loads(line)
+            except ValueError:  # a record cut short among them
+                fault = "not JSON"
+            else:
+                fault = _fixture_fault(rec)
+            if fault:
+                raise MalformedFixture(f"fixture file {path}, line {number}: {fault}")
             fixtures[rec["hash"]] = rec
     return fixtures
 
@@ -210,13 +231,8 @@ class Gateway:
                     f"no fixture for bundle {bundle.window_id}"
                     f" ({bundle.strategy.value}, h={bundle.horizon})"
                 )
-            return LlmResponse(
-                text=rec["text"],
-                input_tokens=rec["input_tokens"],
-                output_tokens=rec["output_tokens"],
-                latency_seconds=rec["latency_seconds"],
-                token_source=TokenSource.REPORTED,
-            )
+            return LlmResponse(rec["text"], rec["input_tokens"], rec["output_tokens"],
+                               rec["latency_seconds"], TokenSource.REPORTED)
         resp = _http_complete(bundle, self.cfg)
         if self.cfg.fixture_path:
             rec = {

@@ -6,10 +6,9 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .dataset import describe_interval, format_value
 from .errors import UnboundPlaceholder
@@ -40,8 +39,7 @@ class Strategy(Enum):
         return self is Strategy.META_TOKENS_PI
 
 
-@dataclass(frozen=True)
-class PromptBundle:
+class PromptBundle(NamedTuple):
     system: str
     user: str
     strategy: Strategy

@@ -9,18 +9,21 @@ from hypothesis import strategies as st
 
 import tsf.llmgateway as gw
 from tsf.dataset import format_value
-from tsf.errors import HttpStatusError, MalformedAnswer, ReplayMiss, TransportError
+from tsf.errors import (HttpStatusError, MalformedAnswer, MalformedFixture, ReplayMiss,
+                        TransportError)
+from tsf.evaluation import WindowResult
 from tsf.llmgateway import (
     BackendConfig,
     BackendKind,
     Gateway,
+    LlmResponse,
     TokenSource,
     bundle_hash,
     estimate_tokens,
     load_fixtures,
     save_fixtures,
 )
-from tsf.prompting import Strategy
+from tsf.prompting import PromptBundle, Strategy
 
 from conftest import make_dataset
 from golden_util import compose, golden_bundle
@@ -52,6 +55,15 @@ class TestEstimateTokens:
             cur = estimate_tokens(text)
             assert cur >= prev
             prev = cur
+
+    @settings(max_examples=300, deadline=None)
+    @example("")
+    @example("abc")
+    @example("\u00e9t\u00e9")
+    @example("\U0001F600 x")
+    @given(st.text())
+    def test_equals_utf8_byte_oracle(self, text):
+        assert estimate_tokens(text) == (len(text.encode("utf-8")) + 3) // 4
 
 
 class TestMockBackends:
@@ -111,6 +123,51 @@ class TestMockAnswersFromTail:
             assert Gateway(cfg).complete(b).text == full_parse_answer(b, cfg.kind)
 
 
+class TestMockTextOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(context=st.lists(VALUES, min_size=1, max_size=6), horizon=st.integers(1, 24))
+    def test_equals_per_value_oracle(self, context, horizon):
+        """Each mock's answer equals formatting each predicted value on its own,
+        the predictions made from the tail the prompt shows."""
+        b = bundle_for(context, horizon)
+        tail = [float(format_value(v)) for v in context[-2:]]
+        slope = tail[-1] - tail[-2] if len(tail) >= 2 else 0.0
+        for kind, preds in (
+            (BackendKind.MOCK_PERSISTENCE, [tail[-1]] * horizon),
+            (BackendKind.MOCK_LINEAR, [tail[-1] + (i + 1) * slope for i in range(horizon)]),
+        ):
+            oracle = "[" + ", ".join(format_value(p) for p in preds) + "]"
+            assert gw._mock_text(b, kind) == oracle
+
+
+def _records():
+    """Fresh instances of the three per-window records, equal field for field on every call."""
+    return (
+        PromptBundle("sys", "user <1, 2>", Strategy.ZEROSHOT, "s:0", 2),
+        LlmResponse("[2, 2]", 5, 2, 0.0, TokenSource.ESTIMATED),
+        WindowResult("s:0", 0.25, 0.5, 5, 2, 0.0),
+    )
+
+
+class TestRecords:
+    @pytest.mark.parametrize("index", range(3))
+    def test_immutable(self, index):
+        record = _records()[index]
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], "x")
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_equal_fields_equal_and_hash_alike(self, index):
+        a, b = _records()[index], _records()[index]
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != a._replace(**{a._fields[1]: "other"})
+
+    def test_window_result_defaults_to_parsed(self):
+        ok = _records()[2]
+        assert ok.parse_status == "ok" and ok.parsed
+        assert not ok._replace(parse_status="failed:NoListFound").parsed
+
+
 class TestTokenDirection:
     def test_zeroshot_lt_patch_lt_patch_neighs(self):
         zs = golden_bundle(Strategy.ZEROSHOT)
@@ -147,6 +204,39 @@ class TestReplay:
         cfg = BackendConfig(kind=BackendKind.REPLAY, fixture_path=str(path))
         with pytest.raises(ReplayMiss):
             Gateway(cfg).complete(bundle_for([1, 2], horizon=1))
+
+    @pytest.mark.parametrize("line, fault", [
+        ('{"hash": "a", "text": "[1]"', "not JSON"),
+        ('["a", "[1]", 1, 1, 0.5]', "not a JSON object"),
+        ('{"hash": 7, "text": "[1]", "input_tokens": 1, "output_tokens": 1, "latency_seconds": 0}',
+         "'hash' is not a string"),
+        ('{"hash": "a", "text": "[1]", "input_tokens": -1, "output_tokens": 1, "latency_seconds": 0}',
+         "'input_tokens' is not an integer >= 0"),
+        ('{"hash": "a", "text": "[1]", "input_tokens": 1.0, "output_tokens": 1, "latency_seconds": 0}',
+         "'input_tokens' is not an integer >= 0"),
+        ('{"hash": "a", "text": "[1]", "input_tokens": 1, "latency_seconds": 0}',
+         "'output_tokens' is not an integer >= 0"),
+        ('{"hash": "a", "text": "[1]", "input_tokens": 1, "output_tokens": 1, "latency_seconds": NaN}',
+         "'latency_seconds' is not a finite number >= 0"),
+        ('{"hash": "a", "text": "[1]", "input_tokens": 1, "output_tokens": 1, "latency_seconds": -0.5}',
+         "'latency_seconds' is not a finite number >= 0"),
+        ('{"hash": "a", "text": "[1]", "input_tokens": 1, "output_tokens": 1, "latency_seconds": false}',
+         "'latency_seconds' is not a finite number >= 0"),
+    ])
+    def test_bad_line_names_file_and_line(self, tmp_path, line, fault):
+        """Blank lines count toward the line number but are skipped."""
+        path = tmp_path / "fx.jsonl"
+        good = '{"hash": "g", "text": "[1]", "input_tokens": 1, "output_tokens": 0, "latency_seconds": 2}'
+        path.write_text(good + "\n\n" + line + "\n" + good + "\n", encoding="utf-8")
+        with pytest.raises(MalformedFixture) as info:
+            load_fixtures(path)
+        assert str(info.value) == f"fixture file {path}, line 3: {fault}"
+
+    def test_integer_latency_and_blank_lines_load(self, tmp_path):
+        path = tmp_path / "fx.jsonl"
+        rec = {"hash": "g", "text": "[1]", "input_tokens": 0, "output_tokens": 0, "latency_seconds": 2}
+        path.write_text("\n" + json.dumps(rec) + "\n  \n", encoding="utf-8")
+        assert load_fixtures(path) == {"g": rec}
 
     def test_requires_fixture_path(self):
         with pytest.raises(ValueError):

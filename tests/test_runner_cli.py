@@ -1327,3 +1327,51 @@ class TestRecord:
         assert rc == 2
         assert "--fixtures is required for record" in capsys.readouterr().err
         assert not (tmp_path / "live.json").exists()
+
+
+def _cut_last_line(lines):
+    lines[-1] = lines[-1][: len(lines[-1]) // 2]  # a record an interrupted `tsf record` cut short
+
+
+def _drop_text(lines):
+    rec = json.loads(lines[1])
+    del rec["text"]
+    lines[1] = json.dumps(rec)
+
+
+def _set(line, key, value):
+    def edit(lines):
+        lines[line - 1] = json.dumps({**json.loads(lines[line - 1]), key: value})
+    return edit
+
+
+class TestReplayChecksFixtures:
+    """tsf replay checks its fixture file as it reads it: a line that is not a
+    record exits 2 with an error naming the file and the line, before any window
+    is dispatched, and no report is written."""
+
+    @pytest.mark.parametrize("edit, line, fault", [
+        (_cut_last_line, 3, "not JSON"),
+        (_drop_text, 2, "'text' is not a string"),
+        (_set(3, "input_tokens", "12"), 3, "'input_tokens' is not an integer >= 0"),
+        (_set(1, "output_tokens", True), 1, "'output_tokens' is not an integer >= 0"),
+        (_set(2, "latency_seconds", float("inf")), 2,
+         "'latency_seconds' is not a finite number >= 0"),
+    ], ids=["truncated-last-line", "no-text", "string-count", "bool-count", "inf-latency"])
+    def test_bad_line_exits_2_naming_it(self, tmp_path, monkeypatch, capsys, edit, line, fault):
+        csv = write_dataset_csv(tmp_path, n=300, varying=True)
+        ds = load_csv(csv, CsvSchema(timestamp_column="timestamp"))
+        cfg = small_config([Strategy.ZEROSHOT], horizons=(1,), eval_stride=96, max_windows=100)
+        lines = [json.dumps(r, sort_keys=True) for r in fixture_records(bundles_for_run(ds, cfg))]
+        assert len(lines) == 3
+        edit(lines)
+        fx = tmp_path / "fx.jsonl"
+        fx.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        dispatched = []
+        monkeypatch.setattr(Gateway, "complete", lambda self, b: dispatched.append(b))
+        out = tmp_path / "r.json"
+        rc = main(["replay", "--dataset", str(csv), "--strategy", "zeroshot", "--horizon", "1",
+                   "--fixtures", str(fx), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: fixture file {fx}, line {line}: {fault}\n"
+        assert not dispatched and not out.exists()
