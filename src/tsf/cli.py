@@ -62,7 +62,8 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", help="model name for the http backend")
     p.add_argument("--temperature", type=_temperature, default=0.0)
     p.add_argument("--timeout", type=_count, default=60, help="seconds per http request")
-    p.add_argument("--retries", type=int, default=3)
+    p.add_argument("--retries", type=_count, default=3,
+                   help="attempts per http request, the first included")
     p.add_argument("--parallel", type=_count, default=1,
                    help="http requests in flight; mock and replay run on the calling thread")
     p.add_argument("--max-windows", type=_count, default=100)

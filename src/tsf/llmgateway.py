@@ -3,7 +3,6 @@ backends (persistence / linear mocks and replay of fixtures a live run recorded)
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -77,6 +76,8 @@ def estimate_tokens(text: str) -> int:
 
 
 def bundle_hash(bundle: PromptBundle) -> str:
+    import hashlib  # here, not at the top: a mock run never loads OpenSSL's libcrypto
+
     payload = bundle.system + "\x00" + bundle.user
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 

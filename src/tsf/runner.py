@@ -222,7 +222,11 @@ def run(dataset: Dataset, cfg: RunConfig) -> RunOutcome:
     `parallelism - 1` threads, so `parallelism` requests are in flight; the
     offline backends hold the GIL and never wait, so they dispatch on the
     calling thread alone. The worker that finishes a cell's last job aggregates
-    the cell and lets its window results go.
+    the cell and lets its window results go. An error that escapes a job, a
+    Ctrl-C on the calling thread among them, stops every worker before its next
+    job, and run raises the first once the helpers have joined: an interrupted
+    live run dispatches at most `parallelism - 1` more windows, each up to
+    `max_retries` attempts.
     The plan is built before the gateway, so a run that fails while planning
     leaves a fixture file it would record to untouched."""
     cells = _cells(cfg)
@@ -237,31 +241,37 @@ def run(dataset: Dataset, cfg: RunConfig) -> RunOutcome:
     todo: queue.SimpleQueue[int] = queue.SimpleQueue()
     for i in range(len(jobs)):
         todo.put(i)
+    # what escaped the workers, in the order it escaped; once it is non-empty no worker takes a job
+    errors: list[BaseException] = []
 
     def work() -> None:
-        while True:
-            try:
-                i = todo.get_nowait()
-            except queue.Empty:
-                return
-            c, j = divmod(i, n)
-            results[c][j] = _window_result(gateway, cfg, jobs[i])
-            with lock:
-                left[c] -= 1
-                last = not left[c]
-            if last:
-                outcomes[c] = _aggregate(dataset, cfg, cells[c], results[c])
-                results[c] = None
+        try:
+            while not errors:
+                try:
+                    i = todo.get_nowait()
+                except queue.Empty:
+                    return
+                c, j = divmod(i, n)
+                results[c][j] = _window_result(gateway, cfg, jobs[i])
+                with lock:
+                    left[c] -= 1
+                    last = not left[c]
+                if last:
+                    outcomes[c] = _aggregate(dataset, cfg, cells[c], results[c])
+                    results[c] = None
+        except BaseException as e:  # a Ctrl-C on the calling thread among them; run re-raises it
+            errors.append(e)
 
     # the calling thread is one worker; only http waits on I/O, so only it gets more
     helpers = max(1, cfg.backend.parallelism) - 1 if cfg.backend.kind is BackendKind.HTTP else 0
     if helpers:  # imported here, so an offline run never loads concurrent.futures
         from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=helpers) if helpers else contextlib.nullcontext() as ex:
-        futures = [ex.submit(work) for _ in range(helpers)]
+        for _ in range(helpers):
+            ex.submit(work)  # work raises nothing: what escapes a job goes to errors
         work()
-        for f in futures:
-            f.result()
+    if errors:  # every helper has joined, each after at most the job it held
+        raise errors[0]
     return RunOutcome(
         reports=[o for o in outcomes if isinstance(o, RunReport)],
         failures=[o for o in outcomes if isinstance(o, RunFailure)],

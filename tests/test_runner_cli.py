@@ -9,6 +9,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 from collections import Counter, defaultdict
 from dataclasses import replace
 from unittest import mock
@@ -87,13 +88,36 @@ def test_every_module_reachable_from_cli():
 
 HTTP_STACK = ["requests", "urllib3", "http.client", "concurrent.futures"]
 FOOTPRINT = """
-import json, sys, tsf.cli
-offline, http, stack = json.loads(sys.argv[1])
-codes = [tsf.cli.main(argv) for argv in offline]
+import json, sys, numpy
+first, then, stack = json.loads(sys.argv[1])
+base = [m for m in stack if m in sys.modules]
+import tsf.cli
+
+def main(argv):
+    try:
+        return tsf.cli.main(argv)
+    except SystemExit as e:  # --help
+        return e.code
+
+codes = [main(argv) for argv in first]
 before = [m for m in stack if m in sys.modules]
-code = tsf.cli.main(http)
-print(json.dumps([codes, before, code, [m for m in stack if m in sys.modules]]))
+code = main(then)
+print(json.dumps([base, codes, before, code, [m for m in stack if m in sys.modules]]))
 """
+
+
+def footprint(first, then, stack, env=None):
+    """In a fresh interpreter: the modules of `stack` that `import numpy` alone
+    loads; then, after importing tsf.cli, the exit codes of the `first`
+    invocations, the modules of `stack` loaded after them, the exit code of
+    `then`, and the modules of `stack` loaded after it."""
+    src = os.path.dirname(os.path.dirname(tsf.__file__))
+    env = {**os.environ, **(env or {}),
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", FOOTPRINT, json.dumps([first, then, stack])],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return (*json.loads(done.stdout.splitlines()[-1]), done.stderr)
 
 
 def test_only_an_http_run_loads_the_http_stack(tmp_path):
@@ -119,18 +143,40 @@ def test_only_an_http_run_loads_the_http_stack(tmp_path):
     http = ["run", *flags, "--backend", "http", "--endpoint", f"http://127.0.0.1:{port}",
             "--model", "m", "--parallel", "4", "--retries", "1",
             "--out", str(tmp_path / "h.json")]
-    src = os.path.dirname(os.path.dirname(tsf.__file__))
-    env = {**os.environ, "TSF_API_KEY": "x",
-           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run(
-        [sys.executable, "-c", FOOTPRINT, json.dumps([offline, http, HTTP_STACK])],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    codes, before, code, after = json.loads(done.stdout.splitlines()[-1])
+    _, codes, before, code, after, stderr = footprint(offline, http, HTTP_STACK,
+                                                      env={"TSF_API_KEY": "x"})
     assert (codes, before) == ([0, 0, 0], [])
     assert code == 1 and after == HTTP_STACK
-    assert done.stderr == ("FAILED zeroshot h=1: all 10 windows failed"
-                           f" ({csv}, zeroshot, h=1): 10 failed:TransportError\n")
+    assert stderr == ("FAILED zeroshot h=1: all 10 windows failed"
+                      f" ({csv}, zeroshot, h=1): 10 failed:TransportError\n")
+
+
+HASH_STACK = ["hashlib", "_hashlib"]  # _hashlib maps OpenSSL's libcrypto
+
+
+def test_only_a_hashed_prompt_loads_hashlib(tmp_path):
+    """In a fresh interpreter, the CLI's import, a mock run, compare and --help
+    load no more of hashlib and _hashlib than `import numpy` alone does; a replay
+    run then loads both, at its first hashed prompt, and scores its windows.
+    numpy 2.4 loads neither, importing numpy.random lazily; numpy 1.x imports
+    numpy.random eagerly, whose `secrets` import loads both through `hmac`."""
+    csv = tmp_path / "data.csv"
+    csv.write_text("timestamp,v\n" + "".join(f"{600 * i},{(i % 13) / 4}\n" for i in range(106)),
+                   encoding="utf-8")
+    ds = load_csv(csv, CsvSchema(timestamp_column="timestamp"))
+    cfg = small_config([Strategy.ZEROSHOT], horizons=(1,), eval_stride=1, max_windows=10)
+    fx = tmp_path / "fx.jsonl"
+    save_fixtures(fixture_records(bundles_for_run(ds, cfg)), fx)
+    flags = ["--dataset", str(csv), "--strategy", "zeroshot", "--horizon", "1",
+             "--stride", "1", "--max-windows", "10"]
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    unhashed = [["run", *flags, "--out", str(a)], ["compare", str(a), str(a)], ["--help"]]
+    replay = ["replay", *flags, "--fixtures", str(fx), "--out", str(b)]
+    base, codes, before, code, after, _ = footprint(unhashed, replay, HASH_STACK)
+    assert (codes, before) == ([0, 0, 0], base)
+    assert code == 0 and after == HASH_STACK
+    (rep,) = reports_from_json(b.read_text(encoding="utf-8"))
+    assert (rep.n_windows, rep.n_parsed) == (10, 10)
 
 
 # named only outside the package: bench/workloads.py builds the replay-cli
@@ -817,7 +863,7 @@ class TestCli:
 
     @pytest.mark.parametrize("flag", ["--context-len", "--horizon", "--stride", "--k",
                                       "--max-windows", "--patch-window", "--patch-stride",
-                                      "--parallel", "--timeout"])
+                                      "--parallel", "--timeout", "--retries"])
     @pytest.mark.parametrize("value", ["0", "-1"])
     @pytest.mark.parametrize("source", ["argv", "ini"])
     def test_counts_must_be_positive(self, tmp_path, capsys, flag, value, source):
@@ -1327,6 +1373,65 @@ class TestRecord:
         assert rc == 2
         assert "--fixtures is required for record" in capsys.readouterr().err
         assert not (tmp_path / "live.json").exists()
+
+
+class TestInterrupt:
+    """An error that escapes a job of a live run, a Ctrl-C on the calling thread
+    among them, stops every worker before its next job."""
+
+    PARALLELISM = 4
+
+    def interrupt(self, tmp_path, monkeypatch, error, on_caller):
+        """Record 200 zeroshot windows over a fake transport that answers after
+        2 ms, at parallelism 4, and raise `error` in place of the calling
+        thread's 4th request (on_caller) or of a helper's 2nd. Returns the
+        requests each thread sent after the raise; the fixture file holds one
+        whole record per answer."""
+        caller = threading.get_ident()
+        lock = threading.Lock()
+        sent = []  # the thread of each request, in order
+        raised = []  # len(sent) at the raise
+
+        def fake_http_complete(bundle, cfg):
+            me = threading.get_ident()
+            with lock:
+                sent.append(me)
+                fire = (not raised and (me == caller) == on_caller
+                        and sent.count(me) == (4 if on_caller else 2))
+                if fire:
+                    raised.append(len(sent))
+            if fire:
+                raise error
+            time.sleep(0.002)
+            return gw.LlmResponse("[1.25]", 7, 1, 0.002, gw.TokenSource.REPORTED)
+
+        monkeypatch.setattr(gw, "_http_complete", fake_http_complete)
+        fx = tmp_path / "fx.jsonl"
+        http = replace(http_backend(parallelism=self.PARALLELISM), fixture_path=str(fx))
+        cfg = small_config([Strategy.ZEROSHOT], horizons=(1,), eval_stride=1, max_windows=200,
+                           backend=http)
+        with pytest.raises(type(error)) as exc:
+            run(varying_dataset(n=296), cfg)
+        assert exc.value is error
+        lines = fx.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert len(lines) == len(sent) - 1 and all(line.endswith("\n") for line in lines)
+        assert all(set(json.loads(line)) == {"hash", "text", "input_tokens", "output_tokens",
+                                             "latency_seconds"} for line in lines)
+        return Counter(sent[raised[0]:])
+
+    def test_ctrl_c_stops_the_helpers(self, tmp_path, monkeypatch):
+        """After a KeyboardInterrupt on the calling thread's 4th request, at most
+        parallelism - 1 more requests are sent, one per helper at most, and run
+        raises it."""
+        after = self.interrupt(tmp_path, monkeypatch, KeyboardInterrupt(), on_caller=True)
+        assert sum(after.values()) <= self.PARALLELISM - 1 and set(after.values()) <= {1}
+        assert threading.get_ident() not in after
+
+    def test_helper_error_stops_the_calling_thread(self, tmp_path, monkeypatch):
+        """A non-TsfError on a helper stops the calling thread's loop as well: at most
+        parallelism - 1 more requests, one per worker at most, and run raises it."""
+        after = self.interrupt(tmp_path, monkeypatch, RuntimeError("bug"), on_caller=False)
+        assert sum(after.values()) <= self.PARALLELISM - 1 and set(after.values()) <= {1}
 
 
 def _cut_last_line(lines):
